@@ -8,14 +8,13 @@ as production verification paths.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .core import (InfeasibleLevel, InputError, SizeError, Verdict, Witness)
+from .core import InfeasibleLevel, InputError, SizeError, Verdict, Witness, timed
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,7 @@ def _subset_inters(masks: np.ndarray, full: np.int64) -> np.ndarray:
     return w
 
 
+@timed
 def verify_pjr_bruteforce(inst: ApprovalInstance, committee, max_voters: int = 16) -> Verdict:
     """Exhaustive PJR check over all voter coalitions.
 
@@ -123,7 +123,6 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee, max_voters: int = 1
     ell commonly-approved candidates yet sees fewer than ell committee
     members across its union of ballots.
     """
-    t0 = time.perf_counter()
     X = _check_committee(inst, committee)
     n, k = inst.n, inst.k
     if n > max_voters:
@@ -141,17 +140,17 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee, max_voters: int = 1
     coverage = np.bitwise_count((union & xmask).view(np.uint64)).astype(np.int64)
     level = np.minimum((sizes * k) // n, cohesion)
     violated = (sizes > 0) & (level > coverage)
-    elapsed = (time.perf_counter() - t0) * 1000.0
     if not violated.any():
-        return Verdict("pjr", 1.0, True, None, elapsed)
+        return Verdict("pjr", 1.0, True)
     s = int(np.flatnonzero(violated)[0])
     coalition = frozenset(i for i in range(n) if s >> i & 1)
     wit = Witness(center=None, level=int(level[s]), radius=None,
                   coalition=coalition,
                   covered=frozenset(c for c in X if union[s] >> c & 1))
-    return Verdict("pjr", 1.0, False, wit, elapsed)
+    return Verdict("pjr", 1.0, False, wit)
 
 
+@timed
 def verify_pjr_plus_sweep(inst: ApprovalInstance, committee, max_k: int = 24) -> Verdict:
     """PJR+ by scanning exclusion sets Y and anchor candidates c.
 
@@ -160,7 +159,6 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee, max_k: int = 24) ->
     (|Y|+1) * q of them (integer cross-test).  Y is scanned by popcount
     then lexicographically, c by index, so witnesses are deterministic.
     """
-    t0 = time.perf_counter()
     X = _check_committee(inst, committee)
     n, k = inst.n, inst.k
     if k > max_k:
@@ -180,11 +178,11 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee, max_k: int = 24) ->
                 voters = frozenset(np.flatnonzero(unserved & A[:, c]).tolist())
                 wit = Witness(center=c, level=size + 1, radius=None,
                               coalition=voters, covered=frozenset(Y))
-                return Verdict("pjr+", 1.0, False, wit,
-                               (time.perf_counter() - t0) * 1000.0)
-    return Verdict("pjr+", 1.0, True, None, (time.perf_counter() - t0) * 1000.0)
+                return Verdict("pjr+", 1.0, False, wit)
+    return Verdict("pjr+", 1.0, True)
 
 
+@timed
 def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
                                          ell: int, max_voters: int = 16) -> Verdict:
     """Exhaustive fixed-level PJR+ check.
@@ -193,7 +191,6 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
     the approvers of c, and tests |S|*k >= ell*n against committee coverage
     of the coalition's ballot union.
     """
-    t0 = time.perf_counter()
     X = _check_committee(inst, committee)
     n, k = inst.n, inst.k
     if not (1 <= ell <= k):
@@ -220,10 +217,8 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
             coalition = frozenset(approvers[i] for i in range(len(approvers)) if s >> i & 1)
             wit = Witness(center=c, level=ell, radius=None, coalition=coalition,
                           covered=frozenset(x for x in X if union[s] >> x & 1))
-            return Verdict("fixed-ell-pjr+", 1.0, False, wit,
-                           (time.perf_counter() - t0) * 1000.0)
-    return Verdict("fixed-ell-pjr+", 1.0, True, None,
-                   (time.perf_counter() - t0) * 1000.0)
+            return Verdict("fixed-ell-pjr+", 1.0, False, wit)
+    return Verdict("fixed-ell-pjr+", 1.0, True)
 
 
 @dataclass(frozen=True)

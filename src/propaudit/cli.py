@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bench, gen
@@ -28,16 +29,25 @@ from .verify import (dc_violations, verify_dc_mpjr_plus, verify_fixed_ell_dc,
 AUDIT_AXIOMS = ("dc-mpjr+", "mpjr+", "mpjr-oracle", "fixed-ell-dc")
 
 
-def _read_selection(args, instance) -> tuple:
+def _read_selection(args) -> tuple:
     if args.selection_file:
         with open(args.selection_file) as fh:
-            data = json.load(fh)
-        raw = data["selection"] if isinstance(data, dict) else data
+            raw = json.load(fh)
+        if isinstance(raw, dict):
+            if "selection" not in raw:
+                raise InputError(f"{args.selection_file} has no \"selection\" key")
+            raw = raw["selection"]
     elif args.selection:
-        raw = [int(tok) for tok in args.selection.split(",") if tok.strip()]
+        try:
+            raw = [int(tok) for tok in args.selection.split(",") if tok.strip()]
+        except ValueError:
+            raise InputError(f"--selection {args.selection!r} is not a list of "
+                             "integers") from None
     else:
         raise InputError("provide --selection or --selection-file")
-    return tuple(int(c) for c in raw)
+    if not (isinstance(raw, list) and all(type(c) is int for c in raw)):
+        raise InputError(f"selection {raw!r} is not a list of integers")
+    return tuple(raw)
 
 
 def _emit(obj, out=None):
@@ -50,8 +60,12 @@ def _emit(obj, out=None):
 
 
 def _cmd_audit(args) -> int:
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
+    if not math.isfinite(args.gamma):
+        raise InputError(f"--gamma must be finite, got {args.gamma}")
     instance = load_instance(args.instance)
-    selection = _read_selection(args, instance)
+    selection = _read_selection(args)
     if args.axiom == "dc-mpjr+":
         if args.all_witnesses:
             wits = dc_violations(instance, selection, args.gamma, args.eps)

@@ -1,4 +1,4 @@
-"""Clustering instances, metric backends, and the shared quota arithmetic.
+"""Clustering instances, metric backends, verdicts and witnesses.
 
 An instance bundles a multiset of agents, a set of candidate centers, a
 metric (either Euclidean coordinates or an explicit distance matrix), and
@@ -13,12 +13,14 @@ No floating quotient n/k is ever formed.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+import numbers
+import time
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 EUCLIDEAN = "euclidean"
 EXPLICIT = "explicit"
@@ -42,6 +44,22 @@ class UnsupportedBackend(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid generator or experiment configuration."""
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a and the rows of b.
+
+    Squares are added one coordinate at a time, left to right, then
+    rooted, so every entry is bit-equal to the plain-Python
+    math.sqrt(sum((x - y) * (x - y) for x, y in zip(p, q))).
+    """
+    acc = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(acc)
+    for j in range(a.shape[1]):
+        np.subtract(a[:, j, None], b[None, :, j], out=diff)
+        diff *= diff
+        acc += diff
+    return np.sqrt(acc, out=acc)
 
 
 class Instance:
@@ -88,12 +106,19 @@ class Instance:
 
         if self.n < 1:
             raise InputError("need at least one agent")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise InputError(f"k must be an integer, got {k!r}")
         if not (1 <= k <= self.m):
             raise InputError(f"k={k} out of range [1, {self.m}]")
         self.metric = metric
         self.k = int(k)
         self.agent_names = list(agent_names) if agent_names is not None else None
         self.candidate_names = list(candidate_names) if candidate_names is not None else None
+        if self.agent_names is not None and len(self.agent_names) != self.n:
+            raise InputError(f"{len(self.agent_names)} agent names for {self.n} agents")
+        if self.candidate_names is not None and len(self.candidate_names) != self.m:
+            raise InputError(f"{len(self.candidate_names)} candidate names for "
+                             f"{self.m} candidates")
         self._ac = None  # cached n x m agent-candidate distance matrix
 
     @classmethod
@@ -106,15 +131,11 @@ class Instance:
         return cls(EXPLICIT, k, matrix=matrix, n_agents=n_agents,
                    agent_names=agent_names, candidate_names=candidate_names)
 
-    @property
-    def quota(self) -> "QuotaCmp":
-        return QuotaCmp(self.n, self.k)
-
     def dists(self) -> np.ndarray:
         """The n x m agent-candidate distance matrix (computed once, cached)."""
         if self._ac is None:
             if self.metric == EUCLIDEAN:
-                self._ac = cdist(self._agent_points, self._candidate_points)
+                self._ac = _pairwise(self._agent_points, self._candidate_points)
             else:
                 self._ac = self._matrix[: self.n, self.n:]
         return self._ac
@@ -132,7 +153,7 @@ class Instance:
             return float(self._matrix[a, b])
         pa = self._agent_points[a] if a < self.n else self._candidate_points[a - self.n]
         pb = self._agent_points[b] if b < self.n else self._candidate_points[b - self.n]
-        return float(np.linalg.norm(pa - pb))
+        return float(_pairwise(pa[None, :], pb[None, :])[0, 0])
 
     def to_explicit(self) -> "Instance":
         """Materialize the full metric as an explicit-matrix instance.
@@ -142,7 +163,7 @@ class Instance:
         if self.metric == EXPLICIT:
             return self
         pts = np.vstack([self._agent_points, self._candidate_points])
-        return Instance.explicit(cdist(pts, pts), self.n, self.k)
+        return Instance.explicit(_pairwise(pts, pts), self.n, self.k)
 
     def to_dict(self) -> dict:
         if self.metric == EUCLIDEAN:
@@ -166,8 +187,7 @@ class Instance:
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
         try:
-            metric = data["metric"]
-            k = int(data["k"])
+            metric, k = data["metric"], data["k"]
             if metric == EUCLIDEAN:
                 return cls.euclidean(data["agents"], data["candidates"], k)
             if metric == EXPLICIT:
@@ -175,7 +195,7 @@ class Instance:
                 return cls.explicit(data["matrix"], len(agents), k,
                                     agent_names=agents,
                                     candidate_names=data["candidates"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad instance JSON: {exc}") from exc
         raise InputError(f"unknown metric backend {metric!r}")
 
@@ -202,32 +222,6 @@ def check_selection(instance: Instance, centers: Iterable[int]) -> tuple:
     if xs and (xs[0] < 0 or xs[-1] >= instance.m):
         raise InputError("selection index out of candidate range")
     return tuple(xs)
-
-
-@dataclass(frozen=True)
-class QuotaCmp:
-    """Exact quota comparisons for q = n/k, done as integer cross-products."""
-
-    n: int
-    k: int
-
-    def at_least(self, count: int, level: int) -> bool:
-        """count agents justify `level` centers: count * k >= level * n."""
-        return count * self.k >= level * self.n
-
-    def level_of(self, count: int) -> int:
-        """Largest level justified by `count` agents, i.e. floor(count/q)."""
-        return (count * self.k) // self.n
-
-    def min_count(self, level: int) -> int:
-        """Smallest agent count with count * k >= level * n."""
-        return -((-level * self.n) // self.k)
-
-
-def quota_at_least(count: int, level: int, quota: QuotaCmp) -> bool:
-    if count < 0 or level < 1:
-        raise InputError("count must be >= 0 and level >= 1")
-    return quota.at_least(count, level)
 
 
 def group_approval_set(instance: Instance, agents: Iterable[int], r: float) -> frozenset:
@@ -308,6 +302,16 @@ class Witness:
             "coalition": sorted(self.coalition) if self.coalition is not None else None,
             "covered": sorted(self.covered) if self.covered is not None else None,
         }
+
+
+def timed(fn):
+    """Stamp each call's wall time in ms onto its frozen result's elapsed_ms."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        result = fn(*args, **kwargs)
+        return replace(result, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    return wrapper
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,12 @@ evidence of correctness.  All are desk-scale only, guarded by caps.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .approval import ApprovalInstance, verify_pjr_bruteforce
-from .core import Instance, SizeError, Verdict, Witness, check_selection
+from .core import Instance, SizeError, Verdict, Witness, check_selection, timed
 
 
 def _subset_bits(n: int) -> np.ndarray:
@@ -23,6 +22,7 @@ def _subset_bits(n: int) -> np.ndarray:
     return (idx[:, None] >> np.arange(n)[None, :] & 1).astype(bool)
 
 
+@timed
 def oracle_mpjr(instance: Instance, selection, max_agents: int = 16) -> Verdict:
     """Metric PJR by radius enumeration.
 
@@ -30,7 +30,6 @@ def oracle_mpjr(instance: Instance, selection, max_agents: int = 16) -> Verdict:
     structure is constant between consecutive values.  At each radius the
     induced approval election is checked exhaustively.
     """
-    t0 = time.perf_counter()
     X = check_selection(instance, selection)
     if instance.n > max_agents:
         raise SizeError(f"n={instance.n} exceeds exhaustive cap {max_agents}")
@@ -44,9 +43,8 @@ def oracle_mpjr(instance: Instance, selection, max_agents: int = 16) -> Verdict:
             wit = Witness(center=None, level=inner.witness.level, radius=float(r),
                           coalition=inner.witness.coalition,
                           covered=inner.witness.covered)
-            return Verdict("mpjr", 1.0, False, wit,
-                           (time.perf_counter() - t0) * 1000.0)
-    return Verdict("mpjr", 1.0, True, None, (time.perf_counter() - t0) * 1000.0)
+            return Verdict("mpjr", 1.0, False, wit)
+    return Verdict("mpjr", 1.0, True)
 
 
 def _anchored_violations(D, X, c, n, k, gamma, bits):
@@ -60,6 +58,7 @@ def _anchored_violations(D, X, c, n, k, gamma, bits):
     return rmax, cov
 
 
+@timed
 def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
                      max_agents: int = 16) -> Verdict:
     """Anchored proportional representation, straight from the definition.
@@ -68,7 +67,6 @@ def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
     the coalition's radius is its farthest member from c, and coverage is
     counted inside gamma times that radius.
     """
-    t0 = time.perf_counter()
     X = check_selection(instance, selection)
     n, k = instance.n, instance.k
     if n > max_agents:
@@ -91,16 +89,14 @@ def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
                                 if d <= gamma * rmax[s])
             wit = Witness(center=c, level=int(justified[s]), radius=float(rmax[s]),
                           coalition=members, covered=covered)
-            return Verdict("mpjr+-oracle", gamma, False, wit,
-                           (time.perf_counter() - t0) * 1000.0)
-    return Verdict("mpjr+-oracle", gamma, True, None,
-                   (time.perf_counter() - t0) * 1000.0)
+            return Verdict("mpjr+-oracle", gamma, False, wit)
+    return Verdict("mpjr+-oracle", gamma, True)
 
 
+@timed
 def oracle_mpjr_plus_fixed_ell(instance: Instance, selection, ell: int,
                                gamma: float = 1.0, max_agents: int = 16) -> Verdict:
     """Single-level variant of the anchored oracle (used by transfer tests)."""
-    t0 = time.perf_counter()
     X = check_selection(instance, selection)
     n, k = instance.n, instance.k
     if n > max_agents:
@@ -119,19 +115,17 @@ def oracle_mpjr_plus_fixed_ell(instance: Instance, selection, ell: int,
             members = frozenset(np.flatnonzero(bits[s]).tolist())
             wit = Witness(center=c, level=ell, radius=float(rmax[s]),
                           coalition=members, covered=None)
-            return Verdict("fixed-ell-mpjr+-oracle", gamma, False, wit,
-                           (time.perf_counter() - t0) * 1000.0)
-    return Verdict("fixed-ell-mpjr+-oracle", gamma, True, None,
-                   (time.perf_counter() - t0) * 1000.0)
+            return Verdict("fixed-ell-mpjr+-oracle", gamma, False, wit)
+    return Verdict("fixed-ell-mpjr+-oracle", gamma, True)
 
 
+@timed
 def oracle_dc(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
     """Default-coalitions audit transcribed per (anchor, level) pair.
 
     Independent of the sweep verifier: radii come from a plain sort, and
     coverage from explicit ball membership.
     """
-    t0 = time.perf_counter()
     X = check_selection(instance, selection)
     n, k = instance.n, instance.k
     D = instance.dists()
@@ -152,10 +146,8 @@ def oracle_dc(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
                                     if d <= gamma * radius)
                 wit = Witness(center=c, level=ell, radius=radius,
                               coalition=frozenset(members.tolist()), covered=covered)
-                return Verdict("dc-oracle", gamma, False, wit,
-                               (time.perf_counter() - t0) * 1000.0)
-    return Verdict("dc-oracle", gamma, True, None,
-                   (time.perf_counter() - t0) * 1000.0)
+                return Verdict("dc-oracle", gamma, False, wit)
+    return Verdict("dc-oracle", gamma, True)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,11 @@ this way always pass the anchored-representation audits.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, timed
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class SearStep:
 class SearResult:
     selection: tuple
     trace: tuple
-    elapsed_ms: float
+    elapsed_ms: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -46,6 +45,7 @@ class SearResult:
         }
 
 
+@timed
 def run_sear(instance: Instance) -> SearResult:
     """Deterministic run of the expanding-approvals rule.
 
@@ -56,7 +56,6 @@ def run_sear(instance: Instance) -> SearResult:
     charged in ascending index order, each drained fully until exactly n
     k-scaled units are consumed.
     """
-    t0 = time.perf_counter()
     n, m, k = instance.n, instance.m, instance.k
     D = instance.dists()
     radii = np.unique(D)
@@ -110,5 +109,4 @@ def run_sear(instance: Instance) -> SearResult:
         trace.append(SearStep(c, float(radii[jidx]) if jidx >= 0 else 0.0,
                               tuple(charges)))
 
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return SearResult(tuple(chosen), tuple(trace), elapsed)
+    return SearResult(tuple(chosen), tuple(trace))

@@ -18,6 +18,10 @@ endpoints compare with == by default (fixtures and embeddings have exact
 small-integer distances).  An opt-in ``eps`` widens comparisons for
 noisy data.
 
+Every metric witness is built by ``_witness`` from the caller's coalition
+rule: the closed ball for the default-coalition audits, the agents inside
+the ball but out of reach of X \\ Y for the small-k audit.
+
 Scan order is deterministic: anchors by candidate index, Y by popcount
 then lexicographically, radii ascending.  The per-anchor loops are
 independent, so callers may parallelize them at the cost of witness
@@ -26,14 +30,13 @@ determinism; verdicts are order-independent either way.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .core import (InfeasibleLevel, Instance, SizeError, Verdict, Witness,
-                   check_selection)
+                   check_selection, timed)
 
 # soft cap on scratch elements per candidate chunk in the DC scan
 _CHUNK_ELEMS = 4_000_000
@@ -108,31 +111,36 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, order=None, sd=None, find_all=False):
     return found if find_all else None
 
 
-def _dc_witness(instance, X, anchor, level, radius, gamma, eps):
-    D = instance.dists()
-    members = np.flatnonzero(D[:, anchor] <= radius + eps)
+def _unselected(instance: Instance, X) -> np.ndarray:
+    keep = np.ones(instance.m, dtype=bool)
+    keep[list(X)] = False
+    return np.flatnonzero(keep)
+
+
+def _witness(D, X, anchor, level, radius, coalition, gamma, eps) -> Witness:
+    """Violation witness for the agents in the boolean mask `coalition`,
+    with the selected centers within gamma*radius (+eps) of any of them."""
+    members = np.flatnonzero(coalition)
     reach = D[np.ix_(members, np.asarray(X, dtype=np.intp))].min(axis=0)
     covered = frozenset(int(x) for x, r in zip(X, reach) if r <= gamma * radius + eps)
-    return Witness(center=anchor, level=level, radius=radius,
+    return Witness(center=int(anchor), level=level, radius=radius,
                    coalition=frozenset(members.tolist()), covered=covered)
 
 
+@timed
 def verify_dc_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
                         eps: float = 0.0) -> Verdict:
     """Default-coalitions audit: every anchor's tightest ball at every level
     must see the coverage its size deserves within gamma times its radius."""
-    t0 = time.perf_counter()
     X = check_selection(instance, selection)
     D = instance.dists()
-    outs = np.asarray([c for c in range(instance.m) if c not in set(X)], dtype=np.intp)
-    hit = _dc_scan(D, X, outs, instance.n, instance.k, gamma, eps)
-    elapsed = (time.perf_counter() - t0) * 1000.0
+    hit = _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k, gamma, eps)
     if hit is None:
-        return Verdict("dc-mpjr+", gamma, True, None, elapsed)
+        return Verdict("dc-mpjr+", gamma, True)
     anchor, level, radius, _ = hit
-    wit = _dc_witness(instance, X, anchor, level, radius, gamma, eps)
-    return Verdict("dc-mpjr+", gamma, False, wit,
-                   (time.perf_counter() - t0) * 1000.0)
+    return Verdict("dc-mpjr+", gamma, False,
+                   _witness(D, X, anchor, level, radius, D[:, anchor] <= radius + eps,
+                            gamma, eps))
 
 
 def dc_violations(instance: Instance, selection, gamma: float = 1.0,
@@ -140,11 +148,13 @@ def dc_violations(instance: Instance, selection, gamma: float = 1.0,
     """Every violating (anchor, level) pair of the default-coalitions audit."""
     X = check_selection(instance, selection)
     D = instance.dists()
-    outs = np.asarray([c for c in range(instance.m) if c not in set(X)], dtype=np.intp)
-    triples = _dc_scan(D, X, outs, instance.n, instance.k, gamma, eps, find_all=True)
-    return [_dc_witness(instance, X, a, l, r, gamma, eps) for (a, l, r) in triples]
+    triples = _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k,
+                       gamma, eps, find_all=True)
+    return [_witness(D, X, a, l, r, D[:, a] <= r + eps, gamma, eps)
+            for (a, l, r) in triples]
 
 
+@timed
 def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
                         gamma: float = 1.0, eps: float = 0.0) -> Verdict:
     """Single-level default-coalitions audit.
@@ -152,31 +162,18 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     Per anchor, only the first radius whose ball deserves level >= ell is
     checked, per the sweep's early-stop specialization.
     """
-    t0 = time.perf_counter()
     X = check_selection(instance, selection)
     n, k = instance.n, instance.k
     if not (1 <= ell <= k):
         raise InfeasibleLevel(f"level {ell} outside [1, {k}]")
     D = instance.dists()
     need = -((-ell * n) // k)
-    xs = np.asarray(X, dtype=np.intp)
-    for c in range(instance.m):
-        if c in set(X):
-            continue
-        dc = D[:, c]
-        radius = float(np.partition(dc, need - 1)[need - 1])
-        members = np.flatnonzero(dc <= radius + eps)
-        reach = D[np.ix_(members, xs)].min(axis=0)
-        cov = int((reach <= gamma * radius + eps).sum())
-        if cov < ell:
-            covered = frozenset(int(x) for x, r in zip(X, reach)
-                                if r <= gamma * radius + eps)
-            wit = Witness(center=c, level=ell, radius=radius,
-                          coalition=frozenset(members.tolist()), covered=covered)
-            return Verdict("fixed-ell-dc", gamma, False, wit,
-                           (time.perf_counter() - t0) * 1000.0)
-    return Verdict("fixed-ell-dc", gamma, True, None,
-                   (time.perf_counter() - t0) * 1000.0)
+    for c in _unselected(instance, X):
+        radius = float(np.partition(D[:, c], need - 1)[need - 1])
+        wit = _witness(D, X, c, ell, radius, D[:, c] <= radius + eps, gamma, eps)
+        if len(wit.covered) < ell:
+            return Verdict("fixed-ell-dc", gamma, False, wit)
+    return Verdict("fixed-ell-dc", gamma, True)
 
 
 def _alg1_scan(Lt, DXt, rank, n, k, size, rest, gamma, eps):
@@ -211,6 +208,7 @@ def _alg1_scan(Lt, DXt, rank, n, k, size, rest, gamma, eps):
     return int(alive[ci]), float(Ls[ci, t]), ug
 
 
+@timed
 def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
                             max_k: int = 24, eps: float = 0.0) -> Verdict:
     """Small-k audit of anchored proportional representation.
@@ -220,16 +218,14 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     agents sit within r of c yet farther than gamma*r from every selected
     center outside Y.
     """
-    t0 = time.perf_counter()
     X = check_selection(instance, selection)
     n, k = instance.n, instance.k
     if k > max_k:
         raise SizeError(f"k={k} exceeds exhaustive cap {max_k}")
     D = instance.dists()
-    outs = np.asarray([c for c in range(instance.m) if c not in set(X)], dtype=np.intp)
+    outs = _unselected(instance, X)
     if len(outs) == 0:
-        return Verdict("mpjr+", gamma, True, None,
-                       (time.perf_counter() - t0) * 1000.0)
+        return Verdict("mpjr+", gamma, True)
     Lt = np.ascontiguousarray(D[:, outs].T)
     DXt = np.ascontiguousarray(D[:, np.asarray(X, dtype=np.intp)].T)
     rank = np.arange(1, n + 1, dtype=np.int64)
@@ -241,15 +237,8 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
             if hit is None:
                 continue
             ci, radius, ug = hit
-            c = int(outs[ci])
-            lcol = D[:, c]
-            coal = np.flatnonzero((lcol <= radius) & (ug > radius))
-            reach = D[np.ix_(coal, np.asarray(X, dtype=np.intp))].min(axis=0)
-            covered = frozenset(int(x) for x, r in zip(X, reach)
-                                if r <= gamma * radius + eps)
-            wit = Witness(center=c, level=size + 1, radius=radius,
-                          coalition=frozenset(coal.tolist()), covered=covered)
-            return Verdict("mpjr+", gamma, False, wit,
-                           (time.perf_counter() - t0) * 1000.0)
-    return Verdict("mpjr+", gamma, True, None,
-                   (time.perf_counter() - t0) * 1000.0)
+            c = outs[ci]
+            coalition = (D[:, c] <= radius) & (ug > radius)
+            return Verdict("mpjr+", gamma, False,
+                           _witness(D, X, c, size + 1, radius, coalition, gamma, eps))
+    return Verdict("mpjr+", gamma, True)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +46,37 @@ class TestAudit:
         code = main(["audit", prop3_2, "--selection", "1,2"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--selection", "1,a"],
+        ["--selection", "1,2,3", "--eps", "-1"],
+        ["--selection", "1,2,3", "--eps", "nan"],
+        ["--selection", "1,2,3", "--eps", "inf"],
+        ["--selection", "1,2,3", "--gamma", "inf"],
+        ["--selection", "1,2,3", "--gamma", "nan"],
+    ])
+    def test_bad_arguments_exit_two(self, prop3_2, argv, capsys):
+        assert main(["audit", prop3_2] + argv) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        {"centers": [1, 2, 3]},          # no "selection" key
+        {"selection": [1, "2", 3]},
+        {"selection": [1.0, 2, 3]},
+        {"selection": "1,2,3"},
+        7,
+    ])
+    def test_bad_selection_file_exit_two(self, prop3_2, tmp_path, content, capsys):
+        path = tmp_path / "sel.json"
+        path.write_text(json.dumps(content))
+        assert main(["audit", prop3_2, "--selection-file", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_selection_file_forms(self, prop3_2, tmp_path, capsys):
+        path = tmp_path / "sel.json"
+        for content in ({"selection": [1, 2, 3]}, [1, 2, 3]):
+            path.write_text(json.dumps(content))
+            assert main(["audit", prop3_2, "--selection-file", str(path)]) == 1
 
     def test_oracle_and_fixed_ell_paths(self, prop3_2, capsys):
         assert main(["audit", prop3_2, "--selection", "1,2,3",
@@ -139,3 +173,20 @@ class TestOtherCommands:
 
     def test_missing_file(self):
         assert main(["audit", "/nonexistent.json", "--selection", "0"]) == 2
+
+    def test_bad_instance_exit_two(self, prop3_2, tmp_path, capsys):
+        data = json.loads(open(prop3_2).read())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(data, k="x")))
+        assert main(["audit", str(bad), "--selection", "1,2,3"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    import propaudit
+    src = os.path.dirname(os.path.dirname(propaudit.__file__))
+    code = ("import sys, propaudit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

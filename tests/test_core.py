@@ -1,14 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from propaudit import (ApprovalInstance, InputError, Instance, QuotaCmp,
+from propaudit import (ApprovalInstance, InputError, Instance,
                        UnsupportedBackend, check_selection, dump_instance,
                        embed_approval, group_approval_set, load_instance,
-                       quota_at_least, validate_metric)
+                       validate_metric)
 from propaudit.gen import fixture_incomparability, substream
 
 from conftest import random_explicit
@@ -37,6 +36,22 @@ class TestDistance:
         inst = small_embedded()
         with pytest.raises(InputError):
             inst.distance(0, 99)
+
+    def test_dists_bit_equal_to_plain_python(self, rng):
+        # mixed magnitudes per coordinate make the summation order visible
+        for dim in range(1, 9):
+            scale = 10.0 ** rng.integers(-6, 7, size=dim)
+            agents = (rng.random((7, dim)) - 0.5) * scale
+            cands = (rng.random((5, dim)) - 0.5) * scale
+            inst = Instance.euclidean(agents, cands, 2)
+            expect = [[math.sqrt(sum((float(a) - float(b)) * (float(a) - float(b))
+                                     for a, b in zip(p, q)))
+                       for q in cands] for p in agents]
+            assert inst.dists().tolist() == expect
+            assert [[inst.distance(i, 7 + j) for j in range(5)]
+                    for i in range(7)] == expect
+            full = inst.to_explicit().dists()
+            assert np.array_equal(full, inst.dists())
 
 
 class TestGroupApprovalSet:
@@ -79,40 +94,6 @@ class TestGroupApprovalSet:
             r = float(rng.integers(0, 8))
             assert group_approval_set(inst, small, r) <= group_approval_set(inst, big, r)
             assert group_approval_set(inst, small, r) <= group_approval_set(inst, small, r + 1.0)
-
-
-class TestQuota:
-    @pytest.mark.parametrize("count,level,n,k,expect", [
-        (4, 2, 6, 3, True),     # |S| = ell * q with q = 2
-        (3, 2, 6, 3, False),    # 9 < 12
-        (7, 2, 20, 5, False),   # 35 < 40
-    ])
-    def test_cross_multiplication(self, count, level, n, k, expect):
-        assert quota_at_least(count, level, QuotaCmp(n, k)) is expect
-
-    @given(st.integers(0, 200), st.integers(1, 20), st.integers(1, 50),
-           st.integers(1, 20))
-    @settings(max_examples=200, deadline=None)
-    def test_monotone(self, count, level, n, k):
-        q = QuotaCmp(n, k)
-        if q.at_least(count, level):
-            assert q.at_least(count + 1, level)
-            if level > 1:
-                assert q.at_least(count, level - 1)
-
-    @given(st.integers(1, 400), st.integers(1, 30), st.integers(1, 12))
-    @settings(max_examples=200, deadline=None)
-    def test_level_of_matches_at_least(self, count, n, k):
-        q = QuotaCmp(n, k)
-        ell = q.level_of(count)
-        assert q.at_least(count, ell) or ell == 0
-        assert not q.at_least(count, ell + 1)
-
-    def test_min_count_is_tight(self):
-        q = QuotaCmp(20, 3)
-        for ell in range(1, 4):
-            c = q.min_count(ell)
-            assert q.at_least(c, ell) and not q.at_least(c - 1, ell)
 
 
 class TestValidateMetric:
@@ -185,6 +166,19 @@ class TestSelectionAndJson:
         back = load_instance(path)
         assert back.metric == "euclidean" and back.dim == 2
         assert np.array_equal(back.dists(), eu.dists())
+
+    @pytest.mark.parametrize("change", [
+        {"k": "x"},
+        {"k": 1.7},
+        {"k": True},
+        {"agents": ["a0", "a1", "a2", "a3", "a4"]},     # sixth agent would become a candidate
+        {"candidates": ["z", "x1", "x2"]},
+        {"matrix": [[0.0, 1.0], [1.0]]},
+    ])
+    def test_from_dict_rejects_bad_fields(self, change):
+        inst, _ = fixture_incomparability(2)
+        with pytest.raises(InputError):
+            Instance.from_dict(dict(inst.to_dict(), **change))
 
     def test_schema_fields(self):
         inst, _ = fixture_incomparability(2)
