@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InfeasibleLevel, InputError, SizeError, Verdict, Witness, timed
+from .core import (InfeasibleLevel, InputError, SizeError, Verdict, Witness,
+                   is_int, timed)
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,13 @@ class ApprovalInstance:
     @classmethod
     def from_dict(cls, data: dict) -> "ApprovalInstance":
         try:
-            return cls.from_approvals(data["approvals"], int(data["candidates"]),
-                                      int(data["k"]))
+            m, k, approvals = data["candidates"], data["k"], data["approvals"]
+            for name, value in (("candidates", m), ("k", k)):
+                if not is_int(value):
+                    raise InputError(f"{name} must be an integer, got {value!r}")
+            if not all(is_int(c) for a in approvals for c in a):
+                raise InputError("approval sets must hold integer candidate indices")
+            return cls.from_approvals(approvals, m, k)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad approval JSON: {exc}") from exc
 

@@ -18,8 +18,8 @@ from .approval import ApprovalInstance
 from .baselines import (kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
                         kmedian_local_search)
 from .core import (ConfigError, InfeasibleLevel, InputError, SizeError,
-                   UnsupportedBackend, Instance, dump_instance, load_instance,
-                   validate_metric)
+                   UnsupportedBackend, Instance, check_gamma, dump_instance,
+                   load_instance, validate_metric)
 from .embedding import embed_approval
 from .oracle import oracle_mpjr
 from .sear import run_sear
@@ -62,8 +62,7 @@ def _emit(obj, out=None):
 def _cmd_audit(args) -> int:
     if not (math.isfinite(args.eps) and args.eps >= 0):
         raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
-    if not math.isfinite(args.gamma):
-        raise InputError(f"--gamma must be finite, got {args.gamma}")
+    check_gamma(args.gamma)
     instance = load_instance(args.instance)
     selection = _read_selection(args)
     if args.axiom == "dc-mpjr+":
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=24)
     p.add_argument("--max-agents", type=int, default=16)
     p.add_argument("--all-witnesses", action="store_true",
-                   help="list every violating (center, level) pair (dc-mpjr+)")
+                   help="list every violating (center, level, radius) (dc-mpjr+)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)

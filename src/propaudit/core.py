@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -44,6 +45,11 @@ class UnsupportedBackend(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid generator or experiment configuration."""
+
+
+def is_int(value) -> bool:
+    """An integer in JSON or Python terms; bools do not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,7 +112,7 @@ class Instance:
 
         if self.n < 1:
             raise InputError("need at least one agent")
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        if not is_int(k):
             raise InputError(f"k must be an integer, got {k!r}")
         if not (1 <= k <= self.m):
             raise InputError(f"k={k} out of range [1, {self.m}]")
@@ -222,6 +228,13 @@ def check_selection(instance: Instance, centers: Iterable[int]) -> tuple:
     if xs and (xs[0] < 0 or xs[-1] >= instance.m):
         raise InputError("selection index out of candidate range")
     return tuple(xs)
+
+
+def check_gamma(gamma) -> None:
+    """Reject an approximation factor that is not a finite number > 0."""
+    real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
+    if not (real and math.isfinite(gamma) and gamma > 0):
+        raise InputError(f"gamma must be a finite number > 0, got {gamma!r}")
 
 
 def group_approval_set(instance: Instance, agents: Iterable[int], r: float) -> frozenset:

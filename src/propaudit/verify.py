@@ -8,15 +8,19 @@ Two verification strategies live here:
   is agent i's distance to the nearest selected center outside Y.  Cost
   O(m n log n * 2^k): practical for small k only.
 
-* ``verify_dc_mpjr_plus`` grows a ball around each unselected anchor,
-  maintaining for every selected center its distance to the current
-  prefix of agents, and checks the coverage the prefix deserves at each
-  distinct radius.  Cost O(m n log n + m n k).
+* ``verify_dc_mpjr_plus`` checks each unselected anchor's tightest ball at
+  every level through coverage radii: selected center x is covered by the
+  ball of radius s around anchor c exactly when
+  mu(c,x) = min_j max(d(j,c), g(d(j,x))) <= s, where g(v) is the smallest
+  float r with gamma*r + eps >= v (the identity when gamma = 1 and
+  eps = 0).  The coverage at a radius is then a count of sorted mu
+  values, with no per-radius distance work.  Cost O(m n log n + m n k);
+  anchors run in chunks whose scratch is bounded by ``_CHUNK_ELEMS``.
 
 Both run on exact float distances; radius grouping and interval
 endpoints compare with == by default (fixtures and embeddings have exact
 small-integer distances).  An opt-in ``eps`` widens comparisons for
-noisy data.
+noisy data.  Every verifier rejects gamma that is not finite and > 0.
 
 Every metric witness is built by ``_witness`` from the caller's coalition
 rule: the closed ball for the default-coalition audits, the agents inside
@@ -36,10 +40,13 @@ from itertools import combinations
 import numpy as np
 
 from .core import (InfeasibleLevel, Instance, SizeError, Verdict, Witness,
-                   check_selection, timed)
+                   check_gamma, check_selection, timed)
 
-# soft cap on scratch elements per candidate chunk in the DC scan
+# soft cap on the elements one anchor chunk of the DC scan touches
 _CHUNK_ELEMS = 4_000_000
+# nextafter moves per entry before _reach_radius falls back to bisection
+_REACH_STEPS = 4
+_SIGN = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -68,36 +75,100 @@ def default_coalition(instance: Instance, center: int, ell: int) -> DefaultCoali
     return DefaultCoalition(center, ell, radius, members)
 
 
-def _dc_scan(D, X, outs, n, k, gamma, eps, order=None, sd=None, find_all=False):
-    """Core of the default-coalition sweep over unselected anchors.
+def _float_key(r: np.ndarray) -> np.ndarray:
+    """Map float64 values to uint64 keys in the same order (NaN aside)."""
+    b = r.view(np.uint64)
+    return np.where(b & _SIGN, ~b, b | _SIGN)
+
+
+def _key_float(u: np.ndarray) -> np.ndarray:
+    return np.where(u & _SIGN, u & ~_SIGN, ~u).view(np.float64)
+
+
+def _reach_radius(v, gamma, eps) -> np.ndarray:
+    """g(v): elementwise, the smallest float r with gamma * r + eps >= v.
+
+    A center at distance v from an agent is within gamma * s + eps of it,
+    in the float expression the audits compare with, exactly when
+    s >= g(v), because that expression never decreases in s (gamma > 0).
+    g starts from (v - eps) / gamma and moves one float at a time; the
+    rare entry still unsettled after _REACH_STEPS moves (eps absorbing
+    gamma * r, overflow) is found by bisection over the float order.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if gamma == 1.0 and eps == 0.0:
+        return v
+
+    def passes(r, v=v):
+        return gamma * r + eps >= v
+
+    with np.errstate(over="ignore"):
+        r = (v - eps) / gamma
+        for _ in range(_REACH_STEPS):
+            short = ~passes(r)
+            if not short.any():
+                break
+            r[short] = np.nextafter(r[short], np.inf)
+        for _ in range(_REACH_STEPS):
+            lower = np.nextafter(r, -np.inf)
+            slack = passes(lower)
+            if not slack.any():
+                break
+            r[slack] = lower[slack]
+        off = ~passes(r) | passes(np.nextafter(r, -np.inf))
+        if off.any():
+            # bisect keys with -inf (never passes) below and inf above
+            lo = np.full(int(off.sum()), _float_key(np.array(-np.inf)))
+            hi = np.full(lo.shape, _float_key(np.array(np.inf)))
+            for _ in range(64):
+                mid = lo + (hi - lo) // np.uint64(2)
+                ok = passes(_key_float(mid), v[off])
+                hi = np.where(ok, mid, hi)
+                lo = np.where(ok, lo, mid)
+            r[off] = _key_float(hi)
+    return r
+
+
+def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
+    """Core of the default-coalitions audit over the unselected anchors.
+
+    Selected center x is covered by anchor c's ball of radius s (in
+    gamma * s + eps) exactly when mu(c, x) <= s, where
+    mu(c, x) = min_j max(d(j, c), g(d(j, x))).  So the coverage at each
+    distinct radius s of c's sorted agent distances is the number of
+    sorted mu values <= s, and a radius falls short of its level exactly
+    when the level-th smallest mu exceeds it.
 
     Returns the first violation as (anchor, level, radius, end_index) in
-    deterministic order, a list of all (anchor, level, radius) triples
-    when find_all, or None.  Anchors are processed in chunks laid out as
-    (anchor, agent[, center]) so the prefix-min accumulation walks
-    contiguous memory.
+    deterministic order, a list of every violating (anchor, level,
+    radius) when find_all, or None.  Anchors run in chunks of about
+    _CHUNK_ELEMS / (n k); each chunk's scratch is O(chunk * n), and the
+    first-hit search stops after the first chunk with a violation.
     """
     if len(outs) == 0:
         return [] if find_all else None
-    xs = np.asarray(X, dtype=np.intp)
+    reach = np.ascontiguousarray(
+        _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
+    levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
     found = []
     chunk = max(1, _CHUNK_ELEMS // (n * k))
-    levels = ((np.arange(1, n + 1, dtype=np.int64) * k) // n)
     for lo in range(0, len(outs), chunk):
         cols = outs[lo: lo + chunk]
-        if order is None:
-            o = np.argsort(D[:, cols], axis=0).T
-            s = np.take_along_axis(D[:, cols].T, o, axis=1)
-        else:
-            o = order[:, cols].T
-            s = sd[:, cols].T
-        # prefix-min distance from each selected center to the grown ball
-        t = np.minimum.accumulate(D[o[:, :, None], xs[None, None, :]], axis=1)
-        cov = (t <= gamma * s[:, :, None] + eps).sum(axis=2)
+        s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
+        # mu[:, l] is the l-th smallest coverage radius; column 0 is -inf,
+        # so level 0 is never short
+        mu = np.empty((len(cols), k + 1))
+        mu[:, 0] = -np.inf
+        scratch = np.empty_like(s)
+        for t in range(k):
+            np.maximum(s, reach[t], out=scratch)
+            scratch.min(axis=1, out=mu[:, t + 1])
+        mu.sort(axis=1)
+        s.sort(axis=1)
         group_end = np.empty(s.shape, dtype=bool)
         group_end[:, -1] = True
         group_end[:, :-1] = s[:, 1:] > s[:, :-1] + eps
-        bad = group_end & (cov < levels[None, :])
+        bad = group_end & (mu[:, levels] > s)
         if not bad.any():
             continue
         if find_all:
@@ -133,6 +204,7 @@ def verify_dc_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
     """Default-coalitions audit: every anchor's tightest ball at every level
     must see the coverage its size deserves within gamma times its radius."""
     X = check_selection(instance, selection)
+    check_gamma(gamma)
     D = instance.dists()
     hit = _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k, gamma, eps)
     if hit is None:
@@ -145,8 +217,15 @@ def verify_dc_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
 
 def dc_violations(instance: Instance, selection, gamma: float = 1.0,
                   eps: float = 0.0) -> list:
-    """Every violating (anchor, level) pair of the default-coalitions audit."""
+    """Every violating radius of the default-coalitions audit, as witnesses
+    in scan order: anchors ascending, then radii ascending.
+
+    Each distinct radius of an anchor's ball whose coverage falls short of
+    its level is listed, so one (anchor, level) pair appears once per
+    violating radius at that level.
+    """
     X = check_selection(instance, selection)
+    check_gamma(gamma)
     D = instance.dists()
     triples = _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k,
                        gamma, eps, find_all=True)
@@ -163,6 +242,7 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     checked, per the sweep's early-stop specialization.
     """
     X = check_selection(instance, selection)
+    check_gamma(gamma)
     n, k = instance.n, instance.k
     if not (1 <= ell <= k):
         raise InfeasibleLevel(f"level {ell} outside [1, {k}]")
@@ -219,6 +299,7 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     center outside Y.
     """
     X = check_selection(instance, selection)
+    check_gamma(gamma)
     n, k = instance.n, instance.k
     if k > max_k:
         raise SizeError(f"k={k} exceeds exhaustive cap {max_k}")

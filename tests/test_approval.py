@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from propaudit import (ApprovalInstance, BipartiteGraph, InfeasibleLevel,
-                       SizeError, biclique_reduction,
+                       InputError, SizeError, biclique_reduction,
                        find_balanced_biclique_bruteforce, pad_balanced,
                        verify_fixed_ell_pjr_plus_bruteforce,
                        verify_pjr_bruteforce, verify_pjr_plus_sweep)
@@ -54,6 +54,22 @@ def instance1_profile():
     as ballots (candidates a, b, x1, x2, x3)."""
     rows = [{0, 1, 2}] * 4 + [{0, 1, 3}, {0, 1, 4}]
     return ApprovalInstance.from_approvals(rows, 5, 3)
+
+
+class TestFromDict:
+    BASE = {"voters": 2, "candidates": 2, "approvals": [[0], [1]], "k": 1}
+
+    def test_round_trip(self):
+        inst = ApprovalInstance.from_dict(self.BASE)
+        assert ApprovalInstance.from_dict(inst.to_dict()) == inst
+
+    @pytest.mark.parametrize("change", [
+        {"k": 1.7}, {"k": True}, {"k": "1"}, {"candidates": 2.0},
+        {"candidates": "2"}, {"approvals": [[0.5], [1]]}, {"approvals": 3},
+    ])
+    def test_rejects_non_integers(self, change):
+        with pytest.raises(InputError):
+            ApprovalInstance.from_dict(dict(self.BASE, **change))
 
 
 class TestPjrBruteforce:

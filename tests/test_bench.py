@@ -28,6 +28,8 @@ class TestConfig:
             tiny_config(axioms=("ejr",))
         with pytest.raises(ConfigError):
             tiny_config(gamma=0.5)
+        with pytest.raises(ConfigError):
+            tiny_config(gamma=float("nan"))
 
 
 class TestRun:

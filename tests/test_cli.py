@@ -59,6 +59,17 @@ class TestAudit:
         assert main(["audit", prop3_2] + argv) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("axiom", [
+        ["--axiom", "dc-mpjr+"], ["--axiom", "dc-mpjr+", "--all-witnesses"],
+        ["--axiom", "mpjr+"], ["--axiom", "fixed-ell-dc", "--ell", "2"],
+        ["--axiom", "mpjr-oracle"],
+    ], ids=["dc", "dc-all", "mpjr+", "fixed-ell-dc", "oracle"])
+    def test_bad_gamma_exit_two(self, prop3_2, axiom, gamma, capsys):
+        argv = ["audit", prop3_2, "--selection", "1,2,3", "--gamma", gamma]
+        assert main(argv + axiom) == 2
+        assert "gamma" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", [
         {"centers": [1, 2, 3]},          # no "selection" key
         {"selection": [1, "2", 3]},
@@ -142,6 +153,12 @@ class TestOtherCommands:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 24       # header + 4 n x 3 g x 2 axioms
 
+    def test_experiment_nan_gamma_exit_two(self, capsys):
+        assert main(["experiment", "--n-values", "20", "--g-values", "4",
+                     "--instances", "1", "--selections", "2", "--threads", "1",
+                     "--gamma", "nan"]) == 2
+        assert "gamma" in capsys.readouterr().err
+
     def test_baseline_exhaustive(self, tmp_path, capsys):
         inst_path = tmp_path / "fig2.json"
         main(["generate", "--kind", "fig2", "--out", str(inst_path)])
@@ -160,6 +177,14 @@ class TestOtherCommands:
         data = json.loads(out.read_text())
         assert data["metric"] == "explicit"
         assert data["matrix"][0][2] == 1.0 and data["matrix"][0][3] == 2.0
+
+    @pytest.mark.parametrize("change", [{"k": 1.7}, {"candidates": 2.0}])
+    def test_embed_bad_profile_exit_two(self, tmp_path, change, capsys):
+        appr = tmp_path / "appr.json"
+        appr.write_text(json.dumps(dict(
+            {"voters": 2, "candidates": 2, "approvals": [[0], [1]], "k": 1}, **change)))
+        assert main(["embed", str(appr)]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_validate(self, prop3_2, tmp_path, capsys):
         assert main(["validate", prop3_2, "--triangle"]) == 0

@@ -1,0 +1,118 @@
+"""The coverage-radius DC kernel against a plain-loop reference sweep.
+
+The reference walks each unselected anchor's agents one at a time in
+distance order, keeps every selected center's distance to the grown ball
+as an explicit prefix minimum, and counts coverage with the audits' float
+test at every group end.  It shares no code with the kernel.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from propaudit import Instance, dc_violations, verify_dc_mpjr_plus
+from propaudit.verify import _reach_radius
+
+from conftest import random_case
+
+
+def reference_dc_sweep(inst, X, gamma, eps):
+    """Every violating (anchor, level, radius) in scan order, with the
+    closed-ball coalition and the covered centers of each."""
+    D = inst.dists().tolist()
+    n, k = inst.n, inst.k
+    found = []
+    for c in range(inst.m):
+        if c in X:
+            continue
+        agents = sorted(range(n), key=lambda j: D[j][c])
+        reach = {x: math.inf for x in X}
+        for i, j in enumerate(agents):
+            for x in X:
+                reach[x] = min(reach[x], D[j][x])
+            s = D[j][c]
+            if i + 1 < n and not D[agents[i + 1]][c] > s + eps:
+                continue
+            level = (i + 1) * k // n
+            covered = {x for x in X if reach[x] <= gamma * s + eps}
+            if len(covered) < level:
+                coalition = {a for a in range(n) if D[a][c] <= s + eps}
+                covered = {x for x in X
+                           if min(D[a][x] for a in coalition) <= gamma * s + eps}
+                found.append((c, level, s, coalition, covered))
+    return found
+
+
+def as_tuple(w):
+    return (w.center, w.level, w.radius, set(w.coalition), set(w.covered))
+
+
+def tied_case(rng):
+    """Euclidean points on a small integer grid: many equal distances."""
+    n = int(rng.integers(1, 13))
+    m = int(rng.integers(1, 8))
+    k = int(rng.integers(1, min(m, 4) + 1))
+    inst = Instance.euclidean(rng.integers(0, 4, (n, 2)).astype(float),
+                              rng.integers(0, 4, (m, 2)).astype(float), k)
+    return inst, tuple(int(x) for x in rng.choice(m, k, replace=False))
+
+
+def test_kernel_matches_reference_sweep(rng):
+    for it in range(2100):
+        inst, X = tied_case(rng) if it % 3 == 0 else random_case(rng, 12, 7, 4)
+        X = tuple(sorted(X))
+        for gamma in (1.0, 1.5, 3.0):
+            for eps in (0.0, 1e-9, 0.25):
+                expect = reference_dc_sweep(inst, X, gamma, eps)
+                assert [as_tuple(w) for w in dc_violations(inst, X, gamma, eps)] == expect
+                verdict = verify_dc_mpjr_plus(inst, X, gamma, eps)
+                assert verdict.satisfied == (not expect)
+                if expect:
+                    assert as_tuple(verdict.witness) == expect[0]
+
+
+def test_dc_violations_lists_every_violating_radius():
+    # one anchor (0) at the origin, agents at 1..4 on a line, both
+    # selected centers far away: levels by prefix size are 0, 1, 1, 2,
+    # so level 1 falls short at two radii and level 2 at one
+    inst = Instance.euclidean([[1.0], [2.0], [3.0], [4.0]],
+                              [[0.0], [100.0], [-100.0]], 2)
+    wits = dc_violations(inst, (1, 2))
+    assert [(w.center, w.level, w.radius) for w in wits] == \
+        [(0, 1, 2.0), (0, 1, 3.0), (0, 2, 4.0)]
+    assert wits[0].coalition == {0, 1} and wits[1].coalition == {0, 1, 2}
+    assert verify_dc_mpjr_plus(inst, (1, 2)).witness == wits[0]
+
+
+def test_unit_gamma_without_eps_reach_is_identity(rng):
+    v = rng.random(50) * 10
+    assert np.array_equal(_reach_radius(v, 1.0, 0.0), v)
+
+
+def assert_smallest_passing(v, gamma, eps):
+    r = _reach_radius(np.array([v]), gamma, eps)[0]
+    with np.errstate(over="ignore"):
+        assert gamma * r + eps >= v
+        assert not gamma * np.nextafter(r, -np.inf) + eps >= v
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=st.floats(0.0, 1e300),
+       gamma=st.floats(1e-300, 1e300),
+       eps=st.floats(0.0, 1e300))
+def test_reach_radius_is_smallest_passing_float(v, gamma, eps):
+    assert_smallest_passing(v, gamma, eps)
+
+
+@pytest.mark.parametrize("v, gamma, eps", [
+    (0.25 + 3 * 2.0 ** -54, 1.0, 0.25),     # eps absorbs gamma*r: bisection
+    (1.0 + 2.0 ** -40, 1.5, 1.0),
+    (1e308, 1e-300, 0.0),                   # no float passes but inf
+    (5.0, 1e300, 1e-9),
+    (3.0, 1.1, 0.1),
+])
+def test_reach_radius_hard_cases(v, gamma, eps):
+    assert_smallest_passing(v, gamma, eps)

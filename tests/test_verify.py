@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from propaudit import (InfeasibleLevel, Instance, SizeError, dc_violations,
-                       default_coalition, oracle_dc, oracle_mpjr,
+from propaudit import (InfeasibleLevel, InputError, Instance, SizeError,
+                       dc_violations, default_coalition, oracle_dc, oracle_mpjr,
                        oracle_mpjr_plus, verify_dc_mpjr_plus,
                        verify_fixed_ell_dc, verify_mpjr_plus_smallk)
 from propaudit.gen import fixture_incomparability, sample_selection
@@ -152,6 +152,20 @@ class TestGammaBehaviour:
             for gamma in (1.0, 1.5, 2.0):
                 if verify_dc_mpjr_plus(inst, X, gamma).satisfied:
                     assert verify_mpjr_plus_smallk(inst, X, gamma + 2.0).satisfied
+
+
+class TestGammaValidation:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("audit", [
+        lambda inst, X, g: verify_dc_mpjr_plus(inst, X, g),
+        lambda inst, X, g: dc_violations(inst, X, g),
+        lambda inst, X, g: verify_fixed_ell_dc(inst, X, 2, g),
+        lambda inst, X, g: verify_mpjr_plus_smallk(inst, X, g),
+    ], ids=["dc", "dc-all", "fixed-ell-dc", "smallk"])
+    def test_rejects_gamma_not_finite_positive(self, audit, gamma):
+        inst, X = fixture_incomparability(2)
+        with pytest.raises(InputError):
+            audit(inst, X, gamma)
 
 
 class TestImplications:
