@@ -2,11 +2,16 @@
 
 Two verification strategies live here:
 
-* ``verify_mpjr_plus_smallk`` scans every proper subset Y of the selection
+* ``verify_mpjr_plus_smallk`` checks proper subsets Y of the selection
   and, per unselected anchor c, sweeps the half-open intervals
   [d(i,c), u_i / gamma) for a radius covered by enough agents, where u_i
-  is agent i's distance to the nearest selected center outside Y.  Cost
-  O(m n log n * 2^k): practical for small k only.
+  is agent i's distance to the nearest selected center outside Y.  The
+  agents counted at a violating radius all reach past it, and it is at
+  least the distance to c that the count itself needs, so each needs Y to
+  hold every selected center nearer than that; a depth-first search over
+  Y skips every set where no anchor has enough such agents
+  (``_exclusion_sets``).  Worst case O(m n log n * 2^k): practical for
+  small k only.
 
 * ``verify_dc_mpjr_plus`` checks each unselected anchor's tightest ball at
   every level through coverage radii: selected center x is covered by the
@@ -34,6 +39,7 @@ determinism; verdicts are order-independent either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -47,6 +53,9 @@ _CHUNK_ELEMS = 4_000_000
 # nextafter moves per entry before _reach_radius falls back to bisection
 _REACH_STEPS = 4
 _SIGN = np.uint64(1 << 63)
+# the small-k audit scans a size's exclusion sets one by one up to this
+# many; larger sizes go through the pruned search of _exclusion_sets
+_PLAIN_SETS = 16
 
 
 @dataclass(frozen=True)
@@ -256,6 +265,93 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     return Verdict("fixed-ell-dc", gamma, True)
 
 
+def _blockers(Lt, DXt, gamma, eps, need):
+    """Each agent's blocker set per anchor row for a target count `need`,
+    deduplicated per row.
+
+    ``_alg1_scan`` counts agent i at anchor c and radius s only when
+    d(i, c) <= s < u_i / gamma, and a count of `need` needs s at least R,
+    the need-th smallest d(., c).  So i can count only if
+    t_i = max(d(i, c), R) < (d(i, x) - eps) / gamma for every selected
+    center x outside Y (that map is monotone in d(i, x), so this is the
+    test against the nearest one).  Center x_p blocks i unless the test
+    passes for x_p.  Returns (rows, blocked, mult): anchor rows ascending,
+    a bool matrix (entry, position) and the number of agents sharing each
+    entry.  Blocker sets are int64 bit masks here, so k is at most 62.
+    """
+    t = np.maximum(Lt, np.partition(Lt, need - 1, axis=1)[:, need - 1:need])
+    k = len(DXt)
+    free = np.zeros(Lt.shape, dtype=np.int64)
+    for p, dx in enumerate(DXt):
+        ug = dx if (gamma == 1.0 and eps == 0.0) else (dx - eps) / gamma
+        free |= (t < ug[None, :]).astype(np.int64) << p
+    masks = np.sort(free ^ ((1 << k) - 1), axis=1)
+    first = np.ones(masks.shape, dtype=bool)
+    first[:, 1:] = masks[:, 1:] != masks[:, :-1]
+    first = np.flatnonzero(first)
+    blocked = (masks.ravel()[first, None] >> np.arange(k)) & 1
+    mult = np.empty(len(first), dtype=np.int64)
+    mult[:-1] = first[1:] - first[:-1]
+    mult[-1] = masks.size - first[-1]
+    return first // Lt.shape[1], blocked.astype(bool), mult
+
+
+def _exclusion_sets(Lt, DXt, size, gamma, eps):
+    """The exclusion sets Y with |Y| = size, as bit masks in scan order,
+    where some anchor has at least need = (size+1) * n / k agents whose
+    blockers (``_blockers``) all lie in Y.  ``_alg1_scan`` finds nothing
+    for any other Y.
+
+    Depth first over positions, taking a position before leaving it out,
+    which is lexicographic order.  An anchor leaves a branch once it cannot
+    reach the target there, and the branch ends with the last anchor.
+    With r positions still to take, an agent missing j of them spreads
+    weight w/j over each (w = lcm(1..r)); an agent completed by the r
+    taken positions puts all its w on them, so the r heaviest positions
+    carry at least w per agent they can complete.
+    """
+    (nrow, n), k = Lt.shape, len(DXt)
+    need = -((-(size + 1) * n) // k)
+    rows, blocked, mult = _blockers(Lt, DXt, gamma, eps, need)
+
+    def reachable(rows, blocked, left, mult, p, r):
+        """Per entry: can its anchor still reach the target below here."""
+        inside = left == 0
+        bound = np.bincount(rows[inside], weights=mult[inside], minlength=nrow)
+        w = math.lcm(*range(1, r + 1))
+        if r and w * n >= 1 << 62:      # int64 sums could overflow: no cut
+            return np.ones(rows.shape, dtype=bool)
+        out = ~inside
+        if r and out.any():
+            ro = rows[out]
+            share = blocked[out, p:] * (mult[out] * (w // left[out]))[:, None]
+            first = np.ones(len(ro), dtype=bool)
+            first[1:] = ro[1:] != ro[:-1]
+            first = np.flatnonzero(first)
+            per = np.sort(np.add.reduceat(share, first, axis=0), axis=1)
+            bound[ro[first]] += per[:, -r:].sum(axis=1) // w
+        return (bound >= need)[rows]
+
+    def walk(p, y, r, rows, blocked, left, mult):
+        keep = reachable(rows, blocked, left, mult, p, r)
+        if not keep.any():
+            return
+        if r == 0:
+            yield y
+            return
+        rows, blocked, left, mult = rows[keep], blocked[keep], left[keep], mult[keep]
+        has = blocked[:, p]
+        fit = left - has < r
+        yield from walk(p + 1, y | 1 << p, r - 1, rows[fit], blocked[fit],
+                        (left - has)[fit], mult[fit])
+        if k - p > r:
+            yield from walk(p + 1, y, r, rows[~has], blocked[~has], left[~has], mult[~has])
+
+    left = blocked.sum(axis=1)
+    fit = left <= size
+    yield from walk(0, 0, size, rows[fit], blocked[fit], left[fit], mult[fit])
+
+
 def _alg1_scan(Lt, DXt, rank, n, k, size, rest, gamma, eps):
     """One exclusion-set iteration of the small-k sweep, batched over anchors.
 
@@ -301,8 +397,9 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     X = check_selection(instance, selection)
     check_gamma(gamma)
     n, k = instance.n, instance.k
-    if k > max_k:
-        raise SizeError(f"k={k} exceeds exhaustive cap {max_k}")
+    cap = min(max_k, 62)                # exclusion sets are int64 bit masks
+    if k > cap:
+        raise SizeError(f"k={k} exceeds exhaustive cap {cap}")
     D = instance.dists()
     outs = _unselected(instance, X)
     if len(outs) == 0:
@@ -310,10 +407,13 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     Lt = np.ascontiguousarray(D[:, outs].T)
     DXt = np.ascontiguousarray(D[:, np.asarray(X, dtype=np.intp)].T)
     rank = np.arange(1, n + 1, dtype=np.int64)
-    positions = range(k)
     for size in range(k):
-        for ypos in combinations(positions, size):
-            rest = [p for p in positions if p not in ypos]
+        if math.comb(k, size) <= _PLAIN_SETS:
+            sets = (sum(1 << p for p in ypos) for ypos in combinations(range(k), size))
+        else:
+            sets = _exclusion_sets(Lt, DXt, size, gamma, eps)
+        for y in sets:
+            rest = [p for p in range(k) if not y >> p & 1]
             hit = _alg1_scan(Lt, DXt, rank, n, k, size, rest, gamma, eps)
             if hit is None:
                 continue
