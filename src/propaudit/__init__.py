@@ -11,8 +11,7 @@ from .approval import (ApprovalInstance, BipartiteGraph, biclique_reduction,
                        verify_fixed_ell_pjr_plus_bruteforce,
                        verify_pjr_bruteforce, verify_pjr_plus_sweep)
 from .embedding import embed_approval
-from .verify import (DefaultCoalition, dc_violations, default_coalition,
-                     verify_dc_mpjr_plus, verify_fixed_ell_dc,
+from .verify import (dc_violations, verify_dc_mpjr_plus, verify_fixed_ell_dc,
                      verify_mpjr_plus_smallk)
 from .oracle import (SubmodularReport, oracle_dc, oracle_mpjr,
                      oracle_mpjr_plus, oracle_mpjr_plus_fixed_ell,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import bench, gen
@@ -18,8 +17,8 @@ from .approval import ApprovalInstance
 from .baselines import (kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
                         kmedian_local_search)
 from .core import (ConfigError, InfeasibleLevel, InputError, SizeError,
-                   UnsupportedBackend, Instance, check_gamma, dump_instance,
-                   load_instance, validate_metric)
+                   UnsupportedBackend, Instance, check_eps, check_gamma,
+                   dump_instance, load_instance, validate_metric)
 from .embedding import embed_approval
 from .oracle import oracle_mpjr
 from .sear import run_sear
@@ -27,6 +26,13 @@ from .verify import (dc_violations, verify_dc_mpjr_plus, verify_fixed_ell_dc,
                      verify_mpjr_plus_smallk)
 
 AUDIT_AXIOMS = ("dc-mpjr+", "mpjr+", "mpjr-oracle", "fixed-ell-dc")
+
+
+def _int_list(flag, text) -> tuple:
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise InputError(f"{flag} {text!r} is not a list of integers") from None
 
 
 def _read_selection(args) -> tuple:
@@ -38,11 +44,7 @@ def _read_selection(args) -> tuple:
                 raise InputError(f"{args.selection_file} has no \"selection\" key")
             raw = raw["selection"]
     elif args.selection:
-        try:
-            raw = [int(tok) for tok in args.selection.split(",") if tok.strip()]
-        except ValueError:
-            raise InputError(f"--selection {args.selection!r} is not a list of "
-                             "integers") from None
+        raw = list(_int_list("--selection", args.selection))
     else:
         raise InputError("provide --selection or --selection-file")
     if not (isinstance(raw, list) and all(type(c) is int for c in raw)):
@@ -60,9 +62,8 @@ def _emit(obj, out=None):
 
 
 def _cmd_audit(args) -> int:
-    if not (math.isfinite(args.eps) and args.eps >= 0):
-        raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
     check_gamma(args.gamma)
+    check_eps(args.eps)
     instance = load_instance(args.instance)
     selection = _read_selection(args)
     if args.axiom == "dc-mpjr+":
@@ -129,8 +130,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = bench.ExperimentConfig(
-        n_values=tuple(int(v) for v in args.n_values.split(",")),
-        g_values=tuple(int(v) for v in args.g_values.split(",")),
+        n_values=_int_list("--n-values", args.n_values),
+        g_values=_int_list("--g-values", args.g_values),
         instances_per_cell=args.instances,
         selections_per_instance=args.selections,
         k=args.k, sigma=args.sigma, master_seed=args.seed,
@@ -150,6 +151,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    if args.restarts < 1:
+        raise InputError(f"--restarts must be >= 1, got {args.restarts}")
     instance = load_instance(args.instance)
     objective = kmedian_cost if args.objective == "kmedian" else kmeans_cost
     best, best_cost = None, None

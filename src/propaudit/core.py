@@ -237,6 +237,13 @@ def check_gamma(gamma) -> None:
         raise InputError(f"gamma must be a finite number > 0, got {gamma!r}")
 
 
+def check_eps(eps) -> None:
+    """Reject a comparison slack that is not a finite number >= 0."""
+    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+    if not (real and math.isfinite(eps) and eps >= 0):
+        raise InputError(f"eps must be a finite number >= 0, got {eps!r}")
+
+
 def group_approval_set(instance: Instance, agents: Iterable[int], r: float) -> frozenset:
     """Candidates within distance r of at least one of the given agents.
 

@@ -21,11 +21,14 @@ Two verification strategies live here:
   eps = 0).  The coverage at a radius is then a count of sorted mu
   values, with no per-radius distance work.  Cost O(m n log n + m n k);
   anchors run in chunks whose scratch is bounded by ``_CHUNK_ELEMS``.
+  ``verify_fixed_ell_dc`` reads its one radius per anchor from the same
+  helper, ``_coverage_radii``.
 
 Both run on exact float distances; radius grouping and interval
 endpoints compare with == by default (fixtures and embeddings have exact
 small-integer distances).  An opt-in ``eps`` widens comparisons for
-noisy data.  Every verifier rejects gamma that is not finite and > 0.
+noisy data.  Every verifier rejects gamma that is not finite and > 0 and
+eps that is not finite and >= 0.
 
 Every metric witness is built by ``_witness`` from the caller's coalition
 rule: the closed ball for the default-coalition audits, the agents inside
@@ -40,52 +43,21 @@ determinism; verdicts are order-independent either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .core import (InfeasibleLevel, Instance, SizeError, Verdict, Witness,
-                   check_gamma, check_selection, timed)
+                   check_eps, check_gamma, check_selection, timed)
 
 # soft cap on the elements one anchor chunk of the DC scan touches
 _CHUNK_ELEMS = 4_000_000
-# nextafter moves per entry before _reach_radius falls back to bisection;
-# they settle almost every entry, and bisecting every entry made a
-# gamma=1.5 scan at n=5000, k=20 about 7x slower
-_REACH_STEPS = 4
 _SIGN = np.uint64(1 << 63)
 # the small-k audit scans a size's exclusion sets one by one up to this
 # many; larger sizes go through the pruned search of _exclusion_sets.
 # Few sets cost less than the search's set-up: with the search at every
 # size, the k=5 experiment grid ran about 1.5x as long
 _PLAIN_SETS = 16
-
-
-@dataclass(frozen=True)
-class DefaultCoalition:
-    """Tightest ball around a center holding enough agents for its level."""
-
-    center: int
-    level: int
-    radius: float
-    members: frozenset
-
-
-def default_coalition(instance: Instance, center: int, ell: int) -> DefaultCoalition:
-    """Smallest-radius closed ball around `center` with at least ell*q agents.
-
-    Members can exceed ell*q when several agents tie at the boundary
-    radius.
-    """
-    n, k = instance.n, instance.k
-    if not (1 <= ell <= k):
-        raise InfeasibleLevel(f"level {ell} outside [1, {k}]")
-    need = -((-ell * n) // k)   # ceil(ell*n/k); <= n for every ell <= k
-    dc = instance.dists()[:, center]
-    radius = float(np.partition(dc, need - 1)[need - 1])
-    members = frozenset(np.flatnonzero(dc <= radius).tolist())
-    return DefaultCoalition(center, ell, radius, members)
 
 
 def _float_key(r: np.ndarray) -> np.ndarray:
@@ -104,42 +76,61 @@ def _reach_radius(v, gamma, eps) -> np.ndarray:
     A center at distance v from an agent is within gamma * s + eps of it,
     in the float expression the audits compare with, exactly when
     s >= g(v), because that expression never decreases in s (gamma > 0).
-    g starts from (v - eps) / gamma and moves one float at a time; the
-    rare entry still unsettled after _REACH_STEPS moves (eps absorbing
-    gamma * r, overflow) is found by bisection over the float order.
+    A bracket gallops out from (v - eps) / gamma in doubling steps over
+    the float order until its low end fails and its high end passes, and
+    only brackets still wider than one float (eps absorbing gamma * r,
+    overflow) are bisected.  The first step settles most entries.
     """
     v = np.asarray(v, dtype=np.float64)
     if gamma == 1.0 and eps == 0.0:
         return v
+    flat = v.ravel()
+    kmin, kmax = _float_key(np.array([-np.inf, np.inf]))
 
-    def passes(r, v=v):
+    def passes(r, v):
         return gamma * r + eps >= v
 
     with np.errstate(over="ignore"):
-        r = (v - eps) / gamma
-        for _ in range(_REACH_STEPS):
-            short = ~passes(r)
-            if not short.any():
-                break
-            r[short] = np.nextafter(r[short], np.inf)
-        for _ in range(_REACH_STEPS):
-            lower = np.nextafter(r, -np.inf)
-            slack = passes(lower)
-            if not slack.any():
-                break
-            r[slack] = lower[slack]
-        off = ~passes(r) | passes(np.nextafter(r, -np.inf))
-        if off.any():
-            # bisect keys with -inf (never passes) below and inf above
-            lo = np.full(int(off.sum()), _float_key(np.array(-np.inf)))
-            hi = np.full(lo.shape, _float_key(np.array(np.inf)))
-            for _ in range(64):
-                mid = lo + (hi - lo) // np.uint64(2)
-                ok = passes(_key_float(mid), v[off])
-                hi = np.where(ok, mid, hi)
-                lo = np.where(ok, lo, mid)
-            r[off] = _key_float(hi)
-    return r
+        start = (flat - eps) / gamma
+        down = passes(start, flat)          # gallop down from a passing start
+        near = np.nextafter(start, np.where(down, -np.inf, np.inf))
+        r = np.where(down, start, near)
+        idx = np.flatnonzero(passes(near, flat) == down)
+        vi, dn = flat[idx], down[idx]
+        lo, hi = _float_key(near[idx]), _float_key(near[idx])
+        j, step = np.arange(idx.size), 2
+        while j.size:
+            st = np.uint64(step)
+            # clamped to -inf, which never passes, and inf, which always does
+            probe = np.where(dn[j], np.maximum(hi[j], kmin + st) - st,
+                             np.minimum(lo[j], kmax - st) + st)
+            ok = passes(_key_float(probe), vi[j])
+            hi[j[ok]] = probe[ok]
+            lo[j[~ok]] = probe[~ok]
+            j, step = j[ok == dn[j]], step * 2
+        j = np.flatnonzero(hi - lo > 1)
+        while j.size:
+            mid = lo[j] + (hi[j] - lo[j]) // np.uint64(2)
+            ok = passes(_key_float(mid), vi[j])
+            hi[j[ok]] = mid[ok]
+            lo[j[~ok]] = mid[~ok]
+            j = j[hi[j] - lo[j] > 1]
+        r[idx] = _key_float(hi)
+    return r.reshape(v.shape)
+
+
+def _coverage_radii(keys, rows) -> np.ndarray:
+    """Per (anchor, agent) row of `keys`, the sorted min_j max(keys_j,
+    rows_tj) over the (center, agent) rows of `rows`, after a column 0 of
+    -inf: [:, l] is the l-th smallest, and level 0 is never short."""
+    mu = np.empty((len(keys), len(rows) + 1))
+    mu[:, 0] = -np.inf
+    scratch = np.empty_like(keys)
+    for t, row in enumerate(rows):
+        np.maximum(keys, row, out=scratch)
+        scratch.min(axis=1, out=mu[:, t + 1])
+    mu.sort(axis=1)
+    return mu
 
 
 def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
@@ -152,14 +143,12 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
     sorted mu values <= s, and a radius falls short of its level exactly
     when the level-th smallest mu exceeds it.
 
-    Returns the first violation as (anchor, level, radius, end_index) in
+    Returns the first violation as (anchor, level, radius) in
     deterministic order, a list of every violating (anchor, level,
     radius) when find_all, or None.  Anchors run in chunks of about
     _CHUNK_ELEMS / (n k); each chunk's scratch is O(chunk * n), and the
     first-hit search stops after the first chunk with a violation.
     """
-    if len(outs) == 0:
-        return [] if find_all else None
     reach = np.ascontiguousarray(
         _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
     levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
@@ -168,30 +157,19 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
     for lo in range(0, len(outs), chunk):
         cols = outs[lo: lo + chunk]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
-        # mu[:, l] is the l-th smallest coverage radius; column 0 is -inf,
-        # so level 0 is never short
-        mu = np.empty((len(cols), k + 1))
-        mu[:, 0] = -np.inf
-        scratch = np.empty_like(s)
-        for t in range(k):
-            np.maximum(s, reach[t], out=scratch)
-            scratch.min(axis=1, out=mu[:, t + 1])
-        mu.sort(axis=1)
+        mu = _coverage_radii(s, reach)
         s.sort(axis=1)
         group_end = np.empty(s.shape, dtype=bool)
         group_end[:, -1] = True
         group_end[:, :-1] = s[:, 1:] > s[:, :-1] + eps
         bad = group_end & (mu[:, levels] > s)
-        if not bad.any():
+        if not (find_all or bad.any()):
             continue
-        if find_all:
-            for ci in range(len(cols)):
-                for i in np.flatnonzero(bad[ci]):
-                    found.append((int(cols[ci]), int(levels[i]), float(s[ci, i])))
-            continue
-        ci = int(np.flatnonzero(bad.any(axis=1))[0])
-        i = int(np.flatnonzero(bad[ci])[0])
-        return int(cols[ci]), int(levels[i]), float(s[ci, i]), i
+        hits = ((int(cols[ci]), int(levels[i]), float(s[ci, i]))
+                for ci, i in zip(*np.nonzero(bad)))     # anchors, then radii
+        if not find_all:
+            return next(hits)
+        found.extend(hits)
     return found if find_all else None
 
 
@@ -218,11 +196,12 @@ def verify_dc_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
     must see the coverage its size deserves within gamma times its radius."""
     X = check_selection(instance, selection)
     check_gamma(gamma)
+    check_eps(eps)
     D = instance.dists()
     hit = _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k, gamma, eps)
     if hit is None:
         return Verdict("dc-mpjr+", gamma, True)
-    anchor, level, radius, _ = hit
+    anchor, level, radius = hit
     return Verdict("dc-mpjr+", gamma, False,
                    _witness(D, X, anchor, level, radius, D[:, anchor] <= radius + eps,
                             gamma, eps))
@@ -239,6 +218,7 @@ def dc_violations(instance: Instance, selection, gamma: float = 1.0,
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
+    check_eps(eps)
     D = instance.dists()
     triples = _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k,
                        gamma, eps, find_all=True)
@@ -251,21 +231,40 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
                         gamma: float = 1.0, eps: float = 0.0) -> Verdict:
     """Single-level default-coalitions audit.
 
-    Per anchor, only the first radius whose ball deserves level >= ell is
-    checked, per the sweep's early-stop specialization.
+    Per anchor, only the first radius R whose ball deserves level >= ell
+    is checked, per the sweep's early-stop specialization: with the ball
+    d <= R + eps as keys (-inf inside, inf out) and distance rows,
+    ``_coverage_radii`` gives each center's distance to the ball, and the
+    anchor falls short when the ell-th smallest exceeds gamma * R + eps.
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
+    check_eps(eps)
     n, k = instance.n, instance.k
     if not (1 <= ell <= k):
         raise InfeasibleLevel(f"level {ell} outside [1, {k}]")
     D = instance.dists()
     need = -((-ell * n) // k)
-    for c in _unselected(instance, X):
-        radius = float(np.partition(D[:, c], need - 1)[need - 1])
-        wit = _witness(D, X, c, ell, radius, D[:, c] <= radius + eps, gamma, eps)
-        if len(wit.covered) < ell:
-            return Verdict("fixed-ell-dc", gamma, False, wit)
+    outs = _unselected(instance, X)
+    DXt = np.ascontiguousarray(D[:, np.asarray(X, dtype=np.intp)].T)
+    # each center row spans every agent in some ball of the chunk, so the
+    # sweep's chunk shrinks with a ball's share of the agents (n=5000,
+    # k=20, ell=1: 19 ms at the sweep's 40 anchors a chunk, 13 ms at 2)
+    chunk = max(1, _CHUNK_ELEMS // (n * k) * need // n)
+    for lo in range(0, len(outs), chunk):
+        cols = outs[lo: lo + chunk]
+        s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
+        R = np.partition(s, need - 1, axis=1)[:, need - 1]
+        inside = s <= R[:, None] + eps
+        used = inside.any(axis=0)           # agents in no ball here cover nothing
+        near = _coverage_radii(np.where(np.compress(used, inside, axis=1), -np.inf, np.inf),
+                               np.compress(used, DXt, axis=1))
+        bad = np.flatnonzero(near[:, ell] > gamma * R + eps)
+        if bad.size:
+            c, radius = int(cols[bad[0]]), float(R[bad[0]])
+            return Verdict("fixed-ell-dc", gamma, False,
+                           _witness(D, X, c, ell, radius, D[:, c] <= radius + eps,
+                                    gamma, eps))
     return Verdict("fixed-ell-dc", gamma, True)
 
 
@@ -400,6 +399,7 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
+    check_eps(eps)
     n, k = instance.n, instance.k
     cap = min(max_k, 62)                # exclusion sets are int64 bit masks
     if k > cap:

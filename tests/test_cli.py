@@ -159,6 +159,20 @@ class TestOtherCommands:
                      "--gamma", "nan"]) == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--n-values", "a"),
+                                             ("--g-values", "4,x")])
+    def test_experiment_bad_list_exit_two(self, flag, value, capsys):
+        argv = ["experiment", "--n-values", "20", "--g-values", "4",
+                "--instances", "1", "--selections", "2", "--threads", "1"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_baseline_bad_restarts_exit_two(self, prop3_2, restarts, capsys):
+        assert main(["baseline", prop3_2, "--restarts", restarts]) == 2
+        assert "--restarts" in capsys.readouterr().err
+
     def test_baseline_exhaustive(self, tmp_path, capsys):
         inst_path = tmp_path / "fig2.json"
         main(["generate", "--kind", "fig2", "--out", str(inst_path)])

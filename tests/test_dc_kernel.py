@@ -1,9 +1,10 @@
-"""The coverage-radius DC kernel against a plain-loop reference sweep.
+"""The coverage-radius DC kernel against plain-loop references.
 
-The reference walks each unselected anchor's agents one at a time in
-distance order, keeps every selected center's distance to the grown ball
-as an explicit prefix minimum, and counts coverage with the audits' float
-test at every group end.  It shares no code with the kernel.
+The sweep reference walks each unselected anchor's agents one at a time
+in distance order, keeps every selected center's distance to the grown
+ball as an explicit prefix minimum, and counts coverage with the audits'
+float test at every group end.  The fixed-level reference checks one
+ball per anchor.  Neither shares code with the kernel.
 """
 
 import math
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propaudit import Instance, dc_violations, verify_dc_mpjr_plus
+from propaudit import (Instance, dc_violations, verify_dc_mpjr_plus,
+                       verify_fixed_ell_dc)
 from propaudit.verify import _reach_radius
 
 from conftest import random_case
@@ -46,6 +48,25 @@ def reference_dc_sweep(inst, X, gamma, eps):
     return found
 
 
+def reference_fixed_ell(inst, X, ell, gamma, eps):
+    """The first anchor, in index order, whose ball of the need-th smallest
+    distance (closed, widened by eps) covers fewer than ell centers, with
+    its coalition and covered centers; None when there is none."""
+    D = inst.dists().tolist()
+    n, k = inst.n, inst.k
+    need = -((-ell * n) // k)
+    for c in range(inst.m):
+        if c in X:
+            continue
+        radius = sorted(D[j][c] for j in range(n))[need - 1]
+        coalition = {j for j in range(n) if D[j][c] <= radius + eps}
+        covered = {x for x in X
+                   if min(D[j][x] for j in coalition) <= gamma * radius + eps}
+        if len(covered) < ell:
+            return (c, ell, radius, coalition, covered)
+    return None
+
+
 def as_tuple(w):
     return (w.center, w.level, w.radius, set(w.coalition), set(w.covered))
 
@@ -72,6 +93,28 @@ def test_kernel_matches_reference_sweep(rng):
                 assert verdict.satisfied == (not expect)
                 if expect:
                     assert as_tuple(verdict.witness) == expect[0]
+
+
+def test_fixed_ell_matches_reference(rng):
+    cases = [tied_case(rng) if it % 3 == 0 else random_case(rng, 12, 7, 4)
+             for it in range(600)]
+    # larger instances split the anchors into several chunks
+    for n, m, k, grid in ((1000, 60, 20, False), (600, 50, 10, True)):
+        pts = (rng.integers(0, 12, (n + m, 2)).astype(float) if grid
+               else rng.random((n + m, 2)))
+        cases.append((Instance.euclidean(pts[:n], pts[n:], k),
+                      tuple(int(x) for x in rng.choice(m, k, replace=False))))
+    for inst, X in cases:
+        X = tuple(sorted(X))
+        levels = range(1, inst.k + 1) if inst.k <= 4 else (1, 2, inst.k)
+        for gamma in (0.7, 1.0, 1.5, 3.0):
+            for eps in (0.0, 1e-9, 0.25):
+                for ell in levels:
+                    expect = reference_fixed_ell(inst, X, ell, gamma, eps)
+                    verdict = verify_fixed_ell_dc(inst, X, ell, gamma, eps)
+                    assert verdict.satisfied == (expect is None)
+                    if expect:
+                        assert as_tuple(verdict.witness) == expect
 
 
 def test_dc_violations_lists_every_violating_radius():
@@ -108,7 +151,7 @@ def test_reach_radius_is_smallest_passing_float(v, gamma, eps):
 
 
 @pytest.mark.parametrize("v, gamma, eps", [
-    (0.25 + 3 * 2.0 ** -54, 1.0, 0.25),     # eps absorbs gamma*r: bisection
+    (0.25 + 3 * 2.0 ** -54, 1.0, 0.25),     # eps absorbs gamma*r: gallop, bisect
     (1.0 + 2.0 ** -40, 1.5, 1.0),
     (1e308, 1e-300, 0.0),                   # no float passes but inf
     (5.0, 1e300, 1e-9),

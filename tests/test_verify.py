@@ -2,52 +2,12 @@ import numpy as np
 import pytest
 
 from propaudit import (InfeasibleLevel, InputError, Instance, SizeError,
-                       dc_violations, default_coalition, oracle_dc, oracle_mpjr,
-                       oracle_mpjr_plus, verify_dc_mpjr_plus,
-                       verify_fixed_ell_dc, verify_mpjr_plus_smallk)
+                       dc_violations, oracle_dc, oracle_mpjr, oracle_mpjr_plus,
+                       verify_dc_mpjr_plus, verify_fixed_ell_dc,
+                       verify_mpjr_plus_smallk)
 from propaudit.gen import fixture_incomparability, sample_selection
 
-from conftest import random_case, random_explicit
-
-
-class TestDefaultCoalition:
-    def test_instance2_around_z(self):
-        inst, _ = fixture_incomparability(2)
-        dc = default_coalition(inst, 0, 2)
-        assert dc.radius == 1.0
-        assert dc.members == {0, 1, 2, 3}
-
-    def test_equidistant_agents(self):
-        d = np.zeros((4, 4))
-        d[:3, 3] = d[3, :3] = 2.0
-        d[:3, :3] = 4.0 - 4.0 * np.eye(3)
-        inst = Instance.explicit(d, 3, 1)
-        dc = default_coalition(inst, 0, 1)
-        assert dc.radius == 2.0 and dc.members == {0, 1, 2}
-
-    def test_matches_sorted_prefix_scan(self, rng):
-        for _ in range(60):
-            inst = random_explicit(rng, int(rng.integers(1, 9)),
-                                   int(rng.integers(1, 6)),
-                                   1)
-            k = int(rng.integers(1, inst.m + 1))
-            inst = Instance.explicit(inst._matrix, inst.n, k)
-            c = int(rng.integers(0, inst.m))
-            for ell in range(1, inst.k + 1):
-                got = default_coalition(inst, c, ell)
-                dists = sorted(inst.dists()[:, c])
-                r = next(dists[j] for j in range(inst.n)
-                         if (j + 1) * inst.k >= ell * inst.n)
-                assert got.radius == r
-                assert got.members == {i for i in range(inst.n)
-                                       if inst.dists()[i, c] <= r}
-
-    def test_bad_level(self):
-        inst, _ = fixture_incomparability(2)
-        with pytest.raises(InfeasibleLevel):
-            default_coalition(inst, 0, 4)
-        with pytest.raises(InfeasibleLevel):
-            default_coalition(inst, 0, 0)
+from conftest import random_case
 
 
 class TestFixtureVerdicts:
@@ -117,11 +77,13 @@ class TestOracleEquivalence:
             for c in range(inst.m):
                 if c in set(X):
                     continue
+                dc = inst.dists()[:, c]
                 for ell in range(1, inst.k + 1):
-                    d = default_coalition(inst, c, ell)
-                    members = sorted(d.members)
+                    need = -((-ell * inst.n) // inst.k)
+                    radius = np.sort(dc)[need - 1]
+                    members = np.flatnonzero(dc <= radius)
                     reach = inst.dists()[np.ix_(members, list(X))].min(axis=0)
-                    if int((reach <= d.radius).sum()) < ell:
+                    if int((reach <= radius).sum()) < ell:
                         expect.add(c)
                         break
             assert anchors == expect
@@ -166,6 +128,20 @@ class TestGammaValidation:
         inst, X = fixture_incomparability(2)
         with pytest.raises(InputError):
             audit(inst, X, gamma)
+
+
+class TestEpsValidation:
+    @pytest.mark.parametrize("eps", [float("nan"), -0.5, float("inf")])
+    @pytest.mark.parametrize("audit", [
+        lambda inst, X, e: verify_dc_mpjr_plus(inst, X, eps=e),
+        lambda inst, X, e: dc_violations(inst, X, eps=e),
+        lambda inst, X, e: verify_fixed_ell_dc(inst, X, 2, eps=e),
+        lambda inst, X, e: verify_mpjr_plus_smallk(inst, X, eps=e),
+    ], ids=["dc", "dc-all", "fixed-ell-dc", "smallk"])
+    def test_rejects_eps_not_finite_nonnegative(self, audit, eps):
+        inst, X = fixture_incomparability(1)
+        with pytest.raises(InputError):
+            audit(inst, X, eps)
 
 
 class TestImplications:
