@@ -245,9 +245,6 @@ class BipartiteGraph:
         return cls(tuple(range(n_left)), tuple(range(n_right)),
                    frozenset((int(u), int(w)) for u, w in edges))
 
-    def adj_left(self, u: int) -> frozenset:
-        return frozenset(w for (a, w) in self.edges if a == u)
-
 
 def pad_balanced(graph: BipartiteGraph, t: int) -> tuple:
     """Equalize the sides to 2t'-1 vertices, preserving biclique existence.

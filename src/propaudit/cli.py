@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, SizeError, InfeasibleLevel, UnsupportedBackend,
-            ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+            ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

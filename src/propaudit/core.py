@@ -25,6 +25,11 @@ import numpy as np
 
 EUCLIDEAN = "euclidean"
 EXPLICIT = "explicit"
+# entries of one row block of _pairwise's output (327 rows at m=100): the
+# block and its scratch stay in cache across the coordinates.  n=5000,
+# m=100, 2-D: 4.1-4.6 ms, against 12.8-14.8 ms for one unblocked pass
+# after an np.zeros fill (2 vCPUs)
+_PAIRWISE_BLOCK = 1 << 15
 
 
 class InputError(ValueError):
@@ -57,15 +62,28 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Squares are added one coordinate at a time, left to right, then
     rooted, so every entry is bit-equal to the plain-Python
-    math.sqrt(sum((x - y) * (x - y) for x, y in zip(p, q))).
+    math.sqrt(sum((x - y) * (x - y) for x, y in zip(p, q))).  The output
+    is filled a block of rows at a time, about _PAIRWISE_BLOCK entries, so
+    a block and its scratch stay in cache across the coordinates; the
+    first coordinate's square is written straight into the output.
     """
-    acc = np.zeros((a.shape[0], b.shape[0]))
-    diff = np.empty_like(acc)
-    for j in range(a.shape[1]):
-        np.subtract(a[:, j, None], b[None, :, j], out=diff)
-        diff *= diff
-        acc += diff
-    return np.sqrt(acc, out=acc)
+    out = np.empty((a.shape[0], b.shape[0]))
+    if a.shape[1] == 0:
+        out.fill(0.0)
+        return out
+    rows = max(1, _PAIRWISE_BLOCK // max(1, b.shape[0]))
+    diff = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for lo in range(0, a.shape[0], rows):
+        acc, part = out[lo: lo + rows], a[lo: lo + rows]
+        scratch = diff[: len(acc)]
+        np.subtract(part[:, 0, None], b[None, :, 0], out=acc)
+        acc *= acc
+        for j in range(1, a.shape[1]):
+            np.subtract(part[:, j, None], b[None, :, j], out=scratch)
+            scratch *= scratch
+            acc += scratch
+        np.sqrt(acc, out=acc)
+    return out
 
 
 class Instance:
@@ -218,8 +236,16 @@ def dump_instance(instance: Instance, path) -> None:
 
 
 def check_selection(instance: Instance, centers: Iterable[int]) -> tuple:
-    """Normalize a center selection to a sorted tuple, enforcing |X| = k."""
-    raw = [int(c) for c in centers]
+    """Normalize a center selection to a sorted tuple, enforcing |X| = k.
+
+    Entries must be integers (numpy integers included); floats, bools and
+    strings are rejected rather than truncated or parsed.
+    """
+    raw = list(centers)
+    bad = [c for c in raw if not is_int(c)]
+    if bad:
+        raise InputError(f"selection entry {bad[0]!r} is not an integer")
+    raw = [int(c) for c in raw]
     xs = sorted(set(raw))
     if len(xs) != len(raw):
         raise InputError("selection contains duplicate centers")
@@ -354,6 +380,3 @@ class Verdict:
             "witness": self.witness.to_dict() if self.witness else None,
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())

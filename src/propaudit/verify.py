@@ -19,10 +19,14 @@ Two verification strategies live here:
   mu(c,x) = min_j max(d(j,c), g(d(j,x))) <= s, where g(v) is the smallest
   float r with gamma*r + eps >= v (the identity when gamma = 1 and
   eps = 0).  The coverage at a radius is then a count of sorted mu
-  values, with no per-radius distance work.  Cost O(m n log n + m n k);
-  anchors run in chunks whose scratch is bounded by ``_CHUNK_ELEMS``.
-  ``verify_fixed_ell_dc`` reads its one radius per anchor from the same
-  helper, ``_coverage_radii``.
+  values, with no per-radius distance work.  Cost O(m n log n + m n k).
+  Anchors run in the chunks of one schedule, ``_anchor_chunks``, whose
+  (anchor, agent) scratch is bounded by ``_CHUNK_ELEMS``: a full scan
+  takes whole chunks, while a first-hit scan starts small and doubles,
+  and stops after the first chunk with a violation, so an audit that
+  fails early computes only a few anchors.  ``verify_fixed_ell_dc`` reads
+  its one radius per anchor from the same helper, ``_coverage_radii``,
+  over the same schedule.
 
 Both run on exact float distances; radius grouping and interval
 endpoints compare with == by default (fixtures and embeddings have exact
@@ -50,8 +54,15 @@ import numpy as np
 from .core import (InfeasibleLevel, Instance, SizeError, Verdict, Witness,
                    check_eps, check_gamma, check_selection, timed)
 
-# soft cap on the elements one anchor chunk of the DC scan touches
-_CHUNK_ELEMS = 4_000_000
+# cap on the (anchor, agent) entries of one DC anchor chunk: a chunk holds
+# _CHUNK_ELEMS // n anchors (at least one), so the coverage kernel's keys
+# and scratch (512 KB each) stay in a 2 MB L2 cache across the k center
+# rows.  Full sweeps (find_all, gamma=1, 2 vCPUs) at this cap against the
+# earlier 4e6 // (n k) anchors: n=5000, m=100, k=20: 13 vs 40 anchors,
+# 17.2 vs 21.6 ms; n=5e4, m=100, k=10: 1 vs 8, 260 vs 272 ms; n=1e5,
+# m=200, k=20: 1 vs 2, 1.32 vs 1.50 s.  One anchor a chunk is the slowest
+# choice at n=5000 (29 ms) and the fastest at the two larger sizes
+_CHUNK_ELEMS = 1 << 16
 _SIGN = np.uint64(1 << 63)
 # the small-k audit scans a size's exclusion sets one by one up to this
 # many; larger sizes go through the pruned search of _exclusion_sets.
@@ -133,6 +144,21 @@ def _coverage_radii(keys, rows) -> np.ndarray:
     return mu
 
 
+def _anchor_chunks(count, cap, first_hit):
+    """Slices of range(count) in index order, each at most `cap` anchors.
+
+    A full scan takes `cap` anchors at a time.  A first-hit scan starts at
+    cap // 16 (at least one) and doubles up to `cap`, so a violation among
+    the first anchors is found without computing a whole chunk.
+    """
+    size = max(1, cap // 16) if first_hit else cap
+    lo = 0
+    while lo < count:
+        yield slice(lo, lo + size)
+        lo += size
+        size = min(2 * size, cap)
+
+
 def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
     """Core of the default-coalitions audit over the unselected anchors.
 
@@ -145,17 +171,17 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
 
     Returns the first violation as (anchor, level, radius) in
     deterministic order, a list of every violating (anchor, level,
-    radius) when find_all, or None.  Anchors run in chunks of about
-    _CHUNK_ELEMS / (n k); each chunk's scratch is O(chunk * n), and the
-    first-hit search stops after the first chunk with a violation.
+    radius) when find_all, or None.  Anchors run in the chunks of
+    ``_anchor_chunks``, at most _CHUNK_ELEMS / n anchors each, so each
+    chunk's scratch is O(_CHUNK_ELEMS + n); the first-hit search starts
+    with small chunks and stops after the first chunk with a violation.
     """
     reach = np.ascontiguousarray(
         _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
     levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
     found = []
-    chunk = max(1, _CHUNK_ELEMS // (n * k))
-    for lo in range(0, len(outs), chunk):
-        cols = outs[lo: lo + chunk]
+    for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n), not find_all):
+        cols = outs[part]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
         mu = _coverage_radii(s, reach)
         s.sort(axis=1)
@@ -248,17 +274,22 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     outs = _unselected(instance, X)
     DXt = np.ascontiguousarray(D[:, np.asarray(X, dtype=np.intp)].T)
     # each center row spans every agent in some ball of the chunk, so the
-    # sweep's chunk shrinks with a ball's share of the agents (n=5000,
-    # k=20, ell=1: 19 ms at the sweep's 40 anchors a chunk, 13 ms at 2)
-    chunk = max(1, _CHUNK_ELEMS // (n * k) * need // n)
-    for lo in range(0, len(outs), chunk):
-        cols = outs[lo: lo + chunk]
+    # sweep's cap shrinks with a ball's share of the agents, but not below
+    # 8 anchors, where the per-chunk gather of D's columns and the numpy
+    # calls cost more (full scans, m=200, k=20, ell=1: n=1000, 7.0 ms at
+    # 10 anchors a chunk, 10.7 ms at 4; n=2000, 12.4 ms at 8, 15.3 ms at 16)
+    sweep = max(1, _CHUNK_ELEMS // n)
+    cap = min(sweep, max(8, sweep * need // n))
+    for part in _anchor_chunks(len(outs), cap, True):
+        cols = outs[part]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
         R = np.partition(s, need - 1, axis=1)[:, need - 1]
         inside = s <= R[:, None] + eps
-        used = inside.any(axis=0)           # agents in no ball here cover nothing
-        near = _coverage_radii(np.where(np.compress(used, inside, axis=1), -np.inf, np.inf),
-                               np.compress(used, DXt, axis=1))
+        keys, rows = inside, DXt
+        used = np.flatnonzero(inside.any(axis=0))   # agents in no ball cover nothing
+        if 2 * len(used) < n:   # else copying the columns costs more than it saves
+            keys, rows = inside.take(used, axis=1), DXt.take(used, axis=1)
+        near = _coverage_radii(np.where(keys, -np.inf, np.inf), rows)
         bad = np.flatnonzero(near[:, ell] > gamma * R + eps)
         if bad.size:
             c, radius = int(cols[bad[0]]), float(R[bad[0]])

@@ -213,6 +213,24 @@ class TestOtherCommands:
     def test_missing_file(self):
         assert main(["audit", "/nonexistent.json", "--selection", "0"]) == 2
 
+    def test_unreadable_inputs_exit_two(self, prop3_2, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"metric": "caf\xe9"}')
+        for argv in (["audit", str(tmp_path), "--selection", "0"],
+                     ["audit", prop3_2, "--selection-file", str(tmp_path)],
+                     ["sear", str(latin1)],
+                     ["audit", prop3_2, "--selection-file", str(latin1)],
+                     ["validate", str(tmp_path)],
+                     ["embed", str(latin1)]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
+
+    def test_out_in_missing_directory_exit_two(self, prop3_2, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out.json")
+        assert main(["audit", prop3_2, "--selection", "1,2,3", "--out", out]) == 2
+        assert main(["sear", prop3_2, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_instance_exit_two(self, prop3_2, tmp_path, capsys):
         data = json.loads(open(prop3_2).read())
         bad = tmp_path / "bad.json"

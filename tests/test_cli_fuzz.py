@@ -1,6 +1,7 @@
 """Property test of the CLI's exit codes.
 
-Flag values for `audit`, `experiment`, `baseline` and `generate` are
+Flag values for `audit`, `experiment`, `baseline` and `generate`, and
+input files and output paths for `sear`, `embed` and `validate`, are
 drawn on tiny fixtures.  Whatever the values, `main` must end with 0
 (satisfied or done), 1 (violated) or 2 (bad input or usage) and let no
 exception escape; a value known to be bad must give 2.  argparse's own
@@ -9,6 +10,7 @@ usage errors end in SystemExit(2), which counts as returning 2.
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -119,3 +121,48 @@ def test_generate_exit_codes(kind, n, g, k, sigma, seed):
                 "--k", str(k), "--sigma", sigma, "--seed", str(seed)])
     if kind == "gaussian" and not in_range(sigma, 0, False):
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory, fixture_path):
+    """One file of each kind the file-reading commands may be given."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "directory").mkdir()
+    files = {"instance": fixture_path, "directory": str(root / "directory"),
+             "missing": str(root / "missing.json")}
+    contents = {
+        "approval": json.dumps({"approvals": [[0], [1], [0, 1]], "candidates": 2, "k": 1}),
+        "approval-bad-k": json.dumps({"approvals": [[0], [1]], "candidates": 2, "k": 1.7}),
+        "not-json": "{",
+        "not-utf8": b'{"metric": "caf\xe9"}',
+    }
+    for name, text in contents.items():
+        path = root / f"{name}.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        files[name] = str(path)
+    files["out"] = str(root / "out.json")
+    files["out-missing-dir"] = str(root / "no-such-dir" / "out.json")
+    return files
+
+
+@FUZZ
+@given(command=st.sampled_from(["sear", "embed", "validate"]),
+       source=st.sampled_from(["instance", "approval", "approval-bad-k", "directory",
+                               "missing", "not-json", "not-utf8"]),
+       out=st.sampled_from([None, "out", "out-missing-dir"]),
+       triangle=st.booleans())
+def test_file_command_exit_codes(input_files, command, source, out, triangle):
+    argv = [command, input_files[source]]
+    if out:
+        argv += ["--out", input_files[out]]
+    if triangle and command == "validate":
+        argv.append("--triangle")
+    code = run(argv)
+    readable = "approval" if command == "embed" else "instance"
+    if source != readable or out == "out-missing-dir":
+        assert code == 2
+    else:
+        assert code in (0, 1)

@@ -8,6 +8,7 @@ from propaudit import (ApprovalInstance, InputError, Instance,
                        UnsupportedBackend, check_selection, dump_instance,
                        embed_approval, group_approval_set, load_instance,
                        validate_metric)
+from propaudit import core
 from propaudit.gen import fixture_incomparability, substream
 
 from conftest import random_explicit
@@ -38,18 +39,23 @@ class TestDistance:
             inst.distance(0, 99)
 
     def test_dists_bit_equal_to_plain_python(self, rng):
-        # mixed magnitudes per coordinate make the summation order visible
-        for dim in range(1, 9):
+        # mixed magnitudes per coordinate make the summation order visible;
+        # the last shapes span several row blocks of the output and end in
+        # a partial one
+        m = 40
+        rows = core._PAIRWISE_BLOCK // m
+        shapes = [(7, 5, dim) for dim in range(1, 9)]
+        shapes += [(2 * rows + rows // 2 + 1, m, dim) for dim in (1, 3)]
+        for n, m, dim in shapes:
             scale = 10.0 ** rng.integers(-6, 7, size=dim)
-            agents = (rng.random((7, dim)) - 0.5) * scale
-            cands = (rng.random((5, dim)) - 0.5) * scale
+            agents = (rng.random((n, dim)) - 0.5) * scale
+            cands = (rng.random((m, dim)) - 0.5) * scale
             inst = Instance.euclidean(agents, cands, 2)
-            expect = [[math.sqrt(sum((float(a) - float(b)) * (float(a) - float(b))
-                                     for a, b in zip(p, q)))
-                       for q in cands] for p in agents]
+            expect = [[math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
+                       for q in cands.tolist()] for p in agents.tolist()]
             assert inst.dists().tolist() == expect
-            assert [[inst.distance(i, 7 + j) for j in range(5)]
-                    for i in range(7)] == expect
+            assert [[inst.distance(i, n + j) for j in range(m)]
+                    for i in range(min(n, 7))] == expect[:7]
             full = inst.to_explicit().dists()
             assert np.array_equal(full, inst.dists())
 

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propaudit import (Instance, dc_violations, verify_dc_mpjr_plus,
+from propaudit import (Instance, dc_violations, verify, verify_dc_mpjr_plus,
                        verify_fixed_ell_dc)
-from propaudit.verify import _reach_radius
+from propaudit.verify import _anchor_chunks, _reach_radius
 
 from conftest import random_case
 
@@ -115,6 +115,56 @@ def test_fixed_ell_matches_reference(rng):
                     assert verdict.satisfied == (expect is None)
                     if expect:
                         assert as_tuple(verdict.witness) == expect
+
+
+def test_anchor_chunk_schedule():
+    def sizes(count, cap, first_hit):
+        return [p.stop - p.start if p.stop <= count else count - p.start
+                for p in _anchor_chunks(count, cap, first_hit)]
+    assert sizes(50, 16, True) == [1, 2, 4, 8, 16, 16, 3]
+    assert sizes(50, 16, False) == [16, 16, 16, 2]
+    assert sizes(50, 64, True) == [4, 8, 16, 22]
+    assert sizes(5, 1, True) == [1] * 5
+    assert sizes(0, 16, True) == []
+
+
+def last_anchor_violates(rng, m):
+    """1-D: ten agents near 0, ten near 100, both selected centers (0 and
+    1) near 0, anchors 2..m-2 near 0 and anchor m-1 at 100.  Only the last
+    anchor's ball of the ten far agents misses its level-1 center."""
+    agents = np.concatenate([rng.random(10), 100 + rng.random(10)])[:, None]
+    cands = np.concatenate([rng.random(m - 1), [100.0]])[:, None]
+    return Instance.euclidean(agents, cands, 2), (0, 1)
+
+
+def test_multi_chunk_sweeps_match_reference(monkeypatch, rng):
+    """Chunk caps small enough that both scans cross every chunk size of
+    the schedule, a full chunk and a short last one, with the first or
+    only violation in the last chunk."""
+    cases = [last_anchor_violates(rng, 52)]
+    for grid in (False, True):
+        pts = (rng.integers(0, 6, (70, 2)).astype(float) if grid else rng.random((70, 2)))
+        cases.append((Instance.euclidean(pts[:30], pts[30:], 4),
+                      tuple(sorted(int(x) for x in rng.choice(40, 4, replace=False)))))
+    for inst, X in cases:
+        for cap in (1, 3, 16):
+            monkeypatch.setattr(verify, "_CHUNK_ELEMS", cap * inst.n)
+            for gamma, eps in ((1.0, 0.0), (1.5, 0.25)):
+                expect = reference_dc_sweep(inst, X, gamma, eps)
+                assert [as_tuple(w) for w in dc_violations(inst, X, gamma, eps)] == expect
+                verdict = verify_dc_mpjr_plus(inst, X, gamma, eps)
+                assert verdict.satisfied == (not expect)
+                if expect:
+                    assert as_tuple(verdict.witness) == expect[0]
+                for ell in range(1, inst.k + 1):
+                    expect = reference_fixed_ell(inst, X, ell, gamma, eps)
+                    verdict = verify_fixed_ell_dc(inst, X, ell, gamma, eps)
+                    assert verdict.satisfied == (expect is None)
+                    if expect:
+                        assert as_tuple(verdict.witness) == expect
+    inst, X = cases[0]
+    assert [w.center for w in dc_violations(inst, X)] == [inst.m - 1]
+    assert verify_fixed_ell_dc(inst, X, 1).witness.center == inst.m - 1
 
 
 def test_dc_violations_lists_every_violating_radius():

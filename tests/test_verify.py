@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from propaudit import (InfeasibleLevel, InputError, Instance, SizeError,
+from propaudit import (InfeasibleLevel, InputError, Instance, SizeError, Verdict,
                        dc_violations, oracle_dc, oracle_mpjr, oracle_mpjr_plus,
+                       oracle_mpjr_plus_fixed_ell, submodular_min_check,
                        verify_dc_mpjr_plus, verify_fixed_ell_dc,
                        verify_mpjr_plus_smallk)
 from propaudit.gen import fixture_incomparability, sample_selection
 
-from conftest import random_case
+from conftest import random_case, random_explicit
 
 
 class TestFixtureVerdicts:
@@ -142,6 +143,82 @@ class TestEpsValidation:
         inst, X = fixture_incomparability(1)
         with pytest.raises(InputError):
             audit(inst, X, eps)
+
+
+def outcome(result):
+    """A verdict without its timing; other results as they are."""
+    if isinstance(result, Verdict):
+        return (result.satisfied, result.witness)
+    return result
+
+
+SELECTION_CHECKERS = {
+    "dc": lambda inst, X: verify_dc_mpjr_plus(inst, X),
+    "dc-all": lambda inst, X: dc_violations(inst, X),
+    "fixed-ell-dc": lambda inst, X: verify_fixed_ell_dc(inst, X, 2),
+    "smallk": lambda inst, X: verify_mpjr_plus_smallk(inst, X),
+    "oracle-mpjr": lambda inst, X: oracle_mpjr(inst, X),
+    "oracle-mpjr+": lambda inst, X: oracle_mpjr_plus(inst, X),
+    "oracle-fixed-ell": lambda inst, X: oracle_mpjr_plus_fixed_ell(inst, X, 2),
+    "oracle-dc": lambda inst, X: oracle_dc(inst, X),
+    "submodular": lambda inst, X: submodular_min_check(inst, X, 0, 1.0),
+}
+
+
+class TestSelectionValidation:
+    @pytest.mark.parametrize("selection", [
+        (2.5, 3.5, 4.5), (2.0, 3, 4), (True, 3, 4), ("2", 3, 4), (None, 3, 4),
+    ], ids=["fractions", "integral-float", "bool", "str", "none"])
+    @pytest.mark.parametrize("name", SELECTION_CHECKERS)
+    def test_rejects_entries_that_are_not_integers(self, name, selection):
+        inst, _ = fixture_incomparability(1)
+        with pytest.raises(InputError):
+            SELECTION_CHECKERS[name](inst, selection)
+
+    @pytest.mark.parametrize("name", SELECTION_CHECKERS)
+    def test_numpy_integers_match_python_ints(self, name):
+        inst, X = fixture_incomparability(1)
+        as_np = tuple(np.array(X, dtype=np.int64))
+        assert outcome(SELECTION_CHECKERS[name](inst, as_np)) == \
+            outcome(SELECTION_CHECKERS[name](inst, X))
+
+
+def integer_grid_case(rng):
+    """Small integer distances: Euclidean points on a grid (squared
+    distances are integers) or an explicit shortest-path matrix."""
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    k = int(rng.integers(1, min(m, 3) + 1))
+    if rng.random() < 0.5:
+        inst = Instance.euclidean(rng.integers(0, 5, (n, 2)).astype(float),
+                                  rng.integers(0, 5, (m, 2)).astype(float), k)
+    else:
+        inst = random_explicit(rng, n, m, k)
+    return inst, sample_selection(m, k, rng)
+
+
+class TestEpsOnIntegerMetrics:
+    """On integer-grid instances no comparison sits within 1e-9 of flipping
+    (distances are integers or square roots of integers), so eps=1e-9 must
+    give exactly the verdicts and witnesses of eps=0."""
+
+    AUDITS = {
+        "dc": lambda inst, X, g, e: [outcome(verify_dc_mpjr_plus(inst, X, g, e))],
+        "dc-all": lambda inst, X, g, e: [(False, w) for w in dc_violations(inst, X, g, e)],
+        "fixed-ell-dc": lambda inst, X, g, e: [
+            outcome(verify_fixed_ell_dc(inst, X, ell, g, e)) for ell in range(1, inst.k + 1)],
+        "smallk": lambda inst, X, g, e: [outcome(verify_mpjr_plus_smallk(inst, X, g, eps=e))],
+    }
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5])
+    @pytest.mark.parametrize("name", AUDITS)
+    def test_tiny_eps_matches_zero(self, rng, name, gamma):
+        audit, violated = self.AUDITS[name], 0
+        for _ in range(400):
+            inst, X = integer_grid_case(rng)
+            exact = audit(inst, X, gamma, 0.0)
+            assert audit(inst, X, gamma, 1e-9) == exact
+            violated += any(not satisfied for satisfied, _ in exact)
+        assert violated > 0       # the draws reach violated verdicts too
 
 
 class TestImplications:
