@@ -276,7 +276,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, SizeError, InfeasibleLevel, UnsupportedBackend,
-            ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -231,6 +231,17 @@ class TestOtherCommands:
         assert main(["sear", prop3_2, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_output_failures_are_not_input_errors(self, prop3_2, monkeypatch):
+        # exit 2 means bad input or usage: a full disk or a closed pipe
+        # while writing the result propagates instead
+        for exc in (OSError(28, "No space left on device"), BrokenPipeError()):
+            def fail(text, exc=exc):
+                raise exc
+            monkeypatch.setattr(sys.stdout, "write", fail)
+            with pytest.raises(type(exc)):
+                main(["audit", prop3_2, "--selection", "1,2,3"])
+            monkeypatch.undo()
+
     def test_bad_instance_exit_two(self, prop3_2, tmp_path, capsys):
         data = json.loads(open(prop3_2).read())
         bad = tmp_path / "bad.json"
