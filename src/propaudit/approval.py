@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (InfeasibleLevel, InputError, SizeError, Verdict, Witness,
-                   is_int, timed)
+                   check_selection, is_int, timed)
 
 
 @dataclass(frozen=True)
@@ -91,34 +91,14 @@ class ApprovalInstance:
         return out
 
 
-def _check_committee(inst: ApprovalInstance, committee) -> tuple:
-    xs = sorted(set(int(c) for c in committee))
-    if len(xs) != inst.k:
-        raise InputError(f"committee has {len(xs)} members, expected k={inst.k}")
-    if xs[0] < 0 or xs[-1] >= inst.m:
-        raise InputError("committee index out of range")
-    return tuple(xs)
-
-
-def _subset_unions(masks: np.ndarray) -> np.ndarray:
-    """union[S] = OR of masks over voters in subset S, for all 2^n subsets."""
-    n = len(masks)
-    u = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        half = 1 << v
-        blk = u.reshape(-1, 2 * half)
-        blk[:, half:] = blk[:, :half] | masks[v]
-    return u
-
-
-def _subset_inters(masks: np.ndarray, full: np.int64) -> np.ndarray:
-    n = len(masks)
-    w = np.full(1 << n, full, dtype=np.int64)
-    for v in range(n):
-        half = 1 << v
-        blk = w.reshape(-1, 2 * half)
-        blk[:, half:] = blk[:, :half] & masks[v]
-    return w
+def _subset_fold(masks: np.ndarray, start, op) -> np.ndarray:
+    """fold[S] = `start` combined by `op` with the masks of the voters in
+    subset S, for all 2^n subsets."""
+    out = np.full(1 << len(masks), start, dtype=np.int64)
+    for v, mask in enumerate(masks):
+        blk = out.reshape(-1, 2 << v)
+        blk[:, 1 << v:] = op(blk[:, :1 << v], mask)
+    return out
 
 
 @timed
@@ -129,18 +109,14 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee, max_voters: int = 1
     ell commonly-approved candidates yet sees fewer than ell committee
     members across its union of ballots.
     """
-    X = _check_committee(inst, committee)
+    X = check_selection(inst, committee)
     n, k = inst.n, inst.k
     if n > max_voters:
         raise SizeError(f"n={n} exceeds exhaustive cap {max_voters}")
     masks = inst.masks()
-    full = np.int64((1 << inst.m) - 1)
-    xmask = np.int64(0)
-    for c in X:
-        xmask |= np.int64(1) << np.int64(c)
-
-    union = _subset_unions(masks)
-    inter = _subset_inters(masks, full)
+    xmask = np.int64(sum(1 << c for c in X))
+    union = _subset_fold(masks, 0, np.bitwise_or)
+    inter = _subset_fold(masks, (1 << inst.m) - 1, np.bitwise_and)
     sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     cohesion = np.bitwise_count(inter.view(np.uint64)).astype(np.int64)
     coverage = np.bitwise_count((union & xmask).view(np.uint64)).astype(np.int64)
@@ -165,7 +141,7 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee, max_k: int = 24) ->
     (|Y|+1) * q of them (integer cross-test).  Y is scanned by popcount
     then lexicographically, c by index, so witnesses are deterministic.
     """
-    X = _check_committee(inst, committee)
+    X = check_selection(inst, committee)
     n, k = inst.n, inst.k
     if k > max_k:
         raise SizeError(f"k={k} exceeds sweep cap {max_k}")
@@ -197,14 +173,12 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
     the approvers of c, and tests |S|*k >= ell*n against committee coverage
     of the coalition's ballot union.
     """
-    X = _check_committee(inst, committee)
+    X = check_selection(inst, committee)
     n, k = inst.n, inst.k
     if not (1 <= ell <= k):
         raise InfeasibleLevel(f"ell={ell} outside [1, {k}]")
     masks = inst.masks()
-    xmask = np.int64(0)
-    for c in X:
-        xmask |= np.int64(1) << np.int64(c)
+    xmask = np.int64(sum(1 << c for c in X))
     xset = set(X)
     for c in range(inst.m):
         if c in xset:
@@ -214,7 +188,7 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
             raise SizeError(f"{len(approvers)} approvers exceed cap {max_voters}")
         if not approvers:
             continue
-        union = _subset_unions(masks[approvers])
+        union = _subset_fold(masks[approvers], 0, np.bitwise_or)
         sizes = np.bitwise_count(np.arange(len(union), dtype=np.uint64)).astype(np.int64)
         coverage = np.bitwise_count((union & xmask).view(np.uint64)).astype(np.int64)
         violated = (sizes * k >= ell * n) & (coverage < ell) & (sizes > 0)

@@ -20,7 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .core import ConfigError
+from .core import ConfigError, is_int
 from .gen import GaussianConfig, gen_gaussian_instance, sample_selection, substream
 from .verify import verify_dc_mpjr_plus, verify_mpjr_plus_smallk
 
@@ -142,17 +142,11 @@ def _audit_instance(task) -> tuple:
     return n, g, sat, ms, selections
 
 
-def resolve_threads(threads=None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("PROPAUDIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def run_experiment(cfg: ExperimentConfig, threads=None, progress=None) -> ExperimentReport:
-    threads = resolve_threads(threads)
+    if threads is None:
+        threads = os.cpu_count() or 1
+    elif not is_int(threads) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     tasks = [(n, g, i, cfg.k, cfg.sigma, cfg.master_seed, tuple(cfg.axioms),
               cfg.gamma, cfg.selections_per_instance)
              for n in cfg.n_values for g in cfg.g_values

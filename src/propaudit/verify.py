@@ -4,14 +4,15 @@ Two verification strategies live here:
 
 * ``verify_mpjr_plus_smallk`` checks proper subsets Y of the selection
   and, per unselected anchor c, sweeps the half-open intervals
-  [d(i,c), u_i / gamma) for a radius covered by enough agents, where u_i
-  is agent i's distance to the nearest selected center outside Y.  The
-  agents counted at a violating radius all reach past it, and it is at
-  least the distance to c that the count itself needs, so each needs Y to
-  hold every selected center nearer than that; a depth-first search over
-  Y skips every set where no anchor has enough such agents
-  (``_exclusion_sets``).  Worst case O(m n log n * 2^k): practical for
-  small k only.
+  [d(i,c), g(u_i)) for a radius covered by enough agents, where u_i is
+  agent i's distance to the nearest selected center outside Y and g is
+  the reach rule of the DC audit below, so i counts at radius s exactly
+  when gamma*s + eps < u_i.  The agents counted at a violating radius all
+  reach past it, and it is at least the distance to c that the count
+  itself needs, so each needs Y to hold every selected center nearer than
+  that; a depth-first search over Y skips every set where no anchor has
+  enough such agents (``_exclusion_sets``).  Worst case
+  O(m n log n * 2^k): practical for small k only.
 
 * ``verify_dc_mpjr_plus`` checks each unselected anchor's tightest ball at
   every level through coverage radii: selected center x is covered by the
@@ -34,9 +35,14 @@ small-integer distances).  An opt-in ``eps`` widens comparisons for
 noisy data.  Every verifier rejects gamma that is not finite and > 0 and
 eps that is not finite and >= 0.
 
+g is ``_reach_radius``, the one code that turns gamma and eps into a
+radius threshold: each audit builds the reach rows g(d(., x)) of the
+selected centers once and compares radii against them.
+
 Every metric witness is built by ``_witness`` from the caller's coalition
 rule: the closed ball for the default-coalition audits, the agents inside
-the ball but out of reach of X \\ Y for the small-k audit.
+the ball but out of reach of X \\ Y for the small-k audit.  It counts
+coverage with gamma*r + eps directly, as an independent check.
 
 Scan order is deterministic: anchors by candidate index, Y by popcount
 then lexicographically, radii ascending.  The per-anchor loops are
@@ -176,14 +182,14 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
     chunk's scratch is O(_CHUNK_ELEMS + n); the first-hit search starts
     with small chunks and stops after the first chunk with a violation.
     """
-    reach = np.ascontiguousarray(
+    G = np.ascontiguousarray(
         _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
     levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
     found = []
     for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n), not find_all):
         cols = outs[part]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
-        mu = _coverage_radii(s, reach)
+        mu = _coverage_radii(s, G)
         s.sort(axis=1)
         group_end = np.empty(s.shape, dtype=bool)
         group_end[:, -1] = True
@@ -259,9 +265,9 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
 
     Per anchor, only the first radius R whose ball deserves level >= ell
     is checked, per the sweep's early-stop specialization: with the ball
-    d <= R + eps as keys (-inf inside, inf out) and distance rows,
-    ``_coverage_radii`` gives each center's distance to the ball, and the
-    anchor falls short when the ell-th smallest exceeds gamma * R + eps.
+    d <= R + eps as keys (-inf inside, inf out) and reach rows g(d),
+    ``_coverage_radii`` gives g of each center's distance to the ball, and
+    the anchor falls short when the ell-th smallest exceeds R.
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
@@ -272,22 +278,23 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     D = instance.dists()
     need = -((-ell * n) // k)
     outs = _unselected(instance, X)
-    DXt = np.ascontiguousarray(D[:, np.asarray(X, dtype=np.intp)].T)
+    G = np.ascontiguousarray(
+        _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
     for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n), True):
         cols = outs[part]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
         R = np.partition(s, need - 1, axis=1)[:, need - 1]
         inside = s <= R[:, None] + eps
-        keys, rows = inside, DXt
+        keys, rows = inside, G
         # agents in no ball of the chunk cover nothing; dropping their
         # columns pays only when they are most of them (full scans, n=2e4,
         # m=100, k=20: ell=1 50 ms with the drop, 61 ms without; ell=20
         # 56 ms, 85 ms when every chunk drops, where no agent is left out)
         used = np.flatnonzero(inside.any(axis=0))
         if 2 * len(used) < n:
-            keys, rows = inside.take(used, axis=1), DXt.take(used, axis=1)
+            keys, rows = inside.take(used, axis=1), G.take(used, axis=1)
         near = _coverage_radii(np.where(keys, -np.inf, np.inf), rows)
-        bad = np.flatnonzero(near[:, ell] > gamma * R + eps)
+        bad = np.flatnonzero(near[:, ell] > R)
         if bad.size:
             c, radius = int(cols[bad[0]]), float(R[bad[0]])
             return Verdict("fixed-ell-dc", gamma, False,
@@ -296,26 +303,25 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     return Verdict("fixed-ell-dc", gamma, True)
 
 
-def _blockers(Lt, DXt, gamma, eps, need):
+def _blockers(Lt, G, need):
     """Each agent's blocker set per anchor row for a target count `need`,
     deduplicated per row.
 
     ``_alg1_scan`` counts agent i at anchor c and radius s only when
-    d(i, c) <= s < u_i / gamma, and a count of `need` needs s at least R,
-    the need-th smallest d(., c).  So i can count only if
-    t_i = max(d(i, c), R) < (d(i, x) - eps) / gamma for every selected
-    center x outside Y (that map is monotone in d(i, x), so this is the
-    test against the nearest one).  Center x_p blocks i unless the test
-    passes for x_p.  Returns (rows, blocked, mult): anchor rows ascending,
+    d(i, c) <= s < g(u_i), and a count of `need` needs s at least R, the
+    need-th smallest d(., c).  So i can count only if
+    t_i = max(d(i, c), R) < g(d(i, x)) for every selected center x outside
+    Y (g is monotone, so this is the test against the nearest one), read
+    from the reach rows ``G``.  Center x_p blocks i unless the test passes
+    for x_p.  Returns (rows, blocked, mult): anchor rows ascending,
     a bool matrix (entry, position) and the number of agents sharing each
     entry.  Blocker sets are int64 bit masks here, so k is at most 62.
     """
     t = np.maximum(Lt, np.partition(Lt, need - 1, axis=1)[:, need - 1:need])
-    k = len(DXt)
+    k = len(G)
     free = np.zeros(Lt.shape, dtype=np.int64)
-    for p, dx in enumerate(DXt):
-        ug = dx if (gamma == 1.0 and eps == 0.0) else (dx - eps) / gamma
-        free |= (t < ug[None, :]).astype(np.int64) << p
+    for p, reach in enumerate(G):
+        free |= (t < reach[None, :]).astype(np.int64) << p
     masks = np.sort(free ^ ((1 << k) - 1), axis=1)
     first = np.ones(masks.shape, dtype=bool)
     first[:, 1:] = masks[:, 1:] != masks[:, :-1]
@@ -327,7 +333,7 @@ def _blockers(Lt, DXt, gamma, eps, need):
     return first // Lt.shape[1], blocked.astype(bool), mult
 
 
-def _exclusion_sets(Lt, DXt, size, gamma, eps):
+def _exclusion_sets(Lt, G, size):
     """The exclusion sets Y with |Y| = size, as bit masks in scan order,
     where some anchor has at least need = (size+1) * n / k agents whose
     blockers (``_blockers``) all lie in Y.  ``_alg1_scan`` finds nothing
@@ -341,9 +347,9 @@ def _exclusion_sets(Lt, DXt, size, gamma, eps):
     taken positions puts all its w on them, so the r heaviest positions
     carry at least w per agent they can complete.
     """
-    (nrow, n), k = Lt.shape, len(DXt)
+    (nrow, n), k = Lt.shape, len(G)
     need = -((-(size + 1) * n) // k)
-    rows, blocked, mult = _blockers(Lt, DXt, gamma, eps, need)
+    rows, blocked, mult = _blockers(Lt, G, need)
 
     def reachable(rows, blocked, left, mult, p, r):
         """Per entry: can its anchor still reach the target below here."""
@@ -383,18 +389,18 @@ def _exclusion_sets(Lt, DXt, size, gamma, eps):
     yield from walk(0, 0, size, rows[fit], blocked[fit], left[fit], mult[fit])
 
 
-def _alg1_scan(Lt, DXt, rank, n, k, size, rest, gamma, eps):
+def _alg1_scan(Lt, G, rank, n, k, size, rest):
     """One exclusion-set iteration of the small-k sweep, batched over anchors.
 
     ``Lt`` holds anchor distances as contiguous rows (anchor, agent) and
-    ``DXt`` selected-center distances as rows (center, agent).  For the
-    exclusion set Y (|Y| = size, complement rows `rest`), evaluates the
-    maximum number of simultaneously live intervals [d(i,c), u_i/gamma)
-    per anchor row and returns (row, radius, u/gamma vector) of the first
-    anchor where the count clears (size+1) * n / k, else None.
+    ``G`` the reach radii g(d) of the selected centers as rows (center,
+    agent).  For the exclusion set Y (|Y| = size, complement rows `rest`),
+    evaluates the maximum number of simultaneously live intervals
+    [d(i,c), g(u_i)) per anchor row and returns (row, radius, g(u) vector)
+    of the first anchor where the count clears (size+1) * n / k, else
+    None.  g is monotone, so g(u) is the min over the `rest` rows.
     """
-    u = DXt[rest[0]] if len(rest) == 1 else DXt[rest].min(axis=0)
-    ug = u if (gamma == 1.0 and eps == 0.0) else (u - eps) / gamma
+    ug = G[rest[0]] if len(rest) == 1 else G[rest].min(axis=0)
     need = -((-(size + 1) * n) // k)
     # the overlap count can never exceed the number of nonempty intervals,
     # so rows short of the target are pruned before sorting
@@ -422,8 +428,8 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
 
     Enumerates exclusion sets Y inside the selection (2^k of them); a
     violation is an anchor c and a radius r where at least (|Y|+1)*q
-    agents sit within r of c yet farther than gamma*r from every selected
-    center outside Y.
+    agents sit within r of c yet farther than gamma*r + eps from every
+    selected center outside Y.
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
@@ -437,16 +443,17 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     if len(outs) == 0:
         return Verdict("mpjr+", gamma, True)
     Lt = np.ascontiguousarray(D[:, outs].T)
-    DXt = np.ascontiguousarray(D[:, np.asarray(X, dtype=np.intp)].T)
+    G = np.ascontiguousarray(
+        _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
     rank = np.arange(1, n + 1, dtype=np.int64)
     for size in range(k):
         if math.comb(k, size) <= _PLAIN_SETS:
             sets = (sum(1 << p for p in ypos) for ypos in combinations(range(k), size))
         else:
-            sets = _exclusion_sets(Lt, DXt, size, gamma, eps)
+            sets = _exclusion_sets(Lt, G, size)
         for y in sets:
             rest = [p for p in range(k) if not y >> p & 1]
-            hit = _alg1_scan(Lt, DXt, rank, n, k, size, rest, gamma, eps)
+            hit = _alg1_scan(Lt, G, rank, n, k, size, rest)
             if hit is None:
                 continue
             ci, radius, ug = hit

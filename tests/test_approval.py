@@ -72,6 +72,26 @@ class TestFromDict:
             ApprovalInstance.from_dict(dict(self.BASE, **change))
 
 
+class TestCommitteeCheck:
+    """Committees pass the metric selection check: no coercion."""
+
+    VERIFIERS = (verify_pjr_plus_sweep, verify_pjr_bruteforce,
+                 lambda inst, X: verify_fixed_ell_pjr_plus_bruteforce(inst, X, 1))
+
+    @pytest.mark.parametrize("verify", VERIFIERS)
+    @pytest.mark.parametrize("committee", [(0, 0, 1), (0.9, 1.2), (True, 2), ("0", "1")])
+    def test_rejects_coercible_committees(self, verify, committee):
+        inst = ApprovalInstance.from_approvals([[0], [1], [0, 1], [2]], 3, 2)
+        with pytest.raises(InputError):
+            verify(inst, committee)
+
+    @pytest.mark.parametrize("verify", VERIFIERS)
+    def test_accepts_numpy_integers(self, verify):
+        inst = ApprovalInstance.from_approvals([[0], [1], [0, 1], [2]], 3, 2)
+        a, b = verify(inst, np.array([1, 0])), verify(inst, (0, 1))
+        assert (a.satisfied, a.witness) == (b.satisfied, b.witness)
+
+
 class TestPjrBruteforce:
     def test_instance1_profile_violated(self):
         v = verify_pjr_bruteforce(instance1_profile(), (2, 3, 4))

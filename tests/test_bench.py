@@ -31,6 +31,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(gamma=float("nan"))
 
+    @pytest.mark.parametrize("threads", [0, -5, 1.5, "2", True])
+    def test_bad_threads(self, threads):
+        with pytest.raises(ConfigError):
+            run_experiment(tiny_config(), threads=threads)
+
 
 class TestRun:
     def test_single_audit_row_is_reproducible(self):

@@ -159,6 +159,13 @@ class TestOtherCommands:
                      "--gamma", "nan"]) == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_experiment_bad_threads_exit_two(self, threads, capsys):
+        assert main(["experiment", "--n-values", "20", "--g-values", "4",
+                     "--instances", "1", "--selections", "2",
+                     "--threads", threads]) == 2
+        assert "threads" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--n-values", "a"),
                                              ("--g-values", "4,x")])
     def test_experiment_bad_list_exit_two(self, flag, value, capsys):

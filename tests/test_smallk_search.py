@@ -2,10 +2,16 @@
 
 For each size, ``_exclusion_sets`` must yield, in scan order, exactly the
 exclusion sets Y where some unselected anchor c has `need` agents i with
-max(d(i,c), R) < u_i / gamma, where u_i is i's distance to the nearest
-center outside Y and R is the need-th smallest distance to c.  The
-reference loops over every subset with the audit's float test.  Every Y
-on which ``_alg1_scan`` finds a violation must be among them.
+gamma * max(d(i,c), R) + eps < u_i, where u_i is i's distance to the
+nearest center outside Y and R is the need-th smallest distance to c.
+The reference loops over every subset with that float test written out,
+not through the audit's reach rows.  Every Y on which ``_alg1_scan``
+finds a violation must be among them.
+
+On instances built with anchor distances at and one float either side
+of (d(i,x) - eps) / gamma, where a quotient test and the float test
+disagree, the audit must match the oracle, imply the DC audit and give
+witnesses that certify themselves.
 """
 
 from itertools import combinations
@@ -14,10 +20,11 @@ import numpy as np
 import pytest
 
 from propaudit import (Instance, SizeError, oracle_mpjr_plus, run_sear,
-                       verify_mpjr_plus_smallk)
+                       verify_dc_mpjr_plus, verify_mpjr_plus_smallk)
 from propaudit.core import check_selection
 from propaudit.gen import sample_selection
-from propaudit.verify import _alg1_scan, _exclusion_sets, _unselected
+from propaudit.verify import (_alg1_scan, _exclusion_sets, _reach_radius,
+                              _unselected)
 
 CASES = ((1.0, 0.0), (1.5, 1e-9), (3.0, 0.25))
 
@@ -42,7 +49,7 @@ def random_large_k_case(rng, max_n=40):
 
 def reference_sets(inst, X, size, gamma, eps):
     """Bit masks of every Y with |Y| = size, in combinations order, where
-    some anchor has need agents with max(d(i,c), R) < u_i / gamma."""
+    some anchor has need agents with gamma * max(d(i,c), R) + eps < u_i."""
     D = inst.dists()
     L = D[:, _unselected(inst, X)]
     need = -((-(size + 1) * inst.n) // inst.k)
@@ -51,8 +58,7 @@ def reference_sets(inst, X, size, gamma, eps):
     for ypos in combinations(range(inst.k), size):
         rest = [X[p] for p in range(inst.k) if p not in ypos]
         u = D[:, rest].min(axis=1)
-        ug = u if (gamma == 1.0 and eps == 0.0) else (u - eps) / gamma
-        if (t < ug[:, None]).sum(axis=0).max() >= need:
+        if (gamma * t + eps < u[:, None]).sum(axis=0).max() >= need:
             found.append(sum(1 << p for p in ypos))
     return found
 
@@ -66,16 +72,16 @@ def test_search_matches_plain_filter(rng):
         outs = _unselected(inst, X)
         D = inst.dists()
         Lt = np.ascontiguousarray(D[:, outs].T)
-        DXt = np.ascontiguousarray(D[:, list(X)].T)
         rank = np.arange(1, n + 1)
         for gamma, eps in CASES:
+            G = np.ascontiguousarray(_reach_radius(D[:, list(X)], gamma, eps).T)
             for size in range(k):
-                got = list(_exclusion_sets(Lt, DXt, size, gamma, eps))
+                got = list(_exclusion_sets(Lt, G, size))
                 assert got == reference_sets(inst, X, size, gamma, eps)
                 checked += len(got)
                 for ypos in combinations(range(k), size):
                     rest = [p for p in range(k) if p not in ypos]
-                    if _alg1_scan(Lt, DXt, rank, n, k, size, rest, gamma, eps):
+                    if _alg1_scan(Lt, G, rank, n, k, size, rest):
                         assert sum(1 << p for p in ypos) in got
                         hits += 1
     assert checked > hits > 0
@@ -93,3 +99,54 @@ def test_mask_width_cap(rng):
     inst = Instance.euclidean(rng.random((2, 2)), rng.random((64, 2)), 63)
     with pytest.raises(SizeError):
         verify_mpjr_plus_smallk(inst, tuple(range(63)), max_k=100)
+
+
+def boundary_case(rng, gamma, eps):
+    """Random small instance and selection whose anchor distances sit at,
+    or one float either side of, (d(i,x) - eps) / gamma for a selected x."""
+    n, m = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+    k = int(rng.integers(1, m))
+    X = tuple(sorted(rng.choice(m, size=k, replace=False).tolist()))
+    D = rng.integers(1, 10, size=(n, m)).astype(float)
+    for c in sorted(set(range(m)) - set(X)):
+        for i in range(n):
+            if rng.random() < 0.8:
+                t = (D[i, rng.choice(X)] - eps) / gamma
+                D[i, c] = np.nextafter(t, (-np.inf, t, np.inf)[rng.integers(3)])
+    # the audits read only agent-candidate entries; the rest stay zero
+    M = np.zeros((n + m, n + m))
+    M[:n, n:], M[n:, :n] = D, D.T
+    return Instance.explicit(M, n, k), X
+
+
+def check_boundary_audit(inst, X, gamma, eps):
+    got = verify_mpjr_plus_smallk(inst, X, gamma, eps=eps)
+    if eps == 0.0:
+        assert got.satisfied == oracle_mpjr_plus(inst, X, gamma).satisfied
+    if got.satisfied:
+        assert verify_dc_mpjr_plus(inst, X, gamma, eps=eps).satisfied
+    else:
+        w = got.witness
+        assert len(w.covered) < w.level
+        assert len(w.coalition) * inst.k >= w.level * inst.n
+    return got
+
+
+@pytest.mark.parametrize("gamma, u, s, satisfied", [
+    (1.5, 5.0, 3.333333333333333, True),    # the float just below 5 / 1.5
+    (1.1, 1.3, 1.3 / 1.1, False),
+])
+def test_reach_boundary_three_points(gamma, u, s, satisfied):
+    inst = Instance.explicit([[0, s, u], [s, 0, u + s], [u, u + s, 0]], 1, 1)
+    for eps in (0.0, 1e-9, 0.25):
+        check_boundary_audit(inst, (1,), gamma, eps)
+    assert verify_mpjr_plus_smallk(inst, (1,), gamma).satisfied == satisfied
+
+
+def test_reach_boundary_fuzz(rng):
+    satisfied = 0
+    for j in range(2400):
+        gamma, eps = (0.7, 1.1, 1.5, 3.0)[j % 4], (0.0, 1e-9, 0.25)[j // 4 % 3]
+        inst, X = boundary_case(rng, gamma, eps)
+        satisfied += check_boundary_audit(inst, X, gamma, eps).satisfied
+    assert 0 < satisfied < 2400
