@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (InfeasibleLevel, InputError, SizeError, Verdict, Witness,
+from .core import (InputError, SizeError, Verdict, Witness, check_level,
                    check_selection, is_int, timed)
 
 
@@ -175,8 +175,7 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
     """
     X = check_selection(inst, committee)
     n, k = inst.n, inst.k
-    if not (1 <= ell <= k):
-        raise InfeasibleLevel(f"ell={ell} outside [1, {k}]")
+    check_level(ell, k)
     masks = inst.masks()
     xmask = np.int64(sum(1 << c for c in X))
     xset = set(X)

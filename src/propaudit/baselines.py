@@ -11,19 +11,19 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import EUCLIDEAN, Instance, SizeError, UnsupportedBackend
+from .core import EUCLIDEAN, Instance, SizeError, UnsupportedBackend, check_selection
 from .gen import sample_selection, substream
 
 
 def kmedian_cost(instance: Instance, selection) -> float:
     """Sum over agents of the distance to the nearest selected center."""
-    xs = np.asarray(sorted(selection), dtype=np.intp)
+    xs = np.asarray(check_selection(instance, selection), dtype=np.intp)
     return float(instance.dists()[:, xs].min(axis=1).sum())
 
 
 def kmeans_cost(instance: Instance, selection) -> float:
     """Sum over agents of the squared distance to the nearest selected center."""
-    xs = np.asarray(sorted(selection), dtype=np.intp)
+    xs = np.asarray(check_selection(instance, selection), dtype=np.intp)
     return float((instance.dists()[:, xs] ** 2).min(axis=1).sum())
 
 
@@ -55,7 +55,7 @@ def kmedian_local_search(instance: Instance, seed: int, exhaustive: bool = False
     D = instance.dists()
     m, k = instance.m, instance.k
     if start is not None:
-        current = sorted(int(c) for c in start)
+        current = list(check_selection(instance, start))
     else:
         current = list(sample_selection(m, k, substream(seed, "kmedian-init")))
     cost = D[:, current].min(axis=1).sum()

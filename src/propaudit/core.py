@@ -263,6 +263,12 @@ def check_gamma(gamma) -> None:
         raise InputError(f"gamma must be a finite number > 0, got {gamma!r}")
 
 
+def check_level(ell, k: int) -> None:
+    """Reject a representation level that is not an integer in [1, k]."""
+    if not (is_int(ell) and 1 <= ell <= k):
+        raise InfeasibleLevel(f"level must be an integer in [1, {k}], got {ell!r}")
+
+
 def check_eps(eps) -> None:
     """Reject a comparison slack that is not a finite number >= 0."""
     real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)

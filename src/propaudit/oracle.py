@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approval import ApprovalInstance, verify_pjr_bruteforce
-from .core import Instance, SizeError, Verdict, Witness, check_selection, timed
+from .core import (Instance, SizeError, Verdict, Witness, check_gamma, check_level,
+                   check_selection, timed)
 
 
 def _subset_bits(n: int) -> np.ndarray:
@@ -68,6 +69,7 @@ def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
     counted inside gamma times that radius.
     """
     X = check_selection(instance, selection)
+    check_gamma(gamma)
     n, k = instance.n, instance.k
     if n > max_agents:
         raise SizeError(f"n={n} exceeds exhaustive cap {max_agents}")
@@ -98,7 +100,9 @@ def oracle_mpjr_plus_fixed_ell(instance: Instance, selection, ell: int,
                                gamma: float = 1.0, max_agents: int = 16) -> Verdict:
     """Single-level variant of the anchored oracle (used by transfer tests)."""
     X = check_selection(instance, selection)
+    check_gamma(gamma)
     n, k = instance.n, instance.k
+    check_level(ell, k)
     if n > max_agents:
         raise SizeError(f"n={n} exceeds exhaustive cap {max_agents}")
     D = instance.dists()
@@ -127,6 +131,7 @@ def oracle_dc(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
     coverage from explicit ball membership.
     """
     X = check_selection(instance, selection)
+    check_gamma(gamma)
     n, k = instance.n, instance.k
     D = instance.dists()
     xs = np.asarray(X, dtype=np.intp)

@@ -2,11 +2,13 @@
 
 Every agent starts with one unit of budget, stored as the integer k so
 that the quota n/k becomes the integer n and eligibility tests stay
-exact.  The radius walks up the sorted distinct agent-candidate
-distances; whenever some candidate's ball holds total weight >= n (in
-k-scaled units) the heaviest eligible ball is opened, the candidate
-leaves the pool, and the ball's agents pay n in total.  Selections made
-this way always pass the anchored-representation audits.
+exact.  One pass walks the agent-candidate pairs in ascending distance,
+a run of equal distances at a time: a run adds its agents' weights to
+their candidates' balls at its radius.  Whenever some candidate's ball
+holds total weight >= n (in k-scaled units) the heaviest eligible ball
+is opened, the candidate leaves the pool, and the ball's agents pay n in
+total.  Selections made this way always pass the anchored-representation
+audits.
 """
 
 from __future__ import annotations
@@ -58,55 +60,41 @@ def run_sear(instance: Instance) -> SearResult:
     """
     n, m, k = instance.n, instance.m, instance.k
     D = instance.dists()
-    radii = np.unique(D)
-    flat_order = np.argsort(D, axis=None, kind="stable")
-    pair_rows, pair_cols = np.unravel_index(flat_order, D.shape)
-    pair_dist = D[pair_rows, pair_cols]
+    rows, cols = np.unravel_index(np.argsort(D, axis=None, kind="stable"), D.shape)
+    dist = D[rows, cols]
+    # a run of equal distances ends where its neighbour's distance differs
+    cuts = np.flatnonzero(dist[1:] != dist[:-1]) + 1
 
     w = np.full(n, k, dtype=np.int64)          # k-scaled budgets
     ballw = np.zeros(m, dtype=np.int64)
-    member = np.zeros((n, m), dtype=bool)
     alive = np.ones(m, dtype=bool)
     chosen: list = []
     trace: list = []
 
-    ptr = 0
-    jidx = -1
-
-    def ingest(upto: float):
-        nonlocal ptr
-        hi = int(np.searchsorted(pair_dist, upto, side="right"))
-        if hi > ptr:
-            rows, cols = pair_rows[ptr:hi], pair_cols[ptr:hi]
-            member[rows, cols] = True
-            np.add.at(ballw, cols, w[rows])
-            ptr = hi
-
-    while len(chosen) < k:
-        eligible = alive & (ballw >= n)
-        if not eligible.any():
-            jidx += 1
-            if jidx >= len(radii):
-                raise RuntimeError("radius ladder exhausted before k selections")
-            ingest(radii[jidx])
-            continue
-        weights = np.where(eligible, ballw, -1)
-        c = int(np.argmax(weights))            # argmax, ties to smallest index
-        remaining = n
-        charges = []
-        for i in np.flatnonzero(member[:, c]):
-            if remaining == 0:
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, dist.size]):
+        r = dist[lo]
+        np.add.at(ballw, cols[lo:hi], w[rows[lo:hi]])
+        while len(chosen) < k:
+            eligible = alive & (ballw >= n)
+            if not eligible.any():
                 break
-            take = int(min(w[i], remaining))
-            if take == 0:
-                continue
-            w[i] -= take
-            ballw -= take * member[i]
-            remaining -= take
-            charges.append((int(i), take))
-        alive[c] = False
-        chosen.append(c)
-        trace.append(SearStep(c, float(radii[jidx]) if jidx >= 0 else 0.0,
-                              tuple(charges)))
-
-    return SearResult(tuple(chosen), tuple(trace))
+            weights = np.where(eligible, ballw, -1)
+            c = int(np.argmax(weights))        # argmax, ties to smallest index
+            remaining = n
+            charges = []
+            for i in np.flatnonzero(D[:, c] <= r):
+                if remaining == 0:
+                    break
+                take = int(min(w[i], remaining))
+                if take == 0:
+                    continue
+                w[i] -= take
+                ballw -= take * (D[i] <= r)
+                remaining -= take
+                charges.append((int(i), take))
+            alive[c] = False
+            chosen.append(c)
+            trace.append(SearStep(c, float(r), tuple(charges)))
+        if len(chosen) == k:
+            return SearResult(tuple(chosen), tuple(trace))
+    raise RuntimeError("radius ladder exhausted before k selections")

@@ -22,12 +22,12 @@ Two verification strategies live here:
   eps = 0).  The coverage at a radius is then a count of sorted mu
   values, with no per-radius distance work.  Cost O(m n log n + m n k).
   Anchors run in the chunks of one schedule, ``_anchor_chunks``, whose
-  (anchor, agent) scratch is bounded by ``_CHUNK_ELEMS``: a full scan
-  takes whole chunks, while a first-hit scan starts small and doubles,
-  and stops after the first chunk with a violation, so an audit that
-  fails early computes only a few anchors.  ``verify_fixed_ell_dc`` reads
-  its one radius per anchor from the same helper, ``_coverage_radii``,
-  over the same schedule.
+  (anchor, agent) scratch is bounded by ``_CHUNK_ELEMS``: chunks start
+  small and double, and ``_dc_scan`` yields violations in scan order, so
+  an audit that stops at the first one computes only a few anchors when
+  it fails early.  ``verify_fixed_ell_dc`` reads its one radius per
+  anchor from the same helper, ``_coverage_radii``, over the same
+  schedule.
 
 Both run on exact float distances; radius grouping and interval
 endpoints compare with == by default (fixtures and embeddings have exact
@@ -37,7 +37,7 @@ eps that is not finite and >= 0.
 
 g is ``_reach_radius``, the one code that turns gamma and eps into a
 radius threshold: each audit builds the reach rows g(d(., x)) of the
-selected centers once and compares radii against them.
+selected centers once (``_reach_rows``) and compares radii against them.
 
 Every metric witness is built by ``_witness`` from the caller's coalition
 rule: the closed ball for the default-coalition audits, the agents inside
@@ -57,13 +57,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (InfeasibleLevel, Instance, SizeError, Verdict, Witness,
-                   check_eps, check_gamma, check_selection, timed)
+from .core import (Instance, SizeError, Verdict, Witness, check_eps, check_gamma,
+                   check_level, check_selection, timed)
 
 # cap on the (anchor, agent) entries of one DC anchor chunk: a chunk holds
 # _CHUNK_ELEMS // n anchors (at least one), so the coverage kernel's keys
 # and scratch (512 KB each) stay in a 2 MB L2 cache across the k center
-# rows.  Full sweeps (find_all, gamma=1, 2 vCPUs) at this cap against the
+# rows.  Full sweeps (whole chunks, gamma=1, 2 vCPUs) at this cap against the
 # earlier 4e6 // (n k) anchors: n=5000, m=100, k=20: 13 vs 40 anchors,
 # 17.2 vs 21.6 ms; n=5e4, m=100, k=10: 1 vs 8, 260 vs 272 ms; n=1e5,
 # m=200, k=20: 1 vs 2, 1.32 vs 1.50 s.  One anchor a chunk is the slowest
@@ -136,6 +136,12 @@ def _reach_radius(v, gamma, eps) -> np.ndarray:
     return r.reshape(v.shape)
 
 
+def _reach_rows(D, X, gamma, eps) -> np.ndarray:
+    """g(d(., x)) of the selected centers X, as contiguous (center, agent) rows."""
+    return np.ascontiguousarray(
+        _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
+
+
 def _coverage_radii(keys, rows) -> np.ndarray:
     """Per (anchor, agent) row of `keys`, the sorted min_j max(keys_j,
     rows_tj) over the (center, agent) rows of `rows`, after a column 0 of
@@ -150,14 +156,14 @@ def _coverage_radii(keys, rows) -> np.ndarray:
     return mu
 
 
-def _anchor_chunks(count, cap, first_hit):
+def _anchor_chunks(count, cap):
     """Slices of range(count) in index order, each at most `cap` anchors.
 
-    A full scan takes `cap` anchors at a time.  A first-hit scan starts at
-    cap // 16 (at least one) and doubles up to `cap`, so a violation among
-    the first anchors is found without computing a whole chunk.
+    Sizes start at cap // 16 (at least one) and double up to `cap`, so a
+    violation among the first anchors is found without computing a whole
+    chunk.
     """
-    size = max(1, cap // 16) if first_hit else cap
+    size = max(1, cap // 16)
     lo = 0
     while lo < count:
         yield slice(lo, lo + size)
@@ -165,7 +171,7 @@ def _anchor_chunks(count, cap, first_hit):
         size = min(2 * size, cap)
 
 
-def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
+def _dc_scan(D, X, outs, n, k, gamma, eps):
     """Core of the default-coalitions audit over the unselected anchors.
 
     Selected center x is covered by anchor c's ball of radius s (in
@@ -175,18 +181,15 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
     sorted mu values <= s, and a radius falls short of its level exactly
     when the level-th smallest mu exceeds it.
 
-    Returns the first violation as (anchor, level, radius) in
-    deterministic order, a list of every violating (anchor, level,
-    radius) when find_all, or None.  Anchors run in the chunks of
-    ``_anchor_chunks``, at most _CHUNK_ELEMS / n anchors each, so each
-    chunk's scratch is O(_CHUNK_ELEMS + n); the first-hit search starts
-    with small chunks and stops after the first chunk with a violation.
+    Yields every violating (anchor, level, radius) in deterministic
+    order: anchors ascending, then radii ascending.  Anchors run in the
+    chunks of ``_anchor_chunks``, at most _CHUNK_ELEMS / n anchors each,
+    so each chunk's scratch is O(_CHUNK_ELEMS + n), and a chunk is
+    computed only when the caller asks past the chunks before it.
     """
-    G = np.ascontiguousarray(
-        _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
+    G = _reach_rows(D, X, gamma, eps)
     levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
-    found = []
-    for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n), not find_all):
+    for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n)):
         cols = outs[part]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
         mu = _coverage_radii(s, G)
@@ -195,14 +198,10 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, find_all=False):
         group_end[:, -1] = True
         group_end[:, :-1] = s[:, 1:] > s[:, :-1] + eps
         bad = group_end & (mu[:, levels] > s)
-        if not (find_all or bad.any()):
+        if not bad.any():
             continue
-        hits = ((int(cols[ci]), int(levels[i]), float(s[ci, i]))
-                for ci, i in zip(*np.nonzero(bad)))     # anchors, then radii
-        if not find_all:
-            return next(hits)
-        found.extend(hits)
-    return found if find_all else None
+        for ci, i in zip(*np.nonzero(bad)):             # anchors, then radii
+            yield int(cols[ci]), int(levels[i]), float(s[ci, i])
 
 
 def _unselected(instance: Instance, X) -> np.ndarray:
@@ -230,7 +229,8 @@ def verify_dc_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
     check_gamma(gamma)
     check_eps(eps)
     D = instance.dists()
-    hit = _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k, gamma, eps)
+    hit = next(_dc_scan(D, X, _unselected(instance, X), instance.n, instance.k,
+                        gamma, eps), None)
     if hit is None:
         return Verdict("dc-mpjr+", gamma, True)
     anchor, level, radius = hit
@@ -252,10 +252,9 @@ def dc_violations(instance: Instance, selection, gamma: float = 1.0,
     check_gamma(gamma)
     check_eps(eps)
     D = instance.dists()
-    triples = _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k,
-                       gamma, eps, find_all=True)
     return [_witness(D, X, a, l, r, D[:, a] <= r + eps, gamma, eps)
-            for (a, l, r) in triples]
+            for a, l, r in _dc_scan(D, X, _unselected(instance, X), instance.n,
+                                    instance.k, gamma, eps)]
 
 
 @timed
@@ -273,14 +272,12 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     check_gamma(gamma)
     check_eps(eps)
     n, k = instance.n, instance.k
-    if not (1 <= ell <= k):
-        raise InfeasibleLevel(f"level {ell} outside [1, {k}]")
+    check_level(ell, k)
     D = instance.dists()
     need = -((-ell * n) // k)
     outs = _unselected(instance, X)
-    G = np.ascontiguousarray(
-        _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
-    for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n), True):
+    G = _reach_rows(D, X, gamma, eps)
+    for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n)):
         cols = outs[part]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
         R = np.partition(s, need - 1, axis=1)[:, need - 1]
@@ -443,8 +440,7 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     if len(outs) == 0:
         return Verdict("mpjr+", gamma, True)
     Lt = np.ascontiguousarray(D[:, outs].T)
-    G = np.ascontiguousarray(
-        _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
+    G = _reach_rows(D, X, gamma, eps)
     rank = np.arange(1, n + 1, dtype=np.int64)
     for size in range(k):
         if math.comb(k, size) <= _PLAIN_SETS:

@@ -214,6 +214,12 @@ class TestFixedEll:
         with pytest.raises(InfeasibleLevel):
             verify_fixed_ell_pjr_plus_bruteforce(inst, (2, 3, 4), 0)
 
+    def test_level_must_be_an_integer_in_range(self):
+        inst = instance1_profile()
+        for ell in (1.0, True, inst.k + 1, "1"):
+            with pytest.raises(InfeasibleLevel):
+                verify_fixed_ell_pjr_plus_bruteforce(inst, (2, 3, 4), ell)
+
     def test_level_k_with_full_coverage(self):
         # X covers the union of every ballot, so no level can fail
         inst = ApprovalInstance.from_approvals([{0, 1}, {0, 2}], 3, 3)

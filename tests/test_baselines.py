@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from propaudit import (Instance, UnsupportedBackend, kmedian_cost,
-                       kmedian_exhaustive, kmedian_local_search,
+from propaudit import (InputError, Instance, UnsupportedBackend, kmeans_cost,
+                       kmedian_cost, kmedian_exhaustive, kmedian_local_search,
                        kmeans_lloyd_snapped, verify_dc_mpjr_plus,
                        verify_mpjr_plus_smallk)
 from propaudit.gen import (GaussianConfig, fixture_incomparability,
@@ -31,6 +31,16 @@ class TestKMedian:
             opt = kmedian_exhaustive(inst)
             local = kmedian_local_search(inst, seed=trial)
             assert kmedian_cost(inst, local) >= kmedian_cost(inst, opt) - 1e-12
+
+    def test_bad_selections_rejected(self, rng):
+        inst = random_euclidean(rng, 6, 5, 3)
+        # a negative index would wrap to m-1; floats would be truncated
+        for sel in ((-1, 0, 1), (0, 1, 5), (0.9, 1.2, 2), (0, 0, 1), (0, 1)):
+            for cost in (kmedian_cost, kmeans_cost):
+                with pytest.raises(InputError):
+                    cost(inst, sel)
+            with pytest.raises(InputError):
+                kmedian_local_search(inst, seed=0, start=sel)
 
     def test_started_from_optimum_stays(self, rng):
         for trial in range(15):

@@ -118,14 +118,13 @@ def test_fixed_ell_matches_reference(rng):
 
 
 def test_anchor_chunk_schedule():
-    def sizes(count, cap, first_hit):
+    def sizes(count, cap):
         return [p.stop - p.start if p.stop <= count else count - p.start
-                for p in _anchor_chunks(count, cap, first_hit)]
-    assert sizes(50, 16, True) == [1, 2, 4, 8, 16, 16, 3]
-    assert sizes(50, 16, False) == [16, 16, 16, 2]
-    assert sizes(50, 64, True) == [4, 8, 16, 22]
-    assert sizes(5, 1, True) == [1] * 5
-    assert sizes(0, 16, True) == []
+                for p in _anchor_chunks(count, cap)]
+    assert sizes(50, 16) == [1, 2, 4, 8, 16, 16, 3]
+    assert sizes(50, 64) == [4, 8, 16, 22]
+    assert sizes(5, 1) == [1] * 5
+    assert sizes(0, 16) == []
 
 
 def last_anchor_violates(rng, m):

@@ -3,8 +3,9 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from propaudit import (Instance, SizeError, group_approval_set, oracle_dc,
-                       oracle_mpjr, oracle_mpjr_plus, submodular_min_check,
+from propaudit import (InputError, Instance, SizeError, group_approval_set,
+                       oracle_dc, oracle_mpjr, oracle_mpjr_plus,
+                       oracle_mpjr_plus_fixed_ell, submodular_min_check,
                        verify_dc_mpjr_plus)
 from propaudit.gen import fixture_incomparability, sample_selection
 
@@ -152,3 +153,15 @@ class TestSubmodular:
         inst = Instance.euclidean(rng.random((25, 2)), rng.random((3, 2)), 2)
         with pytest.raises(SizeError):
             submodular_min_check(inst, (0, 1), 2, 10.0)
+
+
+class TestOracleGamma:
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0, 0.0, True, "1"])
+    def test_bad_gamma_rejected(self, gamma):
+        inst, X = fixture_incomparability(2)
+        with pytest.raises(InputError):
+            oracle_dc(inst, X, gamma=gamma)
+        with pytest.raises(InputError):
+            oracle_mpjr_plus(inst, X, gamma=gamma)
+        with pytest.raises(InputError):
+            oracle_mpjr_plus_fixed_ell(inst, X, 1, gamma=gamma)

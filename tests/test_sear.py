@@ -1,10 +1,44 @@
+import json
+
 import numpy as np
 
 from propaudit import (Instance, oracle_mpjr, run_sear, verify_dc_mpjr_plus,
                        verify_mpjr_plus_smallk)
 from propaudit.gen import fixture_incomparability
 
-from conftest import random_instance
+from conftest import random_explicit, random_instance
+
+
+def ladder_reference(inst):
+    """The expanding-approvals rule in plain Python: walk the distinct
+    distances in ascending order with explicit ball sets, re-summing each
+    ball's weight after every selection."""
+    n, m, k = inst.n, inst.m, inst.k
+    D = inst.dists().tolist()
+    w = [k] * n
+    alive = list(range(m))
+    chosen, trace = [], []
+    for r in sorted(set(v for row in D for v in row)):
+        ball = [[i for i in range(n) if D[i][c] <= r] for c in range(m)]
+        while len(chosen) < k:
+            weight = {c: sum(w[i] for i in ball[c]) for c in alive}
+            eligible = [c for c in alive if weight[c] >= n]
+            if not eligible:
+                break
+            c = max(eligible, key=lambda c: (weight[c], -c))
+            remaining, charges = n, []
+            for i in ball[c]:
+                take = min(w[i], remaining)
+                if take:
+                    w[i] -= take
+                    remaining -= take
+                    charges.append({"agent": i, "amount": take})
+            alive.remove(c)
+            chosen.append(c)
+            trace.append({"candidate": c, "radius": r, "charges": charges})
+        if len(chosen) == k:
+            return {"selection": chosen, "trace": trace}
+    raise AssertionError("ladder exhausted")
 
 
 class TestHandTraces:
@@ -74,3 +108,26 @@ class TestProportionality:
             assert verify_mpjr_plus_smallk(inst, W).satisfied
             assert verify_dc_mpjr_plus(inst, W).satisfied
             assert oracle_mpjr(inst, W).satisfied
+
+
+class TestLadderReference:
+    def test_traces_match_plain_ladder(self, rng):
+        cases = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            m = int(rng.integers(1, 8))
+            for k in range(1, m + 1):
+                kind = cases % 3
+                if kind == 0:       # integer grid points: many tied distances
+                    inst = Instance.euclidean(rng.integers(0, 4, (n, 2)),
+                                              rng.integers(0, 4, (m, 2)), k)
+                elif kind == 1:
+                    inst = Instance.euclidean(rng.random((n, 2)), rng.random((m, 2)), k)
+                else:
+                    inst = random_explicit(rng, n, m, k, max_dist=4)
+                got = run_sear(inst).to_dict()
+                expect = ladder_reference(inst)
+                assert got == expect
+                assert json.dumps(got) == json.dumps(expect)
+                cases += 1
+        assert cases >= 1000

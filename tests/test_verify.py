@@ -45,6 +45,24 @@ class TestFixedEllDc:
         with pytest.raises(InfeasibleLevel):
             verify_fixed_ell_dc(inst, X, 0)
 
+    def test_level_must_be_an_integer_in_range(self):
+        inst, X = fixture_incomparability(2)
+        for ell in (2.0, True, np.float64(1.0), inst.k + 1, -1, "1"):
+            with pytest.raises(InfeasibleLevel):
+                verify_fixed_ell_dc(inst, X, ell)
+            with pytest.raises(InfeasibleLevel):
+                oracle_mpjr_plus_fixed_ell(inst, X, ell)
+        assert (verify_fixed_ell_dc(inst, X, np.int64(2)).witness
+                == verify_fixed_ell_dc(inst, X, 2).witness)
+
+    def test_oracle_level_bounds(self, rng):
+        # a full selection satisfies every level, so a SATISFIED verdict at
+        # 0 or k+1 would be the oracle accepting a level it cannot check
+        inst = random_explicit(rng, 4, 3, 3)
+        for ell in (0, inst.k + 1):
+            with pytest.raises(InfeasibleLevel):
+                oracle_mpjr_plus_fixed_ell(inst, (0, 1, 2), ell)
+
     def test_matches_full_dc_scan(self, rng):
         # violated at some level iff the all-levels verifier rejects
         for _ in range(150):
