@@ -4,8 +4,7 @@ centroid clustering."""
 from .core import (EUCLIDEAN, EXPLICIT, ConfigError, InfeasibleLevel,
                    InputError, Instance, MetricCheck, SizeError,
                    UnsupportedBackend, Verdict, Witness, check_selection,
-                   dump_instance, group_approval_set, load_instance,
-                   validate_metric)
+                   dump_instance, load_instance, validate_metric)
 from .approval import (ApprovalInstance, BipartiteGraph, biclique_reduction,
                        find_balanced_biclique_bruteforce, pad_balanced,
                        verify_fixed_ell_pjr_plus_bruteforce,

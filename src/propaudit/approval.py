@@ -2,13 +2,14 @@
 balanced-biclique instance generator used for hardness-style fixtures.
 
 The exhaustive verifiers enumerate voter subsets (2^n) and are guarded by
-configurable caps; they exist as ground truth for desk-scale inputs, not
-as production verification paths.
+fixed caps (``verify_pjr_bruteforce`` also takes the cap that
+``oracle_mpjr`` passes on); they exist as ground truth for desk-scale
+inputs, not as production verification paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -17,51 +18,46 @@ import numpy as np
 from .core import (InputError, SizeError, Verdict, Witness, check_level,
                    check_selection, is_int, timed)
 
+_MAX_VOTERS = 16       # voters whose 2^n coalitions are enumerated
+_MAX_SWEEP_K = 24      # committee size whose 2^k exclusion sets are swept
+_MAX_SIDE = 16         # vertices per side of the biclique search
+
 
 @dataclass(frozen=True)
 class ApprovalInstance:
-    """Multiwinner approval election: voters, candidates, ballots, and k."""
+    """Approval election: voter i's ballot approvals[i] over candidates
+    0..m-1, committee size k.  Ballot entries, m and k must be integers
+    (numpy integers count); they are stored as int."""
 
-    voters: tuple
-    candidates: tuple
     approvals: tuple          # per voter, frozenset of candidate indices
+    m: int
     k: int
 
     def __post_init__(self):
-        n, m = len(self.voters), len(self.candidates)
-        if n < 1:
+        if not (is_int(self.m) and is_int(self.k) and 1 <= self.k <= self.m):
+            raise InputError(f"need integers 1 <= k <= candidates, got "
+                             f"k={self.k!r}, candidates={self.m!r}")
+        sets = tuple(frozenset(a) for a in self.approvals)
+        if not sets:
             raise InputError("need at least one voter")
-        if not (1 <= self.k <= m):
-            raise InputError(f"k={self.k} out of range [1, {m}]")
-        if len(self.approvals) != n:
-            raise InputError("one approval set per voter required")
-        for a in self.approvals:
-            if a and (min(a) < 0 or max(a) >= m):
-                raise InputError("approval set references unknown candidate")
+        if not all(is_int(c) and 0 <= c < self.m for a in sets for c in a):
+            raise InputError(f"approval sets must hold candidate indices in [0, {self.m})")
+        object.__setattr__(self, "approvals", tuple(frozenset(map(int, a)) for a in sets))
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "k", int(self.k))
 
     @property
     def n(self) -> int:
-        return len(self.voters)
-
-    @property
-    def m(self) -> int:
-        return len(self.candidates)
+        return len(self.approvals)
 
     @classmethod
     def from_approvals(cls, approvals, m: int, k: int) -> "ApprovalInstance":
-        sets = tuple(frozenset(int(c) for c in a) for a in approvals)
-        return cls(tuple(range(len(sets))), tuple(range(m)), sets, int(k))
+        return cls(approvals, m, k)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ApprovalInstance":
         try:
-            m, k, approvals = data["candidates"], data["k"], data["approvals"]
-            for name, value in (("candidates", m), ("k", k)):
-                if not is_int(value):
-                    raise InputError(f"{name} must be an integer, got {value!r}")
-            if not all(is_int(c) for a in approvals for c in a):
-                raise InputError("approval sets must hold integer candidate indices")
-            return cls.from_approvals(approvals, m, k)
+            return cls(data["approvals"], data["candidates"], data["k"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad approval JSON: {exc}") from exc
 
@@ -102,7 +98,8 @@ def _subset_fold(masks: np.ndarray, start, op) -> np.ndarray:
 
 
 @timed
-def verify_pjr_bruteforce(inst: ApprovalInstance, committee, max_voters: int = 16) -> Verdict:
+def verify_pjr_bruteforce(inst: ApprovalInstance, committee,
+                          max_voters: int = _MAX_VOTERS) -> Verdict:
     """Exhaustive PJR check over all voter coalitions.
 
     A committee fails PJR when some coalition S with |S|*k >= ell*n shares
@@ -133,7 +130,7 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee, max_voters: int = 1
 
 
 @timed
-def verify_pjr_plus_sweep(inst: ApprovalInstance, committee, max_k: int = 24) -> Verdict:
+def verify_pjr_plus_sweep(inst: ApprovalInstance, committee) -> Verdict:
     """PJR+ by scanning exclusion sets Y and anchor candidates c.
 
     For each Y strictly inside the committee, collect the voters approving
@@ -143,8 +140,8 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee, max_k: int = 24) ->
     """
     X = check_selection(inst, committee)
     n, k = inst.n, inst.k
-    if k > max_k:
-        raise SizeError(f"k={k} exceeds sweep cap {max_k}")
+    if k > _MAX_SWEEP_K:
+        raise SizeError(f"k={k} exceeds sweep cap {_MAX_SWEEP_K}")
     A = inst.matrix()
     outs = [c for c in range(inst.m) if c not in set(X)]
     for size in range(k):
@@ -166,7 +163,7 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee, max_k: int = 24) ->
 
 @timed
 def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
-                                         ell: int, max_voters: int = 16) -> Verdict:
+                                         ell: int) -> Verdict:
     """Exhaustive fixed-level PJR+ check.
 
     Enumerates, for each unselected candidate c, every coalition drawn from
@@ -183,8 +180,8 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
         if c in xset:
             continue
         approvers = [i for i in range(n) if c in inst.approvals[i]]
-        if len(approvers) > max_voters:
-            raise SizeError(f"{len(approvers)} approvers exceed cap {max_voters}")
+        if len(approvers) > _MAX_VOTERS:
+            raise SizeError(f"{len(approvers)} approvers exceed cap {_MAX_VOTERS}")
         if not approvers:
             continue
         union = _subset_fold(masks[approvers], 0, np.bitwise_or)
@@ -202,21 +199,27 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite graph with index-based edges between the two sides."""
+    """Bipartite graph on left vertices 0..n_left-1 and right vertices
+    0..n_right-1; sizes and edge endpoints must be integers."""
 
-    left: tuple
-    right: tuple
-    edges: frozenset       # pairs (left index, right index)
+    n_left: int
+    n_right: int
+    edges: frozenset       # pairs (left index, right index), stored as int
 
     def __post_init__(self):
-        for u, w in self.edges:
-            if not (0 <= u < len(self.left) and 0 <= w < len(self.right)):
-                raise InputError(f"edge {(u, w)} references unknown vertex")
+        if not all(is_int(v) and v >= 0 for v in (self.n_left, self.n_right)):
+            raise InputError(f"side sizes must be integers >= 0, got "
+                             f"{self.n_left!r}, {self.n_right!r}")
+        pairs = [tuple(e) for e in self.edges]
+        for u, w in pairs:
+            if not (is_int(u) and is_int(w) and 0 <= u < self.n_left
+                    and 0 <= w < self.n_right):
+                raise InputError(f"edge {(u, w)} is not a pair of vertex indices")
+        object.__setattr__(self, "edges", frozenset((int(u), int(w)) for u, w in pairs))
 
     @classmethod
     def from_edges(cls, n_left: int, n_right: int, edges) -> "BipartiteGraph":
-        return cls(tuple(range(n_left)), tuple(range(n_right)),
-                   frozenset((int(u), int(w)) for u, w in edges))
+        return cls(n_left, n_right, edges)
 
 
 def pad_balanced(graph: BipartiteGraph, t: int) -> tuple:
@@ -229,22 +232,14 @@ def pad_balanced(graph: BipartiteGraph, t: int) -> tuple:
     """
     if t < 1:
         raise InputError("t must be >= 1")
-    nl, nr = len(graph.left), len(graph.right)
-    n1 = max(nl, nr, 2 * t - 1)
+    n1 = max(graph.n_left, graph.n_right, 2 * t - 1)
     p = n1 - 2 * t + 1
-    t1 = t + p
-    left = list(graph.left) + [("iso-l", i) for i in range(n1 - nl)]
-    right = list(graph.right) + [("iso-r", i) for i in range(n1 - nr)]
     edges = set(graph.edges)
-    for i in range(p):
-        u = len(left) + i
+    for u in range(n1, n1 + p):
         edges.update((u, w) for w in range(n1 + p))
-    for j in range(p):
-        w = len(right) + j
+    for w in range(n1, n1 + p):
         edges.update((u, w) for u in range(n1))   # universal-left rows already added above
-    left += [("uni-l", i) for i in range(p)]
-    right += [("uni-r", j) for j in range(p)]
-    return BipartiteGraph(tuple(left), tuple(right), frozenset(edges)), t1
+    return BipartiteGraph(n1 + p, n1 + p, frozenset(edges)), t + p
 
 
 def biclique_reduction(graph: BipartiteGraph, t: int) -> tuple:
@@ -256,7 +251,7 @@ def biclique_reduction(graph: BipartiteGraph, t: int) -> tuple:
     level to audit is t'.  Returns (instance, committee, level).
     """
     g, t1 = pad_balanced(graph, t)
-    side = len(g.left)
+    side = g.n_left
     adj = {u: set() for u in range(side)}
     for (u, w) in g.edges:
         adj[u].add(w)
@@ -264,14 +259,12 @@ def biclique_reduction(graph: BipartiteGraph, t: int) -> tuple:
     approvals = []
     for u in range(side):
         approvals.append(frozenset({z} | (set(range(side)) - adj[u])))
-    inst = ApprovalInstance(tuple(range(side)), tuple(range(side + 1)),
-                            tuple(approvals), side)
+    inst = ApprovalInstance(tuple(approvals), side + 1, side)
     committee = tuple(range(side))
     return inst, committee, t1
 
 
-def find_balanced_biclique_bruteforce(graph: BipartiteGraph, t: int,
-                                      max_side: int = 16) -> Optional[tuple]:
+def find_balanced_biclique_bruteforce(graph: BipartiteGraph, t: int) -> Optional[tuple]:
     """Exhaustive search for a t x t complete bipartite subgraph.
 
     Left subsets grow in index order with the common right neighbourhood
@@ -281,9 +274,9 @@ def find_balanced_biclique_bruteforce(graph: BipartiteGraph, t: int,
     """
     if t < 1:
         raise InputError("t must be >= 1")
-    nl, nr = len(graph.left), len(graph.right)
-    if nl > max_side or nr > max_side:
-        raise SizeError(f"sides exceed cap {max_side}")
+    nl, nr = graph.n_left, graph.n_right
+    if nl > _MAX_SIDE or nr > _MAX_SIDE:
+        raise SizeError(f"sides exceed cap {_MAX_SIDE}")
     if t > min(nl, nr):
         return None
     adj = [0] * nl

@@ -14,6 +14,9 @@ import numpy as np
 from .core import EUCLIDEAN, Instance, SizeError, UnsupportedBackend, check_selection
 from .gen import sample_selection, substream
 
+_MAX_CANDIDATES = 12        # C(12, 6) = 924 subsets at most
+_LLOYD_ROUNDS = 100
+
 
 def kmedian_cost(instance: Instance, selection) -> float:
     """Sum over agents of the distance to the nearest selected center."""
@@ -27,10 +30,10 @@ def kmeans_cost(instance: Instance, selection) -> float:
     return float((instance.dists()[:, xs] ** 2).min(axis=1).sum())
 
 
-def kmedian_exhaustive(instance: Instance, max_candidates: int = 12) -> tuple:
+def kmedian_exhaustive(instance: Instance) -> tuple:
     """Global k-median optimum by subset enumeration (lexicographic tie-break)."""
-    if instance.m > max_candidates:
-        raise SizeError(f"m={instance.m} exceeds exhaustive cap {max_candidates}")
+    if instance.m > _MAX_CANDIDATES:
+        raise SizeError(f"m={instance.m} exceeds exhaustive cap {_MAX_CANDIDATES}")
     D = instance.dists()
     best, best_cost = None, np.inf
     for subset in combinations(range(instance.m), instance.k):
@@ -40,8 +43,7 @@ def kmedian_exhaustive(instance: Instance, max_candidates: int = 12) -> tuple:
     return tuple(best)
 
 
-def kmedian_local_search(instance: Instance, seed: int, exhaustive: bool = False,
-                         max_candidates: int = 12, start=None) -> tuple:
+def kmedian_local_search(instance: Instance, seed: int, start=None) -> tuple:
     """Best-improvement single-swap descent from a uniform random start.
 
     Swaps are scanned in (selected, unselected) index order and the
@@ -50,8 +52,6 @@ def kmedian_local_search(instance: Instance, seed: int, exhaustive: bool = False
     finite and the cost strictly decreases.  An explicit `start`
     selection overrides the random initialization.
     """
-    if exhaustive:
-        return kmedian_exhaustive(instance, max_candidates)
     D = instance.dists()
     m, k = instance.m, instance.k
     if start is not None:
@@ -76,13 +76,13 @@ def kmedian_local_search(instance: Instance, seed: int, exhaustive: bool = False
         cost = best_cost
 
 
-def kmeans_lloyd_snapped(instance: Instance, seed: int, max_iter: int = 100) -> tuple:
+def kmeans_lloyd_snapped(instance: Instance, seed: int) -> tuple:
     """Lloyd iterations on squared cost with centroids snapped to candidates.
 
     Cluster centroids are recomputed as coordinate means and snapped to
     the nearest candidate; a cluster whose snap target is already taken
     keeps its previous center (or the nearest unused candidate).  Stops
-    when the selection is stable or after max_iter rounds.
+    when the selection is stable or after _LLOYD_ROUNDS rounds.
     """
     if instance.metric != EUCLIDEAN:
         raise UnsupportedBackend("snapped Lloyd requires coordinates")
@@ -107,7 +107,7 @@ def kmeans_lloyd_snapped(instance: Instance, seed: int, max_iter: int = 100) -> 
         if int(c) not in current:
             current.append(int(c))
     D = instance.dists()
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_ROUNDS):
         assign = np.argmin(D[:, current], axis=1)
         taken: set = set()
         nxt = []

@@ -40,6 +40,14 @@ class ExperimentConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
+        counts = (self.k, self.instances_per_cell, self.selections_per_instance,
+                  *self.n_values, *self.g_values)
+        if not all(is_int(v) for v in counts):
+            raise ConfigError(f"n, g, k and the counts must be integers, got {counts}")
+        for name, values in (("axioms", self.axioms), ("n_values", self.n_values),
+                             ("g_values", self.g_values)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"duplicate {name}: {list(values)}")
         if min(self.instances_per_cell, self.selections_per_instance) < 1:
             raise ConfigError("instance and selection counts must be positive")
         if not self.n_values or not self.g_values:

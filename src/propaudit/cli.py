@@ -15,7 +15,7 @@ import sys
 from . import bench, gen
 from .approval import ApprovalInstance
 from .baselines import (kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
-                        kmedian_local_search)
+                        kmedian_exhaustive, kmedian_local_search)
 from .core import (ConfigError, InfeasibleLevel, InputError, SizeError,
                    UnsupportedBackend, Instance, check_eps, check_gamma,
                    dump_instance, load_instance, validate_metric)
@@ -26,6 +26,14 @@ from .verify import (dc_violations, verify_dc_mpjr_plus, verify_fixed_ell_dc,
                      verify_mpjr_plus_smallk)
 
 AUDIT_AXIOMS = ("dc-mpjr+", "mpjr+", "mpjr-oracle", "fixed-ell-dc")
+# flag -> (default, the axioms that read it): off its default for any
+# other axiom, a flag is an input error
+_AXIOM_FLAGS = {"gamma": (1.0, ("dc-mpjr+", "mpjr+", "fixed-ell-dc")),
+                "eps": (0.0, ("dc-mpjr+", "mpjr+", "fixed-ell-dc")),
+                "ell": (None, ("fixed-ell-dc",)),
+                "max_k": (24, ("mpjr+",)),
+                "max_agents": (16, ("mpjr-oracle",)),
+                "all_witnesses": (False, ("dc-mpjr+",))}
 
 
 def _int_list(flag, text) -> tuple:
@@ -64,6 +72,12 @@ def _emit(obj, out=None):
 def _cmd_audit(args) -> int:
     check_gamma(args.gamma)
     check_eps(args.eps)
+    for flag, (default, axioms) in _AXIOM_FLAGS.items():
+        if args.axiom not in axioms and getattr(args, flag) != default:
+            raise InputError(f"--{flag.replace('_', '-')} does not apply to "
+                             f"--axiom {args.axiom}")
+    if args.all_witnesses and args.format != "json":
+        raise InputError("--all-witnesses writes JSON only")
     instance = load_instance(args.instance)
     selection = _read_selection(args)
     if args.axiom == "dc-mpjr+":
@@ -153,20 +167,22 @@ def _cmd_experiment(args) -> int:
 def _cmd_baseline(args) -> int:
     if args.restarts < 1:
         raise InputError(f"--restarts must be >= 1, got {args.restarts}")
+    if args.exhaustive and (args.objective != "kmedian" or args.restarts != 1):
+        raise InputError("--exhaustive takes --objective kmedian and no --restarts")
     instance = load_instance(args.instance)
     objective = kmedian_cost if args.objective == "kmedian" else kmeans_cost
     best, best_cost = None, None
     for restart in range(args.restarts):
         seed = args.seed + restart
-        if args.objective == "kmedian":
-            sel = kmedian_local_search(instance, seed, exhaustive=args.exhaustive)
+        if args.exhaustive:
+            sel = kmedian_exhaustive(instance)
+        elif args.objective == "kmedian":
+            sel = kmedian_local_search(instance, seed)
         else:
             sel = kmeans_lloyd_snapped(instance, seed)
         cost = objective(instance, sel)
         if best_cost is None or cost < best_cost:
             best, best_cost = sel, cost
-        if args.exhaustive:
-            break
     _emit({"objective": args.objective, "selection": list(best),
            "cost": best_cost}, args.out)
     return 0
@@ -204,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection", help="comma-separated candidate indices")
     p.add_argument("--selection-file", help="JSON file with a selection array")
     p.add_argument("--axiom", choices=AUDIT_AXIOMS, default="dc-mpjr+")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=_AXIOM_FLAGS["gamma"][0])
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--max-k", type=int, default=24)
-    p.add_argument("--max-agents", type=int, default=16)
+    p.add_argument("--eps", type=float, default=_AXIOM_FLAGS["eps"][0])
+    p.add_argument("--max-k", type=int, default=_AXIOM_FLAGS["max_k"][0])
+    p.add_argument("--max-agents", type=int, default=_AXIOM_FLAGS["max_agents"][0])
     p.add_argument("--all-witnesses", action="store_true",
-                   help="list every violating (center, level, radius) (dc-mpjr+)")
+                   help="list every violating (center, level, radius) (dc-mpjr+, JSON)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)
@@ -252,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("kmedian", "kmeans"), default="kmedian")
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--exhaustive", action="store_true",
+                   help="global k-median optimum (kmedian, one run)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_baseline)
 

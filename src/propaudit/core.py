@@ -164,21 +164,6 @@ class Instance:
                 self._ac = self._matrix[: self.n, self.n:]
         return self._ac
 
-    def distance(self, a: int, b: int) -> float:
-        """Distance between two global point ids (agents first, then candidates).
-
-        Explicit lookups are O(1); Euclidean evaluations cost O(dim),
-        which the complexity statements elsewhere treat as constant.
-        """
-        total = self.n + self.m
-        if not (0 <= a < total and 0 <= b < total):
-            raise InputError(f"point id out of range: {(a, b)}")
-        if self.metric == EXPLICIT:
-            return float(self._matrix[a, b])
-        pa = self._agent_points[a] if a < self.n else self._candidate_points[a - self.n]
-        pb = self._agent_points[b] if b < self.n else self._candidate_points[b - self.n]
-        return float(_pairwise(pa[None, :], pb[None, :])[0, 0])
-
     def to_explicit(self) -> "Instance":
         """Materialize the full metric as an explicit-matrix instance.
 
@@ -269,23 +254,12 @@ def check_level(ell, k: int) -> None:
         raise InfeasibleLevel(f"level must be an integer in [1, {k}], got {ell!r}")
 
 
-def check_eps(eps) -> None:
-    """Reject a comparison slack that is not a finite number >= 0."""
+def check_eps(eps, name: str = "eps") -> None:
+    """Reject a comparison slack (or a radius, under `name`) that is not a
+    finite number >= 0."""
     real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
     if not (real and math.isfinite(eps) and eps >= 0):
-        raise InputError(f"eps must be a finite number >= 0, got {eps!r}")
-
-
-def group_approval_set(instance: Instance, agents: Iterable[int], r: float) -> frozenset:
-    """Candidates within distance r of at least one of the given agents.
-
-    Closed-ball semantics: a candidate at distance exactly r is included.
-    """
-    idx = list(agents)
-    if not idx:
-        raise InputError("group approval set of an empty agent set")
-    sub = instance.dists()[idx, :]
-    return frozenset(np.nonzero((sub <= r).any(axis=0))[0].tolist())
+        raise InputError(f"{name} must be a finite number >= 0, got {eps!r}")
 
 
 @dataclass(frozen=True)

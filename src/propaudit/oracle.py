@@ -13,8 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approval import ApprovalInstance, verify_pjr_bruteforce
-from .core import (Instance, SizeError, Verdict, Witness, check_gamma, check_level,
-                   check_selection, timed)
+from .core import (InputError, Instance, SizeError, Verdict, Witness, check_eps,
+                   check_gamma, check_level, check_selection, is_int, timed)
+
+_MAX_AGENTS = 16
+_MAX_BALL = 20
 
 
 def _subset_bits(n: int) -> np.ndarray:
@@ -24,7 +27,7 @@ def _subset_bits(n: int) -> np.ndarray:
 
 
 @timed
-def oracle_mpjr(instance: Instance, selection, max_agents: int = 16) -> Verdict:
+def oracle_mpjr(instance: Instance, selection, max_agents: int = _MAX_AGENTS) -> Verdict:
     """Metric PJR by radius enumeration.
 
     Only radii among the agent-candidate distances matter: the ball
@@ -60,8 +63,7 @@ def _anchored_violations(D, X, c, n, k, gamma, bits):
 
 
 @timed
-def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
-                     max_agents: int = 16) -> Verdict:
+def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
     """Anchored proportional representation, straight from the definition.
 
     Every unselected center c and every nonempty coalition S is examined;
@@ -71,8 +73,8 @@ def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
     X = check_selection(instance, selection)
     check_gamma(gamma)
     n, k = instance.n, instance.k
-    if n > max_agents:
-        raise SizeError(f"n={n} exceeds exhaustive cap {max_agents}")
+    if n > _MAX_AGENTS:
+        raise SizeError(f"n={n} exceeds exhaustive cap {_MAX_AGENTS}")
     D = instance.dists()
     bits = _subset_bits(n)
     sizes = bits.sum(axis=1).astype(np.int64)
@@ -97,14 +99,14 @@ def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
 
 @timed
 def oracle_mpjr_plus_fixed_ell(instance: Instance, selection, ell: int,
-                               gamma: float = 1.0, max_agents: int = 16) -> Verdict:
+                               gamma: float = 1.0) -> Verdict:
     """Single-level variant of the anchored oracle (used by transfer tests)."""
     X = check_selection(instance, selection)
     check_gamma(gamma)
     n, k = instance.n, instance.k
     check_level(ell, k)
-    if n > max_agents:
-        raise SizeError(f"n={n} exceeds exhaustive cap {max_agents}")
+    if n > _MAX_AGENTS:
+        raise SizeError(f"n={n} exceeds exhaustive cap {_MAX_AGENTS}")
     D = instance.dists()
     bits = _subset_bits(n)
     sizes = bits.sum(axis=1).astype(np.int64)
@@ -171,21 +173,25 @@ class SubmodularReport:
     violation: bool
 
 
-def submodular_min_check(instance: Instance, selection, center: int, r: float,
-                         max_ball: int = 20) -> SubmodularReport:
+def submodular_min_check(instance: Instance, selection, center: int,
+                         r: float) -> SubmodularReport:
     """Exhaustively minimize coverage(S) - |S|/q over subsets of the ball.
 
     Ground set is B(center, r) among agents; coverage counts selected
     centers within r of the coalition.  Ties in the minimum resolve to
-    the numerically first subset.
+    the numerically first subset.  `center` must be an integer in [0, m)
+    and `r` a finite number >= 0.
     """
     X = check_selection(instance, selection)
     n, k = instance.n, instance.k
+    if not (is_int(center) and 0 <= center < instance.m):
+        raise InputError(f"center must be an integer in [0, {instance.m}), got {center!r}")
+    check_eps(r, "r")
     D = instance.dists()
     ground = np.flatnonzero(D[:, center] <= r)
     b = len(ground)
-    if b > max_ball:
-        raise SizeError(f"ball of {b} agents exceeds cap {max_ball}")
+    if b > _MAX_BALL:
+        raise SizeError(f"ball of {b} agents exceeds cap {_MAX_BALL}")
     if b == 0:
         return SubmodularReport(center, float(r), 0, 0, False)
     bits = _subset_bits(b)

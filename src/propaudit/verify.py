@@ -220,23 +220,26 @@ def _witness(D, X, anchor, level, radius, coalition, gamma, eps) -> Witness:
                    coalition=frozenset(members.tolist()), covered=covered)
 
 
-@timed
-def verify_dc_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
-                        eps: float = 0.0) -> Verdict:
-    """Default-coalitions audit: every anchor's tightest ball at every level
-    must see the coverage its size deserves within gamma times its radius."""
+def _dc_witnesses(instance: Instance, selection, gamma, eps):
+    """The violations of ``_dc_scan`` as witnesses, in its order; each
+    coalition is the anchor's closed ball at the violating radius."""
     X = check_selection(instance, selection)
     check_gamma(gamma)
     check_eps(eps)
     D = instance.dists()
-    hit = next(_dc_scan(D, X, _unselected(instance, X), instance.n, instance.k,
-                        gamma, eps), None)
-    if hit is None:
-        return Verdict("dc-mpjr+", gamma, True)
-    anchor, level, radius = hit
-    return Verdict("dc-mpjr+", gamma, False,
-                   _witness(D, X, anchor, level, radius, D[:, anchor] <= radius + eps,
-                            gamma, eps))
+    for a, l, r in _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k,
+                            gamma, eps):
+        yield _witness(D, X, a, l, r, D[:, a] <= r + eps, gamma, eps)
+
+
+@timed
+def verify_dc_mpjr_plus(instance: Instance, selection, gamma: float = 1.0,
+                        eps: float = 0.0) -> Verdict:
+    """Default-coalitions audit: every anchor's tightest ball at every level
+    must see the coverage its size deserves within gamma times its radius.
+    The witness is the first one ``dc_violations`` lists."""
+    wit = next(_dc_witnesses(instance, selection, gamma, eps), None)
+    return Verdict("dc-mpjr+", gamma, wit is None, wit)
 
 
 def dc_violations(instance: Instance, selection, gamma: float = 1.0,
@@ -248,13 +251,7 @@ def dc_violations(instance: Instance, selection, gamma: float = 1.0,
     its level is listed, so one (anchor, level) pair appears once per
     violating radius at that level.
     """
-    X = check_selection(instance, selection)
-    check_gamma(gamma)
-    check_eps(eps)
-    D = instance.dists()
-    return [_witness(D, X, a, l, r, D[:, a] <= r + eps, gamma, eps)
-            for a, l, r in _dc_scan(D, X, _unselected(instance, X), instance.n,
-                                    instance.k, gamma, eps)]
+    return list(_dc_witnesses(instance, selection, gamma, eps))
 
 
 @timed
@@ -264,9 +261,11 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
 
     Per anchor, only the first radius R whose ball deserves level >= ell
     is checked, per the sweep's early-stop specialization: with the ball
-    d <= R + eps as keys (-inf inside, inf out) and reach rows g(d),
-    ``_coverage_radii`` gives g of each center's distance to the ball, and
-    the anchor falls short when the ell-th smallest exceeds R.
+    d <= R + eps as keys over all n agents (-inf inside, inf out) and
+    reach rows g(d), ``_coverage_radii`` gives g of each center's distance
+    to the ball, and the anchor falls short when the ell-th smallest
+    exceeds R.  Anchors run in the chunks of ``_anchor_chunks``, as in
+    ``_dc_scan``.
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
@@ -281,16 +280,7 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
         cols = outs[part]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
         R = np.partition(s, need - 1, axis=1)[:, need - 1]
-        inside = s <= R[:, None] + eps
-        keys, rows = inside, G
-        # agents in no ball of the chunk cover nothing; dropping their
-        # columns pays only when they are most of them (full scans, n=2e4,
-        # m=100, k=20: ell=1 50 ms with the drop, 61 ms without; ell=20
-        # 56 ms, 85 ms when every chunk drops, where no agent is left out)
-        used = np.flatnonzero(inside.any(axis=0))
-        if 2 * len(used) < n:
-            keys, rows = inside.take(used, axis=1), G.take(used, axis=1)
-        near = _coverage_radii(np.where(keys, -np.inf, np.inf), rows)
+        near = _coverage_radii(np.where(s <= R[:, None] + eps, -np.inf, np.inf), G)
         bad = np.flatnonzero(near[:, ell] > R)
         if bad.size:
             c, radius = int(cols[bad[0]]), float(R[bad[0]])

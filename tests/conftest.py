@@ -51,6 +51,12 @@ def random_profile(rng, max_n=8, max_m=6, p=0.45):
     return ApprovalInstance.from_approvals(approvals, m, k)
 
 
+def group_approval_set(inst, agents, r):
+    """Candidates within distance r (closed) of at least one of `agents`."""
+    near = (inst.dists()[list(agents)] <= r).any(axis=0)
+    return frozenset(np.flatnonzero(near).tolist())
+
+
 @pytest.fixture
 def rng():
     return substream(20260809, "tests")

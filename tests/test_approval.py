@@ -1,3 +1,4 @@
+import json
 from itertools import chain, combinations
 
 import numpy as np
@@ -8,6 +9,8 @@ from propaudit import (ApprovalInstance, BipartiteGraph, InfeasibleLevel,
                        find_balanced_biclique_bruteforce, pad_balanced,
                        verify_fixed_ell_pjr_plus_bruteforce,
                        verify_pjr_bruteforce, verify_pjr_plus_sweep)
+
+from propaudit import approval
 
 from conftest import random_profile
 
@@ -71,6 +74,21 @@ class TestFromDict:
         with pytest.raises(InputError):
             ApprovalInstance.from_dict(dict(self.BASE, **change))
 
+    @pytest.mark.parametrize("approvals, m, k", [
+        ([[0.7], [True, 1.2]], 2, 1.9), ([[0], [1]], 2, 1.0), ([[0], [1]], 2.0, 1),
+        ([[0], [True]], 2, 1), ([[0], [1.0]], 2, 1),
+    ])
+    def test_every_construction_path_rejects_non_integers(self, approvals, m, k):
+        for build in (ApprovalInstance, ApprovalInstance.from_approvals):
+            with pytest.raises(InputError):
+                build(approvals, m, k)
+
+    def test_numpy_integers_stored_as_int(self):
+        inst = ApprovalInstance.from_approvals([np.array([0, 1]), [np.int64(1)]],
+                                               np.int64(2), np.int32(1))
+        assert inst == ApprovalInstance([[0, 1], [1]], 2, 1)
+        assert json.loads(json.dumps(inst.to_dict())) == inst.to_dict()
+
 
 class TestCommitteeCheck:
     """Committees pass the metric selection check: no coercion."""
@@ -102,8 +120,7 @@ class TestPjrBruteforce:
     def test_full_committee_satisfied(self, rng):
         for _ in range(20):
             inst = random_profile(rng)
-            full = ApprovalInstance(inst.voters, inst.candidates, inst.approvals,
-                                    inst.m)
+            full = ApprovalInstance(inst.approvals, inst.m, inst.m)
             assert verify_pjr_bruteforce(full, tuple(range(inst.m))).satisfied
 
     def test_agrees_with_second_enumerator(self, rng):
@@ -117,6 +134,29 @@ class TestPjrBruteforce:
         inst = ApprovalInstance.from_approvals([{0}] * 20, 1, 1)
         with pytest.raises(SizeError):
             verify_pjr_bruteforce(inst, (0,), max_voters=16)
+
+
+class TestCaps:
+    """Each exhaustive routine raises SizeError one past its fixed cap."""
+
+    def test_pjr_plus_sweep(self):
+        k = approval._MAX_SWEEP_K + 1
+        inst = ApprovalInstance.from_approvals([[0]], k, k)
+        with pytest.raises(SizeError):
+            verify_pjr_plus_sweep(inst, tuple(range(k)))
+
+    def test_fixed_ell_bruteforce_approvers(self):
+        voters = approval._MAX_VOTERS + 1
+        inst = ApprovalInstance.from_approvals([[1]] * voters, 2, 1)
+        with pytest.raises(SizeError):
+            verify_fixed_ell_pjr_plus_bruteforce(inst, (0,), 1)
+
+    @pytest.mark.parametrize("wide", ["left", "right"])
+    def test_biclique_side(self, wide):
+        side = approval._MAX_SIDE + 1
+        sizes = (side, 1) if wide == "left" else (1, side)
+        with pytest.raises(SizeError):
+            find_balanced_biclique_bruteforce(BipartiteGraph.from_edges(*sizes, []), 1)
 
 
 class TestPjrPlusSweep:
@@ -202,7 +242,7 @@ class TestBicliqueReduction:
             g = BipartiteGraph.from_edges(nl, nr, edges)
             for t in range(1, min(nl, nr) + 1):
                 padded, t1 = pad_balanced(g, t)
-                assert len(padded.left) == len(padded.right) == 2 * t1 - 1
+                assert padded.n_left == padded.n_right == 2 * t1 - 1
                 orig = find_balanced_biclique_bruteforce(g, t)
                 lifted = find_balanced_biclique_bruteforce(padded, t1)
                 assert (orig is not None) == (lifted is not None)
@@ -227,6 +267,19 @@ class TestFixedEll:
 
 
 class TestBicliqueBruteforce:
+    @pytest.mark.parametrize("n_left, n_right, edges", [
+        (2, 2, [(0.0, 1)]), (2, 2, [(0, True)]), (2.0, 2, []), (2, -1, []),
+    ])
+    def test_rejects_non_integer_graphs(self, n_left, n_right, edges):
+        for build in (BipartiteGraph, BipartiteGraph.from_edges):
+            with pytest.raises(InputError):
+                build(n_left, n_right, edges)
+
+    def test_numpy_endpoints_stored_as_int(self):
+        g = BipartiteGraph.from_edges(2, 1, [np.array([1, 0])])
+        assert g == BipartiteGraph(2, 1, [(1, 0)])
+        assert all(type(v) is int for e in g.edges for v in e)
+
     def test_complete_graph(self):
         assert find_balanced_biclique_bruteforce(k33(), 3) is not None
 

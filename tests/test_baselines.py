@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from propaudit import (InputError, Instance, UnsupportedBackend, kmeans_cost,
-                       kmedian_cost, kmedian_exhaustive, kmedian_local_search,
-                       kmeans_lloyd_snapped, verify_dc_mpjr_plus,
-                       verify_mpjr_plus_smallk)
+from propaudit import (InputError, Instance, SizeError, UnsupportedBackend,
+                       baselines, kmeans_cost, kmedian_cost, kmedian_exhaustive,
+                       kmedian_local_search, kmeans_lloyd_snapped,
+                       verify_dc_mpjr_plus, verify_mpjr_plus_smallk)
 from propaudit.gen import (GaussianConfig, fixture_incomparability,
                            fixture_objective_failure, gen_gaussian_instance)
 
@@ -15,7 +15,11 @@ class TestKMedian:
     def test_fixture_optimum(self):
         inst = fixture_objective_failure()
         assert kmedian_exhaustive(inst) == (0, 3, 4)         # {a0, b1, b2}
-        assert kmedian_local_search(inst, seed=0, exhaustive=True) == (0, 3, 4)
+
+    def test_exhaustive_cap(self, rng):
+        inst = random_euclidean(rng, 3, baselines._MAX_CANDIDATES + 1, 2)
+        with pytest.raises(SizeError):
+            kmedian_exhaustive(inst)
 
     def test_single_candidate(self):
         inst = Instance.euclidean([[0.0], [2.0]], [[1.0]], 1)

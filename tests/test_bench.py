@@ -31,6 +31,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(gamma=float("nan"))
 
+    @pytest.mark.parametrize("change", [
+        {"axioms": ("mpjr+", "mpjr+")}, {"axioms": ("dc-mpjr+", "mpjr+", "dc-mpjr+")},
+        {"instances_per_cell": 1.5}, {"selections_per_instance": 2.0},
+        {"k": 2.0}, {"k": True}, {"n_values": (10, 15.5)}, {"g_values": ("2",)},
+        {"n_values": (10, 15, 10)}, {"g_values": (2, 2)},
+    ])
+    def test_rejects_duplicates_and_non_integer_counts(self, change):
+        with pytest.raises(ConfigError):
+            tiny_config(**change)
+
     @pytest.mark.parametrize("threads", [0, -5, 1.5, "2", True])
     def test_bad_threads(self, threads):
         with pytest.raises(ConfigError):

@@ -118,6 +118,23 @@ class TestAudit:
         assert out["witnesses"] and out["witnesses"][0]["center"] == 0
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--axiom", "mpjr-oracle", "--gamma", "2.5"],
+        ["--axiom", "mpjr-oracle", "--eps", "0.3"],
+        ["--axiom", "dc-mpjr+", "--ell", "2"],
+        ["--axiom", "mpjr+", "--ell", "2"],
+        ["--axiom", "mpjr-oracle", "--ell", "2"],
+        ["--axiom", "mpjr+", "--all-witnesses"],
+        ["--axiom", "fixed-ell-dc", "--ell", "2", "--all-witnesses"],
+        ["--axiom", "dc-mpjr+", "--all-witnesses", "--format", "text"],
+        ["--axiom", "dc-mpjr+", "--max-k", "10"],
+        ["--axiom", "mpjr+", "--max-agents", "10"],
+    ])
+    def test_flags_the_axiom_ignores_exit_two(self, prop3_2, argv, capsys):
+        assert main(["audit", prop3_2, "--selection", "1,2,3"] + argv) == 2
+        assert "error" in capsys.readouterr().err
+
+
 class TestGenerateAndPipeline:
     def test_generate_then_oracle_audit(self, tmp_path, capsys):
         path = tmp_path / "p31.json"
@@ -188,6 +205,12 @@ class TestOtherCommands:
                      "--exhaustive"]) == 0
         out = read_json(capsys)
         assert out["selection"] == [0, 3, 4]
+
+    @pytest.mark.parametrize("argv", [["--objective", "kmeans", "--exhaustive"],
+                                      ["--exhaustive", "--restarts", "2"]])
+    def test_baseline_exhaustive_misuse_exit_two(self, prop3_2, argv, capsys):
+        assert main(["baseline", prop3_2] + argv) == 2
+        assert "--exhaustive" in capsys.readouterr().err
 
     def test_embed_roundtrip(self, tmp_path, capsys):
         appr = tmp_path / "appr.json"

@@ -60,23 +60,39 @@ def bad_ints(text):
                for tok in text.split(",") if tok.strip())
 
 
+def given_as(text, value):
+    """Is the optional flag value `text` given, and not a number equal to `value`?"""
+    if text is None:
+        return False
+    try:
+        return float(text) != value
+    except ValueError:
+        return True
+
+
 @FUZZ
 @given(axiom=st.sampled_from(AUDIT_AXIOMS),
        selection=st.one_of(
            st.lists(st.integers(-1, 5), max_size=4).map(
                lambda xs: ",".join(map(str, xs))),
            st.sampled_from(["1,a", "1,2,3", "1.5,2,3"])),
-       gamma=any_real, eps=any_real, ell=st.integers(-1, 4),
-       all_witnesses=st.booleans())
+       gamma=st.none() | any_real, eps=st.none() | any_real,
+       ell=st.none() | st.integers(-1, 4), all_witnesses=st.booleans())
 def test_audit_exit_codes(fixture_path, axiom, selection, gamma, eps, ell,
                           all_witnesses):
-    argv = ["audit", fixture_path, "--axiom", axiom, "--selection", selection,
-            "--gamma", gamma, "--eps", eps, "--ell", str(ell)]
+    argv = ["audit", fixture_path, "--axiom", axiom, "--selection", selection]
+    for flag, value in (("--gamma", gamma), ("--eps", eps), ("--ell", ell)):
+        if value is not None:
+            argv += [flag, str(value)]
     if all_witnesses:
         argv.append("--all-witnesses")
     code = run(argv)
-    if (not in_range(gamma, 0, True) or not in_range(eps, 0, False)
-            or bad_ints(selection)):
+    if (not in_range(gamma or "1", 0, True) or not in_range(eps or "0", 0, False)
+            or bad_ints(selection)
+            # flags the axiom ignores, and the level fixed-ell-dc needs
+            or (axiom == "mpjr-oracle" and (given_as(gamma, 1) or given_as(eps, 0)))
+            or (ell is not None) != (axiom == "fixed-ell-dc")
+            or (all_witnesses and axiom != "dc-mpjr+")):
         assert code == 2
 
 
@@ -108,7 +124,7 @@ def test_baseline_exit_codes(fixture_path, objective, restarts, seed, exhaustive
     if exhaustive:
         argv.append("--exhaustive")
     code = run(argv)
-    if restarts < 1:
+    if restarts < 1 or (exhaustive and (objective != "kmedian" or restarts != 1)):
         assert code == 2
 
 

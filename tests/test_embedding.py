@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from propaudit import (ApprovalInstance, embed_approval, group_approval_set,
-                       oracle_mpjr, oracle_mpjr_plus_fixed_ell,
-                       validate_metric, verify_fixed_ell_pjr_plus_bruteforce,
-                       verify_pjr_bruteforce)
+from propaudit import (ApprovalInstance, embed_approval, oracle_mpjr,
+                       oracle_mpjr_plus_fixed_ell, validate_metric,
+                       verify_fixed_ell_pjr_plus_bruteforce, verify_pjr_bruteforce)
 from propaudit.gen import sample_selection
 
-from conftest import random_profile
+from conftest import group_approval_set, random_profile
 
 
 def two_by_two():
@@ -16,14 +15,14 @@ def two_by_two():
 
 class TestConstruction:
     def test_approval_edge_weights(self):
-        emb = embed_approval(two_by_two())
-        assert emb.distance(0, 2) == 1.0   # v1 approves c1
-        assert emb.distance(0, 3) == 2.0   # v1 does not approve c2
+        d = embed_approval(two_by_two()).to_dict()["matrix"]
+        assert d[0][2] == 1.0   # v1 approves c1
+        assert d[0][3] == 2.0   # v1 does not approve c2
 
     def test_same_side_two_hop(self):
-        emb = embed_approval(two_by_two())
-        assert emb.distance(0, 1) == 3.0   # v1-v2 through either candidate
-        assert emb.distance(2, 3) == 3.0
+        d = embed_approval(two_by_two()).to_dict()["matrix"]
+        assert d[0][1] == 3.0   # v1-v2 through either candidate
+        assert d[2][3] == 3.0
 
     def test_is_metric(self, rng):
         for _ in range(25):

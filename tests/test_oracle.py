@@ -3,13 +3,13 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from propaudit import (InputError, Instance, SizeError, group_approval_set,
-                       oracle_dc, oracle_mpjr, oracle_mpjr_plus,
+from propaudit import (InputError, Instance, SizeError, oracle_dc, oracle_mpjr, oracle_mpjr_plus,
                        oracle_mpjr_plus_fixed_ell, submodular_min_check,
                        verify_dc_mpjr_plus)
+from propaudit import oracle
 from propaudit.gen import fixture_incomparability, sample_selection
 
-from conftest import random_case, random_explicit
+from conftest import group_approval_set, random_case, random_explicit
 
 
 class TestOracleMpjr:
@@ -33,6 +33,14 @@ class TestOracleMpjr:
         inst = Instance.euclidean(rng.random((20, 2)), rng.random((3, 2)), 2)
         with pytest.raises(SizeError):
             oracle_mpjr(inst, (0, 1))
+
+    @pytest.mark.parametrize("audit", [
+        oracle_mpjr_plus, lambda inst, X: oracle_mpjr_plus_fixed_ell(inst, X, 1)])
+    def test_anchored_oracles_cap(self, rng, audit):
+        n = oracle._MAX_AGENTS + 1
+        inst = Instance.euclidean(rng.random((n, 2)), rng.random((3, 2)), 2)
+        with pytest.raises(SizeError):
+            audit(inst, (0, 1))
 
 
 class TestOracleMpjrPlus:
@@ -153,6 +161,20 @@ class TestSubmodular:
         inst = Instance.euclidean(rng.random((25, 2)), rng.random((3, 2)), 2)
         with pytest.raises(SizeError):
             submodular_min_check(inst, (0, 1), 2, 10.0)
+
+    @pytest.mark.parametrize("center, r", [
+        (-1, 1.0), (4, 1.0), (0.0, 1.0), (True, 1.0), ("0", 1.0),
+        (0, float("nan")), (0, float("inf")), (0, -0.5), (0, True), (0, "1"),
+    ])
+    def test_bad_center_or_radius_rejected(self, center, r):
+        inst, X = fixture_incomparability(2)       # m = 4
+        with pytest.raises(InputError):
+            submodular_min_check(inst, X, center, r)
+
+    def test_numpy_center_and_radius_accepted(self):
+        inst, X = fixture_incomparability(2)
+        assert submodular_min_check(inst, X, np.int64(0), np.float64(1.0)) == \
+            submodular_min_check(inst, X, 0, 1.0)
 
 
 class TestOracleGamma:
