@@ -230,8 +230,8 @@ def pad_balanced(graph: BipartiteGraph, t: int) -> tuple:
     padded graph has a t'xt' biclique (t' = t + p) iff the original has a
     txt one.  Returns (padded graph, t').
     """
-    if t < 1:
-        raise InputError("t must be >= 1")
+    if not (is_int(t) and t >= 1):
+        raise InputError(f"t must be an integer >= 1, got {t!r}")
     n1 = max(graph.n_left, graph.n_right, 2 * t - 1)
     p = n1 - 2 * t + 1
     edges = set(graph.edges)
@@ -272,8 +272,8 @@ def find_balanced_biclique_bruteforce(graph: BipartiteGraph, t: int) -> Optional
     below t, so the first hit equals what plain subset enumeration would
     return.
     """
-    if t < 1:
-        raise InputError("t must be >= 1")
+    if not (is_int(t) and t >= 1):
+        raise InputError(f"t must be an integer >= 1, got {t!r}")
     nl, nr = graph.n_left, graph.n_right
     if nl > _MAX_SIDE or nr > _MAX_SIDE:
         raise SizeError(f"sides exceed cap {_MAX_SIDE}")

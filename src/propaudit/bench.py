@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .core import ConfigError, is_int
+from .core import ConfigError, is_finite, is_int
 from .gen import GaussianConfig, gen_gaussian_instance, sample_selection, substream
 from .verify import verify_dc_mpjr_plus, verify_mpjr_plus_smallk
 
@@ -40,25 +42,28 @@ class ExperimentConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        counts = (self.k, self.instances_per_cell, self.selections_per_instance,
-                  *self.n_values, *self.g_values)
-        if not all(is_int(v) for v in counts):
-            raise ConfigError(f"n, g, k and the counts must be integers, got {counts}")
-        for name, values in (("axioms", self.axioms), ("n_values", self.n_values),
-                             ("g_values", self.g_values)):
+        for name, known, what in (("axioms", AXIOMS.__contains__, f"one of {AXIOMS}"),
+                                  ("n_values", is_int, "integers"),
+                                  ("g_values", is_int, "integers")):
+            values = getattr(self, name)
+            if not isinstance(values, Sequence):
+                raise ConfigError(f"{name} must be a sequence, got {values!r}")
+            bad = [v for v in values if not known(v)]
+            if bad:
+                raise ConfigError(f"{name} must hold {what}, got {bad}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"duplicate {name}: {list(values)}")
-        if min(self.instances_per_cell, self.selections_per_instance) < 1:
-            raise ConfigError("instance and selection counts must be positive")
+        counts = (self.instances_per_cell, self.selections_per_instance)
+        if not all(is_int(v) and v >= 1 for v in counts):
+            raise ConfigError(f"instance and selection counts must be integers >= 1, "
+                              f"got {counts}")
         if not self.n_values or not self.g_values:
             raise ConfigError("need at least one n and one g value")
-        if self.k > min(self.n_values):
-            raise ConfigError("k cannot exceed the smallest n (candidates = agents)")
-        bad = [a for a in self.axioms if a not in AXIOMS]
-        if bad:
-            raise ConfigError(f"unknown axioms: {bad}")
-        if not self.gamma >= 1.0:
-            raise ConfigError("gamma must be >= 1")
+        for n in self.n_values:             # n, g, k and sigma, cell by cell
+            for g in self.g_values:
+                GaussianConfig(n=n, g=g, sigma=self.sigma, seed=0, k=self.k)
+        if not (is_finite(self.gamma) and self.gamma >= 1.0):
+            raise ConfigError(f"gamma must be a finite number >= 1, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -162,22 +167,19 @@ def run_experiment(cfg: ExperimentConfig, threads=None, progress=None) -> Experi
     sat = {(n, g, a): 0 for n in cfg.n_values for g in cfg.g_values for a in cfg.axioms}
     ms = dict.fromkeys(sat, 0.0)
     total = dict.fromkeys(sat, 0)
-    done = 0
-    if threads == 1:
-        outcomes = map(_audit_instance, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=threads)
-        outcomes = pool.map(_audit_instance, tasks, chunksize=4)
-    for n, g, s, t, audits in outcomes:
-        for a in cfg.axioms:
-            sat[(n, g, a)] += s[a]
-            ms[(n, g, a)] += t[a]
-            total[(n, g, a)] += audits
-        done += 1
-        if progress:
-            progress(done, len(tasks))
-    if threads > 1:
-        pool.shutdown()
+    with ExitStack() as stack:
+        if threads == 1:
+            outcomes = map(_audit_instance, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+            outcomes = pool.map(_audit_instance, tasks, chunksize=4)
+        for done, (n, g, s, t, audits) in enumerate(outcomes, 1):
+            for a in cfg.axioms:
+                sat[(n, g, a)] += s[a]
+                ms[(n, g, a)] += t[a]
+                total[(n, g, a)] += audits
+            if progress:
+                progress(done, len(tasks))
     rows = []
     for n in cfg.n_values:
         for g in cfg.g_values:

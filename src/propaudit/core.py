@@ -57,6 +57,12 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """A finite real number; bools do not count."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a and the rows of b.
 
@@ -111,8 +117,8 @@ class Instance:
             self.dim = ap.shape[1]
         elif metric == EXPLICIT:
             d = np.asarray(matrix, dtype=np.float64)
-            if n_agents is None:
-                raise InputError("explicit backend requires n_agents")
+            if not is_int(n_agents):
+                raise InputError(f"n_agents must be an integer, got {n_agents!r}")
             if d.ndim != 2 or d.shape[0] != d.shape[1]:
                 raise InputError("explicit matrix must be square")
             if not np.isfinite(d).all():
@@ -243,8 +249,7 @@ def check_selection(instance: Instance, centers: Iterable[int]) -> tuple:
 
 def check_gamma(gamma) -> None:
     """Reject an approximation factor that is not a finite number > 0."""
-    real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
-    if not (real and math.isfinite(gamma) and gamma > 0):
+    if not (is_finite(gamma) and gamma > 0):
         raise InputError(f"gamma must be a finite number > 0, got {gamma!r}")
 
 
@@ -257,8 +262,7 @@ def check_level(ell, k: int) -> None:
 def check_eps(eps, name: str = "eps") -> None:
     """Reject a comparison slack (or a radius, under `name`) that is not a
     finite number >= 0."""
-    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
-    if not (real and math.isfinite(eps) and eps >= 0):
+    if not (is_finite(eps) and eps >= 0):
         raise InputError(f"{name} must be a finite number >= 0, got {eps!r}")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Instance
+from .core import ConfigError, Instance, is_finite, is_int
 from .approval import ApprovalInstance
 from .embedding import embed_approval
 
@@ -51,10 +51,13 @@ class GaussianConfig:
     k: int
 
     def __post_init__(self):
+        if not all(is_int(v) for v in (self.n, self.g, self.k)):
+            raise ConfigError(f"n, g and k must be integers, got "
+                              f"n={self.n!r}, g={self.g!r}, k={self.k!r}")
         if not (self.n >= self.g >= 1):
             raise ConfigError(f"need n >= g >= 1, got n={self.n}, g={self.g}")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
+        if not (is_finite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
         if not (1 <= self.k <= self.n):
             raise ConfigError(f"k={self.k} out of range [1, {self.n}]")
 
@@ -73,8 +76,8 @@ def gen_gaussian_instance(cfg: GaussianConfig) -> Instance:
 
 def sample_selection(m: int, k: int, seed) -> tuple:
     """Uniform size-k subset of range(m) by partial Fisher-Yates shuffle."""
-    if k > m:
-        raise ConfigError(f"k={k} exceeds m={m}")
+    if not (is_int(k) and 0 <= k <= m):
+        raise ConfigError(f"need an integer 0 <= k <= m={m}, got k={k!r}")
     gen = seed if isinstance(seed, np.random.Generator) else substream(seed, "selection")
     idx = list(range(m))
     for i in range(k):

@@ -327,37 +327,24 @@ def _exclusion_sets(Lt, G, size):
     for any other Y.
 
     Depth first over positions, taking a position before leaving it out,
-    which is lexicographic order.  An anchor leaves a branch once it cannot
-    reach the target there, and the branch ends with the last anchor.
-    With r positions still to take, an agent missing j of them spreads
-    weight w/j over each (w = lcm(1..r)); an agent completed by the r
-    taken positions puts all its w on them, so the r heaviest positions
-    carry at least w per agent they can complete.
+    which is lexicographic order.  At every node an anchor stays only while
+    the agents of its entries still in play number at least `need`, and
+    the branch ends with the last anchor.  This one count is exact where
+    it must be and sound elsewhere:
+
+    * A take step keeps only entries with fewer blockers left than
+      positions still to take, so every entry in play once all size
+      positions are taken has no blocker left: there the count is the
+      test for Y itself.
+    * Below a branch an anchor never gains entries, so an anchor short of
+      `need` at a node is short at every set under it.
     """
     (nrow, n), k = Lt.shape, len(G)
     need = -((-(size + 1) * n) // k)
     rows, blocked, mult = _blockers(Lt, G, need)
 
-    def reachable(rows, blocked, left, mult, p, r):
-        """Per entry: can its anchor still reach the target below here."""
-        inside = left == 0
-        bound = np.bincount(rows[inside], weights=mult[inside], minlength=nrow)
-        w = math.lcm(*range(1, r + 1))
-        if r and w * n >= 1 << 62:      # int64 sums could overflow: no cut
-            return np.ones(rows.shape, dtype=bool)
-        out = ~inside
-        if r and out.any():
-            ro = rows[out]
-            share = blocked[out, p:] * (mult[out] * (w // left[out]))[:, None]
-            first = np.ones(len(ro), dtype=bool)
-            first[1:] = ro[1:] != ro[:-1]
-            first = np.flatnonzero(first)
-            per = np.sort(np.add.reduceat(share, first, axis=0), axis=1)
-            bound[ro[first]] += per[:, -r:].sum(axis=1) // w
-        return (bound >= need)[rows]
-
     def walk(p, y, r, rows, blocked, left, mult):
-        keep = reachable(rows, blocked, left, mult, p, r)
+        keep = (np.bincount(rows, weights=mult, minlength=nrow) >= need)[rows]
         if not keep.any():
             return
         if r == 0:

@@ -275,6 +275,15 @@ class TestBicliqueBruteforce:
             with pytest.raises(InputError):
                 build(n_left, n_right, edges)
 
+    @pytest.mark.parametrize("t", [0, -1, 1.5, 2.0, True, "2"])
+    def test_rejects_bad_size(self, t):
+        with pytest.raises(InputError):
+            find_balanced_biclique_bruteforce(k33(), t)
+        with pytest.raises(InputError):
+            pad_balanced(k33(), t)
+        with pytest.raises(InputError):
+            biclique_reduction(k33(), t)
+
     def test_numpy_endpoints_stored_as_int(self):
         g = BipartiteGraph.from_edges(2, 1, [np.array([1, 0])])
         assert g == BipartiteGraph(2, 1, [(1, 0)])

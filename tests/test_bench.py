@@ -1,6 +1,8 @@
+import multiprocessing
+
 import pytest
 
-from propaudit import ConfigError, ExperimentConfig, run_experiment
+from propaudit import ConfigError, ExperimentConfig, bench, run_experiment
 
 
 def tiny_config(**overrides):
@@ -41,6 +43,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(**change)
 
+    @pytest.mark.parametrize("change", [
+        {"n_values": 20}, {"g_values": 4}, {"axioms": None},
+        {"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": -1.0},
+        {"gamma": float("inf")}, {"gamma": "2"},
+        {"g_values": (2, 11)},          # a cell with more clusters than agents
+        {"k": 0},
+    ])
+    def test_rejects_before_any_run(self, change):
+        with pytest.raises(ConfigError):
+            tiny_config(**change)
+
     @pytest.mark.parametrize("threads", [0, -5, 1.5, "2", True])
     def test_bad_threads(self, threads):
         with pytest.raises(ConfigError):
@@ -76,6 +89,18 @@ class TestRun:
         parallel = run_experiment(cfg, threads=2)
         assert serial.to_csv(include_timing=False) == \
             parallel.to_csv(include_timing=False)
+
+    def test_pool_closed_when_a_worker_raises(self, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("generator failed")
+
+        monkeypatch.setattr(bench, "gen_gaussian_instance", broken)
+        with pytest.raises(RuntimeError, match="generator failed") as caught:
+            run_experiment(tiny_config(), threads=2)
+        # `caught` keeps run_experiment's frame alive, as a caller holding the
+        # error does, so the pool must be closed by then, not by collection
+        assert caught.value.args == ("generator failed",)
+        assert multiprocessing.active_children() == []
 
     def test_csv_header(self):
         report = run_experiment(tiny_config(), threads=1)

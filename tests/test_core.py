@@ -121,6 +121,11 @@ class TestSelectionAndJson:
             check_selection(inst, [1, 1, 2])
         assert check_selection(inst, [3, 1, 2]) == (1, 2, 3)
 
+    @pytest.mark.parametrize("n_agents", [2.5, 2.0, True, "2", None])
+    def test_explicit_rejects_non_integer_agent_count(self, n_agents):
+        with pytest.raises(InputError):
+            Instance.explicit(np.ones((4, 4)) - np.eye(4), n_agents, 1)
+
     def test_json_roundtrip(self, tmp_path, rng):
         inst, _ = fixture_incomparability(1)
         path = tmp_path / "inst.json"

@@ -46,6 +46,14 @@ class TestGaussianModel:
         with pytest.raises(ConfigError):
             GaussianConfig(n=5, g=2, sigma=-0.1, seed=1, k=1)
 
+    @pytest.mark.parametrize("change", [
+        {"n": 10.5}, {"n": 10.0}, {"g": 2.5}, {"g": True}, {"k": 2.0}, {"k": "2"},
+        {"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": "0.1"},
+    ])
+    def test_config_rejects_non_integer_sizes_and_bad_sigma(self, change):
+        with pytest.raises(ConfigError):
+            GaussianConfig(**dict(dict(n=10, g=2, sigma=0.04, seed=1, k=2), **change))
+
     def test_box_muller_moments(self):
         z = box_muller(substream(9, "bm"), 200_000)
         assert abs(z.mean()) < 0.01
@@ -109,3 +117,11 @@ class TestSelectionSampling:
     def test_k_larger_than_m_rejected(self):
         with pytest.raises(ConfigError):
             sample_selection(3, 4, 0)
+
+    @pytest.mark.parametrize("k", [-1, 2.0, 1.5, True, "2"])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ConfigError):
+            sample_selection(5, k, 0)
+
+    def test_empty_selection(self):
+        assert sample_selection(5, 0, 0) == ()

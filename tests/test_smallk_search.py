@@ -24,7 +24,7 @@ from propaudit import (Instance, SizeError, oracle_mpjr_plus, run_sear,
 from propaudit.core import check_selection
 from propaudit.gen import sample_selection
 from propaudit.verify import (_alg1_scan, _exclusion_sets, _reach_radius,
-                              _unselected)
+                              _reach_rows, _unselected)
 
 CASES = ((1.0, 0.0), (1.5, 1e-9), (3.0, 0.25))
 
@@ -85,6 +85,43 @@ def test_search_matches_plain_filter(rng):
                         assert sum(1 << p for p in ypos) in got
                         hits += 1
     assert checked > hits > 0
+
+
+def wide_case(rng, k):
+    """Instance at a given k with m - k in [1, 7] and n in [k, 3k), whose
+    last candidates sit far from every agent, so sets near size k - 1 are
+    kept as well as small ones."""
+    n = int(rng.integers(k, 3 * k))
+    m = k + int(rng.integers(1, 8))
+    far = int(rng.integers(1, k // 2))
+    if rng.random() < 0.5:
+        agents = rng.integers(0, 5, size=(n, 2)).astype(float)
+        near = rng.integers(0, 5, size=(m - far, 2)).astype(float)
+    else:
+        hubs = rng.random((3, 2))
+        agents = hubs[rng.integers(0, 3, n)] + 0.1 * rng.random((n, 2))
+        near = rng.random((m - far, 2))
+    inst = Instance.euclidean(agents, np.vstack([near, 10 + 10 * rng.random((far, 2))]), k)
+    if rng.random() < 0.5:
+        return inst, run_sear(inst).selection
+    return inst, sample_selection(m, k, rng)
+
+
+def test_search_matches_plain_filter_at_large_k(rng):
+    kept = {"small": 0, "large": 0}
+    for j in range(12):
+        k = int(rng.integers(40, 56))
+        inst, sel = wide_case(rng, k)
+        X = check_selection(inst, sel)
+        D = inst.dists()
+        Lt = np.ascontiguousarray(D[:, _unselected(inst, X)].T)
+        gamma, eps = CASES[j % 3]
+        G = _reach_rows(D, X, gamma, eps)
+        for size in (0, 1, 2, k - 2, k - 1):
+            got = list(_exclusion_sets(Lt, G, size))
+            assert got == reference_sets(inst, X, size, gamma, eps)
+            kept["small" if size < 3 else "large"] += len(got)
+    assert min(kept.values()) > 0
 
 
 def test_verdicts_match_oracle_at_larger_k(rng):
