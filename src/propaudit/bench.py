@@ -53,6 +53,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must hold {what}, got {bad}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"duplicate {name}: {list(values)}")
+        if not is_int(self.master_seed):
+            raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
         counts = (self.instances_per_cell, self.selections_per_instance)
         if not all(is_int(v) and v >= 1 for v in counts):
             raise ConfigError(f"instance and selection counts must be integers >= 1, "

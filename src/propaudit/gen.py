@@ -23,7 +23,10 @@ from .embedding import embed_approval
 
 
 def substream(seed: int, *path) -> np.random.Generator:
-    """Philox generator keyed by sha256(master seed, label path)."""
+    """Philox generator keyed by sha256(master seed, label path); the seed
+    must be an integer."""
+    if not is_int(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     digest = hashlib.sha256(repr((int(seed),) + tuple(path)).encode()).digest()
     key = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))
@@ -51,9 +54,9 @@ class GaussianConfig:
     k: int
 
     def __post_init__(self):
-        if not all(is_int(v) for v in (self.n, self.g, self.k)):
-            raise ConfigError(f"n, g and k must be integers, got "
-                              f"n={self.n!r}, g={self.g!r}, k={self.k!r}")
+        if not all(is_int(v) for v in (self.n, self.g, self.k, self.seed)):
+            raise ConfigError(f"n, g, k and seed must be integers, got n={self.n!r}, "
+                              f"g={self.g!r}, k={self.k!r}, seed={self.seed!r}")
         if not (self.n >= self.g >= 1):
             raise ConfigError(f"need n >= g >= 1, got n={self.n}, g={self.g}")
         if not (is_finite(self.sigma) and self.sigma >= 0):

@@ -49,6 +49,7 @@ class TestConfig:
         {"gamma": float("inf")}, {"gamma": "2"},
         {"g_values": (2, 11)},          # a cell with more clusters than agents
         {"k": 0},
+        {"master_seed": 1.5}, {"master_seed": True}, {"master_seed": "1"},
     ])
     def test_rejects_before_any_run(self, change):
         with pytest.raises(ConfigError):

@@ -49,6 +49,7 @@ class TestGaussianModel:
     @pytest.mark.parametrize("change", [
         {"n": 10.5}, {"n": 10.0}, {"g": 2.5}, {"g": True}, {"k": 2.0}, {"k": "2"},
         {"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": "0.1"},
+        {"seed": 1.5}, {"seed": 1.0}, {"seed": True}, {"seed": "1"},
     ])
     def test_config_rejects_non_integer_sizes_and_bad_sigma(self, change):
         with pytest.raises(ConfigError):
@@ -122,6 +123,13 @@ class TestSelectionSampling:
     def test_bad_k_rejected(self, k):
         with pytest.raises(ConfigError):
             sample_selection(5, k, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigError):
+            sample_selection(10, 3, seed)
+        with pytest.raises(ConfigError):
+            substream(seed, "selection")
 
     def test_empty_selection(self):
         assert sample_selection(5, 0, 0) == ()

@@ -8,6 +8,13 @@ The reference loops over every subset with that float test written out,
 not through the audit's reach rows.  Every Y on which ``_alg1_scan``
 finds a violation must be among them.
 
+Before any set of a size is scanned, ``_root_bounds`` bounds per anchor
+the agents any Y of that size can count: those with at most |Y| centers
+x where gamma * max(d(i,c), R) + eps >= d(i,x), less those near the
+(|Y|+1)-th most common such center.  It must match that bound written
+out, and the audit that scans only the anchors it keeps must match a
+scan of every set of every size over every anchor, witness included.
+
 On instances built with anchor distances at and one float either side
 of (d(i,x) - eps) / gamma, where a quotient test and the float test
 disagree, the audit must match the oracle, imply the DC audit and give
@@ -19,12 +26,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from propaudit import (Instance, SizeError, oracle_mpjr_plus, run_sear,
+from propaudit import (Instance, SizeError, Verdict, oracle_mpjr_plus, run_sear,
                        verify_dc_mpjr_plus, verify_mpjr_plus_smallk)
 from propaudit.core import check_selection
 from propaudit.gen import sample_selection
 from propaudit.verify import (_alg1_scan, _exclusion_sets, _reach_radius,
-                              _reach_rows, _unselected)
+                              _reach_rows, _root_bounds, _unselected, _witness)
 
 CASES = ((1.0, 0.0), (1.5, 1e-9), (3.0, 0.25))
 
@@ -187,3 +194,111 @@ def test_reach_boundary_fuzz(rng):
         inst, X = boundary_case(rng, gamma, eps)
         satisfied += check_boundary_audit(inst, X, gamma, eps).satisfied
     assert 0 < satisfied < 2400
+
+
+ROOT_CASES = CASES + ((0.7, 0.0),)
+
+
+def reference_root_bounds(D, X, outs, size, need, gamma, eps):
+    """Per anchor c, (count, bound): count is the agents i with at most
+    `size` selected centers x where gamma * max(d(i,c), R) + eps >= d(i,x),
+    R the need-th smallest d(., c); where it reaches `need`, the bound is
+    count less those of them near the (size+1)-th most common such center."""
+    bounds = []
+    for c in outs:
+        t = np.maximum(D[:, c], np.sort(D[:, c])[need - 1])
+        near = gamma * t[:, None] + eps >= D[:, list(X)]
+        fit = near.sum(axis=1) <= size
+        count = bound = int(fit.sum())
+        if count >= need:
+            bound -= sorted(near[fit].sum(axis=0).tolist())[-size - 1]
+        bounds.append((count, bound))
+    return bounds
+
+
+def test_root_bounds_match_reference(rng):
+    cases = [random_large_k_case(rng) for _ in range(60)]
+    for j in range(120):
+        gamma, eps = ROOT_CASES[j % 4]
+        cases.append(boundary_case(rng, gamma, eps) + ((gamma, eps),))
+    short = cut = kept = 0
+    for case in cases:
+        inst, sel = case[:2]
+        X = check_selection(inst, sel)
+        D, n, k = inst.dists(), inst.n, inst.k
+        outs = _unselected(inst, X)
+        if len(outs) == 0:
+            continue
+        Lt = np.ascontiguousarray(D[:, outs].T)
+        Ls = np.sort(Lt, axis=1)
+        for gamma, eps in case[2:] or ROOT_CASES:
+            G = _reach_rows(D, X, gamma, eps)
+            Gs = np.sort(G, axis=0)
+            for size in range(k):
+                need = -((-(size + 1) * n) // k)
+                want = reference_root_bounds(D, X, outs, size, need, gamma, eps)
+                assert _root_bounds(Lt, Ls, G, Gs, need, size).tolist() == [b for _, b in want]
+                short += sum(0 < f < need for f, _ in want)
+                cut += sum(f >= need > b for f, b in want)
+                kept += sum(b >= need for _, b in want)
+    assert min(short, cut, kept) > 0
+
+
+def scan_every_set(inst, X, gamma, eps):
+    """The small-k audit with no anchor bound and no search: every Y of
+    every size through ``_alg1_scan`` over every anchor."""
+    D, n, k = inst.dists(), inst.n, inst.k
+    outs = _unselected(inst, X)
+    if len(outs) == 0:
+        return Verdict("mpjr+", gamma, True)
+    Lt = np.ascontiguousarray(D[:, outs].T)
+    G = _reach_rows(D, X, gamma, eps)
+    rank = np.arange(1, n + 1)
+    for size in range(k):
+        for ypos in combinations(range(k), size):
+            hit = _alg1_scan(Lt, G, rank, n, k, size, [p for p in range(k) if p not in ypos])
+            if hit:
+                ci, radius, ug = hit
+                c = outs[ci]
+                coalition = (D[:, c] <= radius) & (ug > radius)
+                return Verdict("mpjr+", gamma, False,
+                               _witness(D, X, c, size + 1, radius, coalition, gamma, eps))
+    return Verdict("mpjr+", gamma, True)
+
+
+def hub_case(rng):
+    """Agents around 1-3 hubs of uneven weight and candidates near them
+    and far off; the selection is SEAR's or has one center near each hub
+    and the rest at random, so a heavy hub is often short at level >= 2."""
+    k = int(rng.integers(2, 11))
+    g = int(rng.integers(1, 4))
+    n = int(rng.integers(k, 50))
+    m = k + int(rng.integers(1, 12))
+    hubs = 4 * rng.random((g, 2))
+    weight = rng.random(g) + 0.1
+    home = rng.choice(g, size=n, p=weight / weight.sum())
+    agents = hubs[home] + 0.3 * rng.random((n, 2))
+    if rng.random() < 0.3:
+        agents = np.round(4 * agents) / 4            # ties
+    near = hubs[rng.integers(0, g, m)] + 0.3 * rng.random((m, 2))
+    cands = np.where(rng.random((m, 1)) < 0.7, near, 4 * rng.random((m, 2)))
+    inst = Instance.euclidean(agents, cands, k)
+    if rng.random() < 0.4:
+        return inst, run_sear(inst).selection
+    first = {int(np.argmin(((cands - h) ** 2).sum(axis=1))) for h in hubs[:k]}
+    rest = [c for c in rng.permutation(m).tolist() if c not in first]
+    return inst, tuple(sorted(first | set(rest[:k - len(first)])))
+
+
+def test_audit_matches_scan_of_every_set(rng):
+    violated = high = 0
+    for j in range(1200):
+        inst, X = hub_case(rng)
+        gamma, eps = ROOT_CASES[j % 4]
+        got = verify_mpjr_plus_smallk(inst, X, gamma, eps=eps).to_dict()
+        want = scan_every_set(inst, X, gamma, eps).to_dict()
+        got.pop("elapsed_ms"), want.pop("elapsed_ms")
+        assert got == want
+        violated += not got["satisfied"]
+        high += not got["satisfied"] and got["witness"]["level"] >= 2
+    assert 100 < violated < 1100 and high >= 50
