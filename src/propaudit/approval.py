@@ -51,10 +51,6 @@ class ApprovalInstance:
         return len(self.approvals)
 
     @classmethod
-    def from_approvals(cls, approvals, m: int, k: int) -> "ApprovalInstance":
-        return cls(approvals, m, k)
-
-    @classmethod
     def from_dict(cls, data: dict) -> "ApprovalInstance":
         try:
             return cls(data["approvals"], data["candidates"], data["k"])
@@ -216,10 +212,6 @@ class BipartiteGraph:
                     and 0 <= w < self.n_right):
                 raise InputError(f"edge {(u, w)} is not a pair of vertex indices")
         object.__setattr__(self, "edges", frozenset((int(u), int(w)) for u, w in pairs))
-
-    @classmethod
-    def from_edges(cls, n_left: int, n_right: int, edges) -> "BipartiteGraph":
-        return cls(n_left, n_right, edges)
 
 
 def pad_balanced(graph: BipartiteGraph, t: int) -> tuple:

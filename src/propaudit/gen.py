@@ -117,7 +117,7 @@ def fixture_incomparability(which: int) -> tuple:
     names = spec["candidates"]
     pos = {c: j for j, c in enumerate(names)}
     approvals = [frozenset(pos[c] for c in row) for row in spec["close"]]
-    appr = ApprovalInstance.from_approvals(approvals, len(names), 3)
+    appr = ApprovalInstance(approvals, len(names), 3)
     emb = embed_approval(appr)
     inst = Instance.explicit(emb._matrix, emb.n, emb.k,
                              agent_names=[str(i + 1) for i in range(emb.n)],

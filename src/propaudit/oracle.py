@@ -39,7 +39,7 @@ def oracle_mpjr(instance: Instance, selection, max_agents: int = _MAX_AGENTS) ->
         raise SizeError(f"n={instance.n} exceeds exhaustive cap {max_agents}")
     D = instance.dists()
     for r in np.unique(D):
-        appr = ApprovalInstance.from_approvals(
+        appr = ApprovalInstance(
             [np.flatnonzero(D[i] <= r).tolist() for i in range(instance.n)],
             instance.m, instance.k)
         inner = verify_pjr_bruteforce(appr, X, max_voters=max_agents)
@@ -127,7 +127,8 @@ def oracle_mpjr_plus_fixed_ell(instance: Instance, selection, ell: int,
 
 @timed
 def oracle_dc(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
-    """Default-coalitions audit transcribed per (anchor, level) pair.
+    """Default-coalitions audit transcribed per (anchor, level) pair, at
+    eps = 0 only: each level's radius is checked as it is, with no chain.
 
     Independent of the sweep verifier: radii come from a plain sort, and
     coverage from explicit ball membership.

@@ -48,7 +48,7 @@ def random_profile(rng, max_n=8, max_m=6, p=0.45):
     k = int(rng.integers(1, m + 1))
     approvals = [frozenset(int(c) for c in np.flatnonzero(rng.random(m) < p))
                  for _ in range(n)]
-    return ApprovalInstance.from_approvals(approvals, m, k)
+    return ApprovalInstance(approvals, m, k)
 
 
 def group_approval_set(inst, agents, r):

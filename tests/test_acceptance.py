@@ -128,7 +128,7 @@ def test_biclique_reduction_1k():
         p = float(rng.random())
         edges = [(u, w) for u in range(nl) for w in range(nr)
                  if rng.random() < p]
-        g = BipartiteGraph.from_edges(nl, nr, edges)
+        g = BipartiteGraph(nl, nr, edges)
         for t in range(1, min(nl, nr) + 1):
             inst, X, ell = biclique_reduction(g, t)
             padded, t1 = pad_balanced(g, t)

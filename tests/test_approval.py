@@ -56,7 +56,7 @@ def instance1_profile():
     """Distance-1 candidate sets of the first incomparability fixture, read
     as ballots (candidates a, b, x1, x2, x3)."""
     rows = [{0, 1, 2}] * 4 + [{0, 1, 3}, {0, 1, 4}]
-    return ApprovalInstance.from_approvals(rows, 5, 3)
+    return ApprovalInstance(rows, 5, 3)
 
 
 class TestFromDict:
@@ -79,13 +79,12 @@ class TestFromDict:
         ([[0], [True]], 2, 1), ([[0], [1.0]], 2, 1),
     ])
     def test_every_construction_path_rejects_non_integers(self, approvals, m, k):
-        for build in (ApprovalInstance, ApprovalInstance.from_approvals):
-            with pytest.raises(InputError):
-                build(approvals, m, k)
+        with pytest.raises(InputError):
+            ApprovalInstance(approvals, m, k)
 
     def test_numpy_integers_stored_as_int(self):
-        inst = ApprovalInstance.from_approvals([np.array([0, 1]), [np.int64(1)]],
-                                               np.int64(2), np.int32(1))
+        inst = ApprovalInstance([np.array([0, 1]), [np.int64(1)]],
+                                np.int64(2), np.int32(1))
         assert inst == ApprovalInstance([[0, 1], [1]], 2, 1)
         assert json.loads(json.dumps(inst.to_dict())) == inst.to_dict()
 
@@ -99,13 +98,13 @@ class TestCommitteeCheck:
     @pytest.mark.parametrize("verify", VERIFIERS)
     @pytest.mark.parametrize("committee", [(0, 0, 1), (0.9, 1.2), (True, 2), ("0", "1")])
     def test_rejects_coercible_committees(self, verify, committee):
-        inst = ApprovalInstance.from_approvals([[0], [1], [0, 1], [2]], 3, 2)
+        inst = ApprovalInstance([[0], [1], [0, 1], [2]], 3, 2)
         with pytest.raises(InputError):
             verify(inst, committee)
 
     @pytest.mark.parametrize("verify", VERIFIERS)
     def test_accepts_numpy_integers(self, verify):
-        inst = ApprovalInstance.from_approvals([[0], [1], [0, 1], [2]], 3, 2)
+        inst = ApprovalInstance([[0], [1], [0, 1], [2]], 3, 2)
         a, b = verify(inst, np.array([1, 0])), verify(inst, (0, 1))
         assert (a.satisfied, a.witness) == (b.satisfied, b.witness)
 
@@ -131,7 +130,7 @@ class TestPjrBruteforce:
             assert got == pjr_by_definition(inst, X)
 
     def test_cap(self):
-        inst = ApprovalInstance.from_approvals([{0}] * 20, 1, 1)
+        inst = ApprovalInstance([{0}] * 20, 1, 1)
         with pytest.raises(SizeError):
             verify_pjr_bruteforce(inst, (0,), max_voters=16)
 
@@ -141,13 +140,13 @@ class TestCaps:
 
     def test_pjr_plus_sweep(self):
         k = approval._MAX_SWEEP_K + 1
-        inst = ApprovalInstance.from_approvals([[0]], k, k)
+        inst = ApprovalInstance([[0]], k, k)
         with pytest.raises(SizeError):
             verify_pjr_plus_sweep(inst, tuple(range(k)))
 
     def test_fixed_ell_bruteforce_approvers(self):
         voters = approval._MAX_VOTERS + 1
-        inst = ApprovalInstance.from_approvals([[1]] * voters, 2, 1)
+        inst = ApprovalInstance([[1]] * voters, 2, 1)
         with pytest.raises(SizeError):
             verify_fixed_ell_pjr_plus_bruteforce(inst, (0,), 1)
 
@@ -156,7 +155,7 @@ class TestCaps:
         side = approval._MAX_SIDE + 1
         sizes = (side, 1) if wide == "left" else (1, side)
         with pytest.raises(SizeError):
-            find_balanced_biclique_bruteforce(BipartiteGraph.from_edges(*sizes, []), 1)
+            find_balanced_biclique_bruteforce(BipartiteGraph(*sizes, []), 1)
 
 
 class TestPjrPlusSweep:
@@ -168,7 +167,7 @@ class TestPjrPlusSweep:
             m = int(rng.integers(1, 6))
             k = int(rng.integers(1, m + 1))
             n = int(rng.integers(1, 7))
-            inst = ApprovalInstance.from_approvals([set(range(m))] * n, m, k)
+            inst = ApprovalInstance([set(range(m))] * n, m, k)
             X = tuple(range(k))
             assert verify_pjr_plus_sweep(inst, X).satisfied
 
@@ -190,7 +189,7 @@ class TestPjrPlusSweep:
 
 
 def k33():
-    return BipartiteGraph.from_edges(3, 3, [(u, w) for u in range(3) for w in range(3)])
+    return BipartiteGraph(3, 3, [(u, w) for u in range(3) for w in range(3)])
 
 
 class TestBicliqueReduction:
@@ -206,7 +205,7 @@ class TestBicliqueReduction:
         assert not verify_fixed_ell_pjr_plus_bruteforce(inst, X, ell).satisfied
 
     def test_edgeless_padded_satisfied(self):
-        g = BipartiteGraph.from_edges(3, 3, [])
+        g = BipartiteGraph(3, 3, [])
         inst, X, ell = biclique_reduction(g, 2)
         assert verify_fixed_ell_pjr_plus_bruteforce(inst, X, ell).satisfied
 
@@ -215,7 +214,7 @@ class TestBicliqueReduction:
             nl, nr = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             edges = [(u, w) for u in range(nl) for w in range(nr)
                      if rng.random() < 0.3]
-            g = BipartiteGraph.from_edges(nl, nr, edges)
+            g = BipartiteGraph(nl, nr, edges)
             inst, X, ell = biclique_reduction(g, 1)
             violated = not verify_fixed_ell_pjr_plus_bruteforce(inst, X, ell).satisfied
             assert violated == bool(edges)
@@ -225,7 +224,7 @@ class TestBicliqueReduction:
             nl, nr = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             edges = [(u, w) for u in range(nl) for w in range(nr)
                      if rng.random() < 0.6]
-            g = BipartiteGraph.from_edges(nl, nr, edges)
+            g = BipartiteGraph(nl, nr, edges)
             for t in range(1, min(nl, nr) + 1):
                 inst, X, ell = biclique_reduction(g, t)
                 padded, t1 = pad_balanced(g, t)
@@ -239,7 +238,7 @@ class TestBicliqueReduction:
             nl, nr = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             edges = [(u, w) for u in range(nl) for w in range(nr)
                      if rng.random() < 0.5]
-            g = BipartiteGraph.from_edges(nl, nr, edges)
+            g = BipartiteGraph(nl, nr, edges)
             for t in range(1, min(nl, nr) + 1):
                 padded, t1 = pad_balanced(g, t)
                 assert padded.n_left == padded.n_right == 2 * t1 - 1
@@ -262,7 +261,7 @@ class TestFixedEll:
 
     def test_level_k_with_full_coverage(self):
         # X covers the union of every ballot, so no level can fail
-        inst = ApprovalInstance.from_approvals([{0, 1}, {0, 2}], 3, 3)
+        inst = ApprovalInstance([{0, 1}, {0, 2}], 3, 3)
         assert verify_fixed_ell_pjr_plus_bruteforce(inst, (0, 1, 2), 3).satisfied
 
 
@@ -271,9 +270,8 @@ class TestBicliqueBruteforce:
         (2, 2, [(0.0, 1)]), (2, 2, [(0, True)]), (2.0, 2, []), (2, -1, []),
     ])
     def test_rejects_non_integer_graphs(self, n_left, n_right, edges):
-        for build in (BipartiteGraph, BipartiteGraph.from_edges):
-            with pytest.raises(InputError):
-                build(n_left, n_right, edges)
+        with pytest.raises(InputError):
+            BipartiteGraph(n_left, n_right, edges)
 
     @pytest.mark.parametrize("t", [0, -1, 1.5, 2.0, True, "2"])
     def test_rejects_bad_size(self, t):
@@ -285,7 +283,7 @@ class TestBicliqueBruteforce:
             biclique_reduction(k33(), t)
 
     def test_numpy_endpoints_stored_as_int(self):
-        g = BipartiteGraph.from_edges(2, 1, [np.array([1, 0])])
+        g = BipartiteGraph(2, 1, [np.array([1, 0])])
         assert g == BipartiteGraph(2, 1, [(1, 0)])
         assert all(type(v) is int for e in g.edges for v in e)
 
@@ -293,11 +291,11 @@ class TestBicliqueBruteforce:
         assert find_balanced_biclique_bruteforce(k33(), 3) is not None
 
     def test_edgeless(self):
-        g = BipartiteGraph.from_edges(2, 2, [])
+        g = BipartiteGraph(2, 2, [])
         assert find_balanced_biclique_bruteforce(g, 1) is None
 
     def test_path_has_no_2x2(self):
-        g = BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)])
+        g = BipartiteGraph(2, 1, [(0, 0), (1, 0)])
         assert find_balanced_biclique_bruteforce(g, 2) is None
 
     def test_matches_plain_enumeration(self, rng):
@@ -305,7 +303,7 @@ class TestBicliqueBruteforce:
             nl, nr = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             edges = [(u, w) for u in range(nl) for w in range(nr)
                      if rng.random() < 0.5]
-            g = BipartiteGraph.from_edges(nl, nr, edges)
+            g = BipartiteGraph(nl, nr, edges)
             adj = {u: {w for (a, w) in g.edges if a == u} for u in range(nl)}
             for t in range(1, min(nl, nr) + 1):
                 expect = None

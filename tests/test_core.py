@@ -14,7 +14,7 @@ from conftest import group_approval_set
 
 
 def small_embedded():
-    appr = ApprovalInstance.from_approvals([{0}, {1}], 2, 1)
+    appr = ApprovalInstance([{0}, {1}], 2, 1)
     return embed_approval(appr)
 
 

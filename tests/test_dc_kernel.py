@@ -4,7 +4,8 @@ The sweep reference walks each unselected anchor's agents one at a time
 in distance order, keeps every selected center's distance to the grown
 ball as an explicit prefix minimum, and counts coverage with the audits'
 float test at every group end.  The fixed-level reference checks one
-ball per anchor.  Neither shares code with the kernel.
+ball per anchor, at the end of the eps-chain of sorted distances that
+holds the level's radius.  Neither shares code with the kernel.
 """
 
 import math
@@ -49,16 +50,21 @@ def reference_dc_sweep(inst, X, gamma, eps):
 
 
 def reference_fixed_ell(inst, X, ell, gamma, eps):
-    """The first anchor, in index order, whose ball of the need-th smallest
-    distance (closed, widened by eps) covers fewer than ell centers, with
-    its coalition and covered centers; None when there is none."""
+    """The first anchor, in index order, whose ball at the end of the chain
+    holding the need-th smallest distance (each next distance within eps of
+    the one before) covers fewer than ell centers, with its coalition
+    (closed, widened by eps) and covered centers; None when there is none."""
     D = inst.dists().tolist()
     n, k = inst.n, inst.k
     need = -((-ell * n) // k)
     for c in range(inst.m):
         if c in X:
             continue
-        radius = sorted(D[j][c] for j in range(n))[need - 1]
+        by_dist = sorted(D[j][c] for j in range(n))
+        i = need - 1
+        while i + 1 < n and by_dist[i + 1] <= by_dist[i] + eps:
+            i += 1
+        radius = by_dist[i]
         coalition = {j for j in range(n) if D[j][c] <= radius + eps}
         covered = {x for x in X
                    if min(D[j][x] for j in coalition) <= gamma * radius + eps}

@@ -10,7 +10,7 @@ from conftest import group_approval_set, random_profile
 
 
 def two_by_two():
-    return ApprovalInstance.from_approvals([{0}, {1}], 2, 1)
+    return ApprovalInstance([{0}, {1}], 2, 1)
 
 
 class TestConstruction:

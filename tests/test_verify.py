@@ -64,12 +64,27 @@ class TestFixedEllDc:
                 oracle_mpjr_plus_fixed_ell(inst, (0, 1, 2), ell)
 
     def test_matches_full_dc_scan(self, rng):
-        # violated at some level iff the all-levels verifier rejects
-        for _ in range(150):
-            inst, X = random_case(rng)
-            per_level = [not verify_fixed_ell_dc(inst, X, ell).satisfied
-                         for ell in range(1, inst.k + 1)]
-            assert any(per_level) == (not verify_dc_mpjr_plus(inst, X).satisfied)
+        # violated at some level iff the all-levels verifier rejects, at
+        # eps = 0 and, on tied integer grids, at eps wide enough to chain radii
+        cases = [(random_case(rng), (0.0,)) for _ in range(150)]
+        cases += [(integer_grid_case(rng), (1e-9, 0.25, 0.5, 1.0)) for _ in range(150)]
+        for (inst, X), epss in cases:
+            for gamma in (0.7, 1.0, 1.5):
+                for eps in epss:
+                    per_level = [not verify_fixed_ell_dc(inst, X, ell, gamma, eps).satisfied
+                                 for ell in range(1, inst.k + 1)]
+                    assert any(per_level) == \
+                        (not verify_dc_mpjr_plus(inst, X, gamma, eps).satisfied)
+
+    def test_eps_chain_end(self):
+        # the radii 0 and 1 of anchor 2 lie within eps = 1 of each other, so
+        # level 1 is checked at the chain end 1, as the sweep checks it,
+        # where both centers are within 1 + 1; at eps = 0 radius 0 falls short
+        inst = Instance.euclidean([[1.0], [0.0]], [[3.0], [3.0], [1.0], [3.0]], 2)
+        assert verify_dc_mpjr_plus(inst, (0, 1), eps=1.0).satisfied
+        assert verify_fixed_ell_dc(inst, (0, 1), 1, eps=1.0).satisfied
+        w = verify_fixed_ell_dc(inst, (0, 1), 1).witness
+        assert (w.center, w.level, w.radius, w.coalition, w.covered) == (2, 1, 0.0, {0}, set())
 
 
 class TestOracleEquivalence:
@@ -239,6 +254,33 @@ class TestEpsOnIntegerMetrics:
         assert violated > 0       # the draws reach violated verdicts too
 
 
+def eps_audits(inst, X, gamma, eps):
+    """Satisfied flags of the DC sweep, the small-k audit and every level
+    of the fixed-level audit."""
+    return ([verify_dc_mpjr_plus(inst, X, gamma, eps).satisfied,
+             verify_mpjr_plus_smallk(inst, X, gamma, eps=eps).satisfied]
+            + [verify_fixed_ell_dc(inst, X, ell, gamma, eps).satisfied
+               for ell in range(1, inst.k + 1)])
+
+
+class TestEpsMonotone:
+    def test_audits_monotone_in_eps(self, rng):
+        # a wider eps only widens every comparison: no audit may go from
+        # satisfied back to violated
+        flips = 0
+        for it in range(150):
+            inst, X = integer_grid_case(rng) if it % 2 else random_case(rng)
+            for gamma in (1.0, 1.5):
+                before = None
+                for eps in (0.0, 1e-9, 0.1, 0.25, 0.5, 1.0, 2.0):
+                    now = eps_audits(inst, X, gamma, eps)
+                    if before is not None:
+                        assert all(b <= a for b, a in zip(before, now))
+                        flips += before != now
+                    before = now
+        assert flips > 0          # some verdicts do change with eps
+
+
 class TestImplications:
     def test_chain(self, rng):
         for _ in range(300):
@@ -246,6 +288,20 @@ class TestImplications:
             if verify_mpjr_plus_smallk(inst, X).satisfied:
                 assert verify_dc_mpjr_plus(inst, X).satisfied
                 assert oracle_mpjr(inst, X).satisfied
+
+    def test_smallk_implies_dc_with_eps(self, rng):
+        # the small-k audit checks every coalition the DC audits check, with
+        # the same reach rule, so its acceptance carries over at any eps
+        satisfied = 0
+        for it in range(200):
+            inst, X = integer_grid_case(rng) if it % 2 else random_case(rng)
+            for gamma in (1.0, 1.5):
+                for eps in (0.0, 0.25, 1.0):
+                    dc, smallk, *levels = eps_audits(inst, X, gamma, eps)
+                    if smallk:
+                        satisfied += 1
+                        assert dc and all(levels)
+        assert satisfied > 0
 
 
 class TestCapsAndWitnesses:
