@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import bench, gen
 from .approval import ApprovalInstance
@@ -152,8 +153,13 @@ def _cmd_experiment(args) -> int:
         axioms=tuple(args.axioms.split(",")), gamma=args.gamma)
     progress = None
     if args.verbose:
-        progress = lambda done, total: print(f"{done}/{total} instances audited",
-                                             file=sys.stderr)
+        start = time.perf_counter()
+
+        def progress(done, total):
+            elapsed = time.perf_counter() - start
+            print(f"{done}/{total} instances audited, {elapsed:.1f} s elapsed, "
+                  f"{done / elapsed:.2f} instances/s, "
+                  f"ETA {elapsed * (total - done) / done:.1f} s", file=sys.stderr)
     report = bench.run_experiment(cfg, threads=args.threads, progress=progress)
     text = report.plot_data() if args.plot_data else report.to_csv()
     if args.out:

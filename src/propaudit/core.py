@@ -150,6 +150,22 @@ class Instance:
             raise InputError(f"{len(self.candidate_names)} candidate names for "
                              f"{self.m} candidates")
         self._ac = None  # cached n x m agent-candidate distance matrix
+        if metric == EUCLIDEAN and not self._span_fits():
+            with np.errstate(over="ignore"):
+                if not np.isfinite(self.dists()).all():
+                    raise InputError("distances must be finite")
+
+    def _span_fits(self) -> bool:
+        """Whether the largest agent-candidate gap per coordinate has a
+        finite distance.  ``_pairwise`` adds squares of gaps no larger, in
+        the same order, so then every entry of ``dists()`` is finite too."""
+        a, c = self._agent_points, self._candidate_points
+        with np.errstate(over="ignore"):
+            gap = np.maximum(a.max(axis=0) - c.min(axis=0), c.max(axis=0) - a.min(axis=0))
+            total = 0.0
+            for v in gap.tolist():
+                total += v * v
+        return math.isfinite(total)
 
     @classmethod
     def euclidean(cls, agents, candidates, k: int) -> "Instance":

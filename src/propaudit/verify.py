@@ -32,6 +32,16 @@ Two verification strategies live here:
   it fails early.  ``verify_fixed_ell_dc`` reads the same chunks of the
   same kernel, ``_dc_chunks``, at one level.
 
+* ``_dc_verdicts`` gives the experiment harness the eps = 0 DC verdicts
+  of many selections of one instance at once, as booleans.  At eps = 0
+  the sweep rejects exactly when, for some unselected anchor c and level
+  l <= k, the l-th smallest mu(c, x) over the selection exceeds R_l(c),
+  the ceil(l n / k)-th smallest d(., c).  Neither mu nor R depends on the
+  selection, so both are built once per instance (mu by
+  ``_coverage_radii``) and each selection costs a gather, a sort and a
+  comparison.  It is eps = 0 only: at eps > 0 a level is checked at the
+  end of R_l's eps-chain, not at R_l, as ``verify_fixed_ell_dc`` reads it.
+
 Both run on exact float distances, compared exactly by default (fixtures
 and embeddings have exact small-integer distances).  An opt-in ``eps``
 widens comparisons for noisy data.  In the DC audits an anchor's sorted
@@ -149,16 +159,16 @@ def _reach_rows(D, X, gamma, eps) -> np.ndarray:
 
 
 def _coverage_radii(keys, rows) -> np.ndarray:
-    """Per (anchor, agent) row of `keys`, the sorted min_j max(keys_j,
-    rows_tj) over the (center, agent) rows of `rows`, after a column 0 of
-    -inf: [:, l] is the l-th smallest, and level 0 is never short."""
+    """Per (anchor, agent) row of `keys`, min_j max(keys_j, rows_tj) for
+    each (center, agent) row t of `rows` in column t + 1, after a column 0
+    of -inf: sorted per row, [:, l] is the l-th smallest, and level 0 is
+    never short.  One column at a time, through one scratch like `keys`."""
     mu = np.empty((len(keys), len(rows) + 1))
     mu[:, 0] = -np.inf
     scratch = np.empty_like(keys)
     for t, row in enumerate(rows):
         np.maximum(keys, row, out=scratch)
         scratch.min(axis=1, out=mu[:, t + 1])
-    mu.sort(axis=1)
     return mu
 
 
@@ -191,14 +201,15 @@ def _dc_chunks(D, X, outs, n, gamma, eps):
     Yields (cols, s, group_end, mu) per chunk of ``_anchor_chunks`` (at
     most _CHUNK_ELEMS / n anchors, O(_CHUNK_ELEMS + n) scratch): the
     anchors, their sorted (anchor, agent) distances, where each chain ends,
-    and ``_coverage_radii``.  A chunk is computed only when the caller asks
-    past the chunks before it.
+    and ``_coverage_radii`` sorted per anchor.  A chunk is computed only
+    when the caller asks past the chunks before it.
     """
     G = _reach_rows(D, X, gamma, eps)
     for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n)):
         cols = outs[part]
         s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
         mu = _coverage_radii(s, G)
+        mu.sort(axis=1)
         s.sort(axis=1)
         group_end = np.empty(s.shape, dtype=bool)
         group_end[:, -1] = True
@@ -220,6 +231,41 @@ def _dc_scan(D, X, outs, n, k, gamma, eps):
         # dropped before the next chunk is computed, so it reuses their memory:
         # held across it, they cost a satisfied n=5000, m=100 sweep about 4%
         del s, group_end, mu, bad
+
+
+def _dc_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
+    """``verify_dc_mpjr_plus(instance, X, gamma).satisfied`` for each row X
+    of `selections`, an (s, k) array of distinct in-range centers, at
+    eps = 0.
+
+    The sweep rejects exactly when, for some unselected anchor c and level
+    l <= k, the l-th smallest mu(c, x) over X exceeds R_l(c), the
+    ceil(l n / k)-th smallest d(., c): the sweep checks the ball at R_l at
+    a level >= l, and every ball it checks at a level l' is at least R_l'
+    wide.  Neither mu nor R depends on X, so ``_coverage_radii`` builds mu
+    once for the centers some row uses, R comes from one sort per anchor,
+    and each row is a gather of m * k radii, a sort per anchor and a
+    comparison, in chunks of rows of at most _CHUNK_ELEMS radii; the
+    selected anchors are then masked out.
+    """
+    check_gamma(gamma)
+    D, k = instance.dists(), instance.k
+    (n, m), sel = D.shape, np.asarray(selections, dtype=np.intp).reshape(-1, k)
+    used, pos = np.unique(sel, return_inverse=True)
+    keys = np.ascontiguousarray(D.T)                   # (anchor, agent)
+    mu = _coverage_radii(keys, _reach_rows(D, used, gamma, 0.0))
+    keys.sort(axis=1)
+    R = keys[:, -((-np.arange(1, k + 1) * n) // k) - 1]    # (anchor, level)
+    cols = pos.reshape(sel.shape) + 1
+    ok = np.empty(len(sel), dtype=bool)
+    step = max(1, _CHUNK_ELEMS // (m * k))
+    for lo in range(0, len(sel), step):
+        block = mu[:, cols[lo:lo + step]]               # (anchor, row, level)
+        block.sort(axis=2)
+        short = (block > R[:, None, :]).any(axis=2)
+        short[sel[lo:lo + step], np.arange(block.shape[1])[:, None]] = False
+        ok[lo:lo + step] = ~short.any(axis=0)
+    return ok
 
 
 def _unselected(instance: Instance, X) -> np.ndarray:

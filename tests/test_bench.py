@@ -1,8 +1,36 @@
 import multiprocessing
 
+import numpy as np
 import pytest
 
-from propaudit import ConfigError, ExperimentConfig, bench, run_experiment
+from propaudit import (ConfigError, ExperimentConfig, bench, run_experiment,
+                       verify_dc_mpjr_plus, verify_mpjr_plus_smallk)
+from propaudit.gen import (GaussianConfig, gen_gaussian_instance, sample_selection,
+                           substream)
+
+
+def reference_csv(cfg):
+    """``to_csv(include_timing=False)`` of the grid, audited one selection
+    at a time by the public verifiers."""
+    verify = {"dc-mpjr+": verify_dc_mpjr_plus, "mpjr+": verify_mpjr_plus_smallk}
+    lines = ["n,g,axiom,gamma,satisfied,total,rate,seed"]
+    for n in cfg.n_values:
+        for g in cfg.g_values:
+            sat = dict.fromkeys(cfg.axioms, 0)
+            for idx in range(cfg.instances_per_cell):
+                inst = gen_gaussian_instance(GaussianConfig(
+                    n=n, g=g, sigma=cfg.sigma, k=cfg.k,
+                    seed=bench._instance_seed(cfg.master_seed, n, g, idx)))
+                for j in range(cfg.selections_per_instance):
+                    X = sample_selection(inst.m, cfg.k, substream(
+                        cfg.master_seed, "selection", n, g, idx, j))
+                    for a in cfg.axioms:
+                        sat[a] += verify[a](inst, X, cfg.gamma).satisfied
+            total = cfg.instances_per_cell * cfg.selections_per_instance
+            for a in sorted(cfg.axioms):
+                lines.append(f"{n},{g},{a},{cfg.gamma!r},{sat[a]},{total},"
+                             f"{sat[a] / total!r},{cfg.master_seed}")
+    return "\n".join(lines) + "\n"
 
 
 def tiny_config(**overrides):
@@ -102,6 +130,21 @@ class TestRun:
         # error does, so the pool must be closed by then, not by collection
         assert caught.value.args == ("generator failed",)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5])
+    @pytest.mark.parametrize("axioms", [("dc-mpjr+",), ("mpjr+",), ("mpjr+", "dc-mpjr+")])
+    def test_rows_match_per_selection_reference(self, axioms, gamma):
+        cfg = tiny_config(n_values=(10, 20), axioms=axioms, gamma=gamma)
+        assert run_experiment(cfg, threads=1).to_csv(include_timing=False) == \
+            reference_csv(cfg)
+
+    def test_implication_check_reads_the_batch(self, monkeypatch):
+        cfg = tiny_config(n_values=(20,), g_values=(2,))
+        assert run_experiment(cfg, threads=1).rate(20, 2, "mpjr+") > 0
+        monkeypatch.setattr(bench, "_dc_verdicts",
+                            lambda inst, sels, gamma: np.zeros(len(sels), dtype=bool))
+        with pytest.raises(AssertionError, match="implication breach"):
+            run_experiment(cfg, threads=1)
 
     def test_csv_header(self):
         report = run_experiment(tiny_config(), threads=1)

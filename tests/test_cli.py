@@ -1,7 +1,11 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +233,38 @@ class TestOtherCommands:
             {"voters": 2, "candidates": 2, "approvals": [[0], [1]], "k": 1}, **change)))
         assert main(["embed", str(appr)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["audit", "--selection", "0"], ["sear"],
+                                      ["baseline"], ["validate"]])
+    def test_overflowing_distances_exit_two(self, tmp_path, argv, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "metric": "euclidean", "dim": 2, "agents": [[1e308, 0], [-1e308, 0]],
+            "candidates": [[0, 0], [1, 0]], "k": 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "distances must be finite" in captured.err
+
+    def test_experiment_verbose_progress(self, monkeypatch, capsys):
+        # a clock that ticks per reading keeps mean_ms equal across the runs
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks) * 0.25)
+        argv = ["experiment", "--n-values", "20,30", "--g-values", "4",
+                "--instances", "2", "--selections", "3", "--threads", "1"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert main(argv + ["--verbose"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out and quiet.err == ""
+        lines = loud.err.splitlines()
+        assert len(lines) == 4
+        for done, line in enumerate(lines, 1):
+            assert re.fullmatch(rf"{done}/4 instances audited, \d+\.\d s elapsed, "
+                                r"\d+\.\d\d instances/s, ETA \d+\.\d s", line), line
+        assert lines[-1].endswith("ETA 0.0 s")
 
     def test_validate(self, prop3_2, tmp_path, capsys):
         assert main(["validate", prop3_2, "--triangle"]) == 0

@@ -121,6 +121,17 @@ class TestSelectionAndJson:
             check_selection(inst, [1, 1, 2])
         assert check_selection(inst, [3, 1, 2]) == (1, 2, 3)
 
+    def test_euclidean_rejects_overflowing_distances(self):
+        # finite coordinates whose squared gaps overflow: dists() would hold inf
+        with pytest.raises(InputError, match="distances must be finite"):
+            Instance.euclidean([[1e308, 0.0], [-1e308, 0.0]], [[0.0, 0.0]], 1)
+        with pytest.raises(InputError, match="distances must be finite"):
+            Instance.euclidean([[0.0, 0.0]], [[2e154, 0.0]], 1)
+        # the per-coordinate gap bound overflows (2e308 summed), yet every
+        # agent-candidate distance is finite: the instance stands
+        inst = Instance.euclidean([[1e154, 0.0], [0.0, 1e154]], [[0.0, 0.0]], 1)
+        assert np.isfinite(inst.dists()).all()
+
     @pytest.mark.parametrize("n_agents", [2.5, 2.0, True, "2", None])
     def test_explicit_rejects_non_integer_agent_count(self, n_agents):
         with pytest.raises(InputError):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from propaudit import (Instance, dc_violations, verify, verify_dc_mpjr_plus,
                        verify_fixed_ell_dc)
-from propaudit.verify import _anchor_chunks, _reach_radius
+from propaudit.verify import _anchor_chunks, _dc_verdicts, _reach_radius
 
 from conftest import random_case
 
@@ -170,6 +170,41 @@ def test_multi_chunk_sweeps_match_reference(monkeypatch, rng):
     inst, X = cases[0]
     assert [w.center for w in dc_violations(inst, X)] == [inst.m - 1]
     assert verify_fixed_ell_dc(inst, X, 1).witness.center == inst.m - 1
+
+
+def test_batched_verdicts_match_sweep(monkeypatch, rng):
+    """``_dc_verdicts`` gives ``verify_dc_mpjr_plus``'s verdict on 12,000+
+    audits: uniform and integer-grid points, gamma below and above 1, k
+    from 1 to m, and six selections per instance of at most 13 centers, so
+    selections share centers."""
+    audits = violated = 0
+    for it in range(2000):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 14))
+        k = int(rng.integers(1, m + 1))
+        pts = (rng.integers(0, 4, (n + m, 2)).astype(float) if it % 2
+               else rng.random((n + m, 2)))
+        inst = Instance.euclidean(pts[:n], pts[n:], k)
+        gamma = (0.7, 1.0, 1.5, 3.0)[it % 4]
+        sels = [tuple(sorted(int(x) for x in rng.choice(m, k, replace=False)))
+                for _ in range(6)]
+        expect = [verify_dc_mpjr_plus(inst, X, gamma).satisfied for X in sels]
+        assert _dc_verdicts(inst, sels, gamma).tolist() == expect
+        audits, violated = audits + len(sels), violated + expect.count(False)
+    assert audits >= 10000 and 1000 <= violated <= audits - 1000
+    # k = m leaves no unselected anchor; one agent; many rows across chunks
+    full = Instance.euclidean(rng.random((5, 2)), rng.random((3, 2)), 3)
+    assert _dc_verdicts(full, [(0, 1, 2)] * 2, 1.0).tolist() == [True, True]
+    one = Instance.euclidean(rng.random((1, 2)), rng.random((6, 2)), 2)
+    sels = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    assert _dc_verdicts(one, sels, 1.0).tolist() == \
+        [verify_dc_mpjr_plus(one, X).satisfied for X in sels]
+    inst, _ = last_anchor_violates(rng, 12)
+    sels = [(a, b) for a in range(12) for b in range(a + 1, 12)]
+    expect = [verify_dc_mpjr_plus(inst, X).satisfied for X in sels]
+    for cap in (1, 5, 1 << 16):
+        monkeypatch.setattr(verify, "_CHUNK_ELEMS", cap)
+        assert _dc_verdicts(inst, sels, 1.0).tolist() == expect
+    assert 0 < expect.count(False) < len(sels)
 
 
 def test_dc_violations_lists_every_violating_radius():
