@@ -1,5 +1,7 @@
-"""Approval-ballot committees: brute-force and sweep verifiers, plus the
-balanced-biclique instance generator used for hardness-style fixtures.
+"""Approval-ballot committees: brute-force verifiers, PJR+ through the
+small-k audit's search (``verify._smallk_hit``) on the ballots read as
+distances in {1, 2}, plus the balanced-biclique instance generator used
+for hardness-style fixtures.
 
 The exhaustive verifiers enumerate voter subsets (2^n) and are guarded by
 fixed caps (``verify_pjr_bruteforce`` also takes the cap that
@@ -10,13 +12,13 @@ inputs, not as production verification paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .core import (InputError, SizeError, Verdict, Witness, check_level,
                    check_selection, is_int, timed)
+from .verify import _smallk_hit, _unselected
 
 _MAX_VOTERS = 16       # voters whose 2^n coalitions are enumerated
 _MAX_SWEEP_K = 24      # committee size whose 2^k exclusion sets are swept
@@ -127,34 +129,25 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee,
 
 @timed
 def verify_pjr_plus_sweep(inst: ApprovalInstance, committee) -> Verdict:
-    """PJR+ by scanning exclusion sets Y and anchor candidates c.
-
-    For each Y strictly inside the committee, collect the voters approving
-    nobody in X \\ Y; a violation is an unselected c approved by at least
-    (|Y|+1) * q of them (integer cross-test).  Y is scanned by popcount
-    then lexicographically, c by index, so witnesses are deterministic.
-    """
+    """PJR+: no exclusion set Y strictly inside the committee and
+    unselected c where (|Y|+1) * q voters approve c and nobody in X \\ Y.
+    That is mPJR+ at gamma = 1 on the ballots read as distances, 1 =
+    approved and 2 = not, so ``verify._smallk_hit`` searches it: Y by
+    popcount then lexicographically, c by index.  The witness lists those
+    voters and, as `covered`, the set Y."""
     X = check_selection(inst, committee)
-    n, k = inst.n, inst.k
+    k = inst.k
     if k > _MAX_SWEEP_K:
         raise SizeError(f"k={k} exceeds sweep cap {_MAX_SWEEP_K}")
-    A = inst.matrix()
-    outs = [c for c in range(inst.m) if c not in set(X)]
-    for size in range(k):
-        for Y in combinations(X, size):
-            rest = [c for c in X if c not in Y]
-            unserved = ~A[:, rest].any(axis=1)
-            if not unserved.any() or not outs:
-                continue
-            counts = A[np.ix_(unserved, outs)].sum(axis=0)
-            hit = np.flatnonzero(counts * k >= (size + 1) * n)
-            if hit.size:
-                c = outs[int(hit[0])]
-                voters = frozenset(np.flatnonzero(unserved & A[:, c]).tolist())
-                wit = Witness(center=c, level=size + 1, radius=None,
-                              coalition=voters, covered=frozenset(Y))
-                return Verdict("pjr+", 1.0, False, wit)
-    return Verdict("pjr+", 1.0, True)
+    hit = _smallk_hit(np.where(inst.matrix(), 1.0, 2.0), X, _unselected(inst, X),
+                      k, 1.0, 0.0)
+    if hit is None:
+        return Verdict("pjr+", 1.0, True)
+    c, size, _, coalition, y = hit
+    wit = Witness(center=c, level=size + 1, radius=None,
+                  coalition=frozenset(np.flatnonzero(coalition).tolist()),
+                  covered=frozenset(X[p] for p in range(k) if y >> p & 1))
+    return Verdict("pjr+", 1.0, False, wit)
 
 
 @timed

@@ -7,11 +7,13 @@ then reject.  Neither offers representation guarantees.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
-from .core import EUCLIDEAN, Instance, SizeError, UnsupportedBackend, check_selection
+from .core import (EUCLIDEAN, InputError, Instance, SizeError, UnsupportedBackend,
+                   check_selection)
 from .gen import sample_selection, substream
 
 _MAX_CANDIDATES = 12        # C(12, 6) = 924 subsets at most
@@ -25,9 +27,14 @@ def kmedian_cost(instance: Instance, selection) -> float:
 
 
 def kmeans_cost(instance: Instance, selection) -> float:
-    """Sum over agents of the squared distance to the nearest selected center."""
+    """Sum over agents of the squared distance to the nearest selected
+    center; an InputError where that sum overflows a float."""
     xs = np.asarray(check_selection(instance, selection), dtype=np.intp)
-    return float((instance.dists()[:, xs] ** 2).min(axis=1).sum())
+    with np.errstate(over="ignore"):
+        cost = float((instance.dists()[:, xs] ** 2).min(axis=1).sum())
+    if not math.isfinite(cost):
+        raise InputError("k-means cost overflows a float")
+    return cost
 
 
 def kmedian_exhaustive(instance: Instance) -> tuple:

@@ -3,7 +3,9 @@
 Thin adapters only: every subcommand parses arguments, delegates to the
 library, and serializes the result.  Audit exit codes are 0 when the
 axiom is satisfied, 1 on a violation, and 2 on any input or usage error,
-so shell pipelines can gate on proportionality.
+so shell pipelines can gate on proportionality.  The ``propaudit``
+command (``console_main``) exits 3, with the traceback on stderr, when
+any other exception escapes ``main``: a crash is never read as a verdict.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import bench, gen
 from .approval import ApprovalInstance
@@ -19,7 +22,7 @@ from .baselines import (kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
                         kmedian_exhaustive, kmedian_local_search)
 from .core import (ConfigError, InfeasibleLevel, InputError, SizeError,
                    UnsupportedBackend, Instance, check_eps, check_gamma,
-                   dump_instance, load_instance, validate_metric)
+                   dump_instance, load_instance, read_json, validate_metric)
 from .embedding import embed_approval
 from .oracle import oracle_mpjr
 from .sear import run_sear
@@ -46,8 +49,7 @@ def _int_list(flag, text) -> tuple:
 
 def _read_selection(args) -> tuple:
     if args.selection_file:
-        with open(args.selection_file) as fh:
-            raw = json.load(fh)
+        raw = read_json(args.selection_file)
         if isinstance(raw, dict):
             if "selection" not in raw:
                 raise InputError(f"{args.selection_file} has no \"selection\" key")
@@ -195,9 +197,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    with open(args.approval) as fh:
-        inst = ApprovalInstance.from_dict(json.load(fh))
-    embedded = embed_approval(inst)
+    embedded = embed_approval(ApprovalInstance.from_dict(read_json(args.approval)))
     if args.out:
         dump_instance(embedded, args.out)
     else:
@@ -300,10 +300,20 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, SizeError, InfeasibleLevel, UnsupportedBackend,
             ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+def console_main(argv=None) -> int:
+    """``main``, but an exception that escapes it prints its traceback to
+    stderr and gives exit code 3."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

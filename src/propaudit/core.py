@@ -231,9 +231,19 @@ class Instance:
         raise InputError(f"unknown metric backend {metric!r}")
 
 
+def read_json(path):
+    """The JSON value in the file at `path`.  Bytes that are not UTF-8
+    JSON, and JSON nested deeper than the parser recurses, are an
+    InputError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{path} is not readable JSON: {exc}") from None
+
+
 def load_instance(path) -> Instance:
-    with open(path) as fh:
-        return Instance.from_dict(json.load(fh))
+    return Instance.from_dict(read_json(path))
 
 
 def dump_instance(instance: Instance, path) -> None:

@@ -16,7 +16,8 @@ Two verification strategies live here:
   (``_root_bounds``), and a size none keeps is skipped; a depth-first
   search over Y then skips every set where no kept anchor has enough
   agents whose such centers all lie in Y (``_exclusion_sets``).  Worst
-  case O(m n log n * 2^k): practical for small k only.
+  case O(m n log n * 2^k): practical for small k only.  The search,
+  ``_smallk_hit``, also runs approval PJR+ on a {1, 2} ballot matrix.
 
 * ``verify_dc_mpjr_plus`` checks each unselected anchor's tightest ball at
   every level through coverage radii: selected center x is covered by the
@@ -399,9 +400,9 @@ def _root_bounds(Lt, Ls, G, Gs, need, size):
     return bound
 
 
-def _exclusion_sets(Lt, G, size):
+def _exclusion_sets(Lt, G, size, need):
     """The exclusion sets Y with |Y| = size, as bit masks in scan order,
-    where some anchor has at least need = (size+1) * n / k agents whose
+    where some anchor has at least `need` agents whose
     blockers (``_blockers``) all lie in Y.  ``_alg1_scan`` finds nothing
     for any other Y.
 
@@ -418,8 +419,7 @@ def _exclusion_sets(Lt, G, size):
     * Below a branch an anchor never gains entries, so an anchor short of
       `need` at a node is short at every set under it.
     """
-    (nrow, n), k = Lt.shape, len(G)
-    need = -((-(size + 1) * n) // k)
+    nrow, k = len(Lt), len(G)
     rows, blocked, mult = _blockers(Lt, G, need)
 
     def walk(p, y, r, rows, blocked, left, mult):
@@ -442,19 +442,18 @@ def _exclusion_sets(Lt, G, size):
     yield from walk(0, 0, size, rows[fit], blocked[fit], left[fit], mult[fit])
 
 
-def _alg1_scan(Lt, G, rank, n, k, size, rest):
+def _alg1_scan(Lt, G, rank, need, rest):
     """One exclusion-set iteration of the small-k sweep, batched over anchors.
 
     ``Lt`` holds anchor distances as contiguous rows (anchor, agent) and
     ``G`` the reach radii g(d) of the selected centers as rows (center,
-    agent).  For the exclusion set Y (|Y| = size, complement rows `rest`),
-    evaluates the maximum number of simultaneously live intervals
-    [d(i,c), g(u_i)) per anchor row and returns (row, radius, g(u) vector)
-    of the first anchor where the count clears (size+1) * n / k, else
+    agent).  For the exclusion set Y (complement rows `rest`), evaluates
+    the maximum number of simultaneously live intervals [d(i,c), g(u_i))
+    per anchor row and returns (row, radius, g(u) vector) of the first
+    anchor where the count reaches `need`, ceil((|Y|+1) * n / k), else
     None.  g is monotone, so g(u) is the min over the `rest` rows.
     """
     ug = G[rest[0]] if len(rest) == 1 else G[rest].min(axis=0)
-    need = -((-(size + 1) * n) // k)
     # the overlap count can never exceed the number of nonempty intervals,
     # so rows short of the target are pruned before sorting
     alive = np.flatnonzero((Lt < ug[None, :]).sum(axis=1) >= need)
@@ -474,6 +473,42 @@ def _alg1_scan(Lt, G, rank, n, k, size, rest):
     return int(alive[ci]), float(Ls[ci, t]), ug
 
 
+def _smallk_hit(D, X, outs, k, gamma, eps):
+    """The small-k audit's search: its first violation as (anchor, size,
+    radius, coalition mask, y), y being Y as a bit mask over positions in
+    X, or None.  Per size |Y|, only anchors that pass ``_root_bounds`` are
+    scanned, and only the sets Y that ``_exclusion_sets`` keeps for them
+    once a size has more than ``_PLAIN_SETS``; the rest cannot violate.
+    The coalition is the agents within the radius, out of reach of X \\ Y.
+    """
+    n = len(D)
+    Lt = np.ascontiguousarray(D[:, outs].T)
+    G = _reach_rows(D, X, gamma, eps)
+    rank = np.arange(1, n + 1, dtype=np.int64)
+    rows, Lk = np.arange(len(outs)), Lt
+    for size in range(k):
+        need = -((-(size + 1) * n) // k)
+        if size:
+            # sorted once, after size 0, which ends most failing audits
+            if size == 1:
+                Ls, Gs = np.sort(Lt, axis=1), np.sort(G, axis=0)
+            rows = np.flatnonzero(_root_bounds(Lt, Ls, G, Gs, need, size) >= need)
+            if rows.size == 0:
+                continue
+            Lk = Lt[rows]
+        if math.comb(k, size) <= _PLAIN_SETS:
+            sets = (sum(1 << p for p in ypos) for ypos in combinations(range(k), size))
+        else:
+            sets = _exclusion_sets(Lk, G, size, need)
+        for y in sets:
+            hit = _alg1_scan(Lk, G, rank, need, [p for p in range(k) if not y >> p & 1])
+            if hit is not None:
+                ci, radius, ug = hit
+                c = int(outs[rows[ci]])
+                return c, size, radius, (D[:, c] <= radius) & (ug > radius), y
+    return None
+
+
 @timed
 def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
                             max_k: int = 24, eps: float = 0.0) -> Verdict:
@@ -482,47 +517,19 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     Checks exclusion sets Y inside the selection, by size; a violation is
     an anchor c and a radius r where at least (|Y|+1)*q agents sit within
     r of c yet farther than gamma*r + eps from every selected center
-    outside Y.  Only anchors that pass ``_root_bounds`` at a size are
-    scanned, and only the sets Y that ``_exclusion_sets`` keeps for them
-    once a size has more than ``_PLAIN_SETS``; the rest cannot violate.
+    outside Y.  The search is ``_smallk_hit``.
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
     check_eps(eps)
-    n, k = instance.n, instance.k
+    k = instance.k
     cap = min(max_k, 62)                # exclusion sets are int64 bit masks
     if k > cap:
         raise SizeError(f"k={k} exceeds exhaustive cap {cap}")
     D = instance.dists()
-    outs = _unselected(instance, X)
-    if len(outs) == 0:
+    hit = _smallk_hit(D, X, _unselected(instance, X), k, gamma, eps)
+    if hit is None:
         return Verdict("mpjr+", gamma, True)
-    Lt = np.ascontiguousarray(D[:, outs].T)
-    G = _reach_rows(D, X, gamma, eps)
-    rank = np.arange(1, n + 1, dtype=np.int64)
-    rows, Lk = np.arange(len(outs)), Lt
-    for size in range(k):
-        if size:
-            # sorted once, after size 0, which ends most failing audits
-            if size == 1:
-                Ls, Gs = np.sort(Lt, axis=1), np.sort(G, axis=0)
-            need = -((-(size + 1) * n) // k)
-            rows = np.flatnonzero(_root_bounds(Lt, Ls, G, Gs, need, size) >= need)
-            if rows.size == 0:
-                continue
-            Lk = Lt[rows]
-        if math.comb(k, size) <= _PLAIN_SETS:
-            sets = (sum(1 << p for p in ypos) for ypos in combinations(range(k), size))
-        else:
-            sets = _exclusion_sets(Lk, G, size)
-        for y in sets:
-            rest = [p for p in range(k) if not y >> p & 1]
-            hit = _alg1_scan(Lk, G, rank, n, k, size, rest)
-            if hit is None:
-                continue
-            ci, radius, ug = hit
-            c = outs[rows[ci]]
-            coalition = (D[:, c] <= radius) & (ug > radius)
-            return Verdict("mpjr+", gamma, False,
-                           _witness(D, X, c, size + 1, radius, coalition, gamma, eps))
-    return Verdict("mpjr+", gamma, True)
+    c, size, radius, coalition, _ = hit
+    return Verdict("mpjr+", gamma, False,
+                   _witness(D, X, c, size + 1, radius, coalition, gamma, eps))

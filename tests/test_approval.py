@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from propaudit import (ApprovalInstance, BipartiteGraph, InfeasibleLevel,
-                       InputError, SizeError, biclique_reduction,
+                       InputError, SizeError, Witness, biclique_reduction,
                        find_balanced_biclique_bruteforce, pad_balanced,
                        verify_fixed_ell_pjr_plus_bruteforce,
                        verify_pjr_bruteforce, verify_pjr_plus_sweep)
@@ -50,6 +50,46 @@ def pjr_plus_by_definition(inst, X):
             if min(ell, inst.k) > len(Xset & union):
                 return False
     return True
+
+
+def pjr_plus_by_exclusion_sets(inst, X):
+    """PJR+ by the plain 2^k loop: every exclusion set Y strictly inside X,
+    by popcount then lexicographically, and per Y the unselected
+    candidates by index; the first c approved by (|Y|+1) * q voters who
+    approve nobody in X \\ Y is the witness, with those voters and, as
+    `covered`, the set Y.  Returns (satisfied, witness dict or None)."""
+    X = tuple(sorted(X))
+    n, k = inst.n, inst.k
+    A = inst.matrix()
+    outs = [c for c in range(inst.m) if c not in X]
+    for size in range(k):
+        for Y in combinations(X, size):
+            unserved = ~A[:, [c for c in X if c not in Y]].any(axis=1)
+            if not unserved.any() or not outs:
+                continue
+            counts = A[np.ix_(unserved, outs)].sum(axis=0)
+            hit = np.flatnonzero(counts * k >= (size + 1) * n)
+            if hit.size:
+                c = outs[int(hit[0])]
+                voters = frozenset(np.flatnonzero(unserved & A[:, c]).tolist())
+                return False, Witness(center=c, level=size + 1, radius=None,
+                                      coalition=voters, covered=frozenset(Y)).to_dict()
+    return True, None
+
+
+def clustered_profile(rng, k):
+    """Voter groups of uneven size, each approving its own block of
+    unselected candidates and one committee member, plus sparse noise; a
+    heavy group served by one member is short at level 2 or more."""
+    m = k + int(rng.integers(k, 2 * k))
+    n = int(rng.integers(2 * k, 4 * k))
+    weight = rng.random(k) + 0.2 * (rng.random() < 0.5)
+    group = rng.choice(k, size=n, p=weight / weight.sum())
+    blocks = np.array_split(np.arange(k, m), k)
+    noise = rng.random((n, m)) < 0.03
+    approvals = [{int(group[i])} | set(blocks[group[i]].tolist())
+                 | set(np.flatnonzero(noise[i]).tolist()) for i in range(n)]
+    return ApprovalInstance(approvals, m, k), tuple(range(k))
 
 
 def instance1_profile():
@@ -179,6 +219,32 @@ class TestPjrPlusSweep:
             X = tuple(sorted(rng.choice(inst.m, size=inst.k, replace=False).tolist()))
             assert verify_pjr_plus_sweep(inst, X).satisfied == \
                 pjr_plus_by_definition(inst, X)
+
+    def test_matches_plain_exclusion_set_loop(self, rng):
+        checked = violated = high = 0
+        while checked < 5000:
+            p = rng.uniform(0.05, 0.35) if checked % 2 else rng.uniform(0.55, 0.95)
+            inst = random_profile(rng, max_n=15, max_m=11, p=p)
+            if inst.k > 9:
+                continue
+            checked += 1
+            X = rng.choice(inst.m, size=inst.k, replace=False).tolist()
+            v = verify_pjr_plus_sweep(inst, X)
+            got = (v.satisfied, v.witness.to_dict() if v.witness else None)
+            assert got == pjr_plus_by_exclusion_sets(inst, X), (inst, X)
+            violated += not v.satisfied
+            high += not v.satisfied and v.witness.level >= 2
+        assert violated >= 300 and high >= 100
+
+    def test_matches_plain_exclusion_set_loop_at_larger_k(self, rng):
+        violated = 0
+        for k in (12, 13, 14, 12, 13, 14):
+            inst, X = clustered_profile(rng, k)
+            v = verify_pjr_plus_sweep(inst, X)
+            got = (v.satisfied, v.witness.to_dict() if v.witness else None)
+            assert got == pjr_plus_by_exclusion_sets(inst, X), (inst, X)
+            violated += not v.satisfied
+        assert 0 < violated < 6
 
     def test_strengthens_pjr(self, rng):
         for _ in range(300):

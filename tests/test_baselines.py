@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ class TestKMeansSnapped:
         inst, _ = fixture_incomparability(1)
         with pytest.raises(UnsupportedBackend):
             kmeans_lloyd_snapped(inst, seed=0)
+
+    def test_cost_overflow_rejected(self):
+        # each squared distance is about 1e308; their sum is not finite
+        inst = Instance.euclidean([[1e154, 0.0], [-1e154, 0.0]], [[0.0, 0.0], [1.0, 0.0]], 1)
+        assert kmedian_cost(inst, (0,)) == 2e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="overflows"):
+                kmeans_cost(inst, (0,))
 
 
 class TestObjectiveFailureStory:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from propaudit import Instance, dump_instance
-from propaudit.cli import main
+from propaudit import cli
+from propaudit.cli import console_main, main
 from propaudit.gen import fixture_incomparability
 
 
@@ -248,6 +249,19 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "distances must be finite" in captured.err
 
+    def test_kmeans_cost_overflow_exit_two(self, tmp_path, capsys):
+        # finite distances near 1e154 whose squares sum past the float range
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "metric": "euclidean", "dim": 2, "agents": [[1e154, 0], [-1e154, 0]],
+            "candidates": [[0, 0], [1, 0]], "k": 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["baseline", str(path), "--objective", "kmeans"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k-means cost overflows" in captured.err
+
     def test_experiment_verbose_progress(self, monkeypatch, capsys):
         # a clock that ticks per reading keeps mean_ms equal across the runs
         ticks = itertools.count()
@@ -313,6 +327,32 @@ class TestOtherCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(data, k="x")))
         assert main(["audit", str(bad), "--selection", "1,2,3"]) == 2
+
+    @pytest.mark.parametrize("site", ["instance", "selection-file", "approval"])
+    def test_deeply_nested_json_exit_two(self, prop3_2, tmp_path, site, capsys):
+        # the parser recurses per level: 100,000 levels raise RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {"instance": ["audit", str(deep), "--selection", "0"],
+                "selection-file": ["audit", prop3_2, "--selection-file", str(deep)],
+                "approval": ["embed", str(deep)]}[site]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not readable JSON" in captured.err
+
+    def test_crash_exits_three(self, prop3_2, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("audit crashed")
+        monkeypatch.setattr(cli, "verify_dc_mpjr_plus", crash)
+        argv = ["audit", prop3_2, "--selection", "1,2,3"]
+        with pytest.raises(RuntimeError):
+            main(argv)
+        assert console_main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert captured.err.rstrip().endswith("RuntimeError: audit crashed")
 
 
 def test_cli_import_loads_no_scipy():

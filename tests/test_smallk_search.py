@@ -83,12 +83,13 @@ def test_search_matches_plain_filter(rng):
         for gamma, eps in CASES:
             G = np.ascontiguousarray(_reach_radius(D[:, list(X)], gamma, eps).T)
             for size in range(k):
-                got = list(_exclusion_sets(Lt, G, size))
+                need = -((-(size + 1) * n) // k)
+                got = list(_exclusion_sets(Lt, G, size, need))
                 assert got == reference_sets(inst, X, size, gamma, eps)
                 checked += len(got)
                 for ypos in combinations(range(k), size):
                     rest = [p for p in range(k) if p not in ypos]
-                    if _alg1_scan(Lt, G, rank, n, k, size, rest):
+                    if _alg1_scan(Lt, G, rank, need, rest):
                         assert sum(1 << p for p in ypos) in got
                         hits += 1
     assert checked > hits > 0
@@ -125,7 +126,7 @@ def test_search_matches_plain_filter_at_large_k(rng):
         gamma, eps = CASES[j % 3]
         G = _reach_rows(D, X, gamma, eps)
         for size in (0, 1, 2, k - 2, k - 1):
-            got = list(_exclusion_sets(Lt, G, size))
+            got = list(_exclusion_sets(Lt, G, size, -((-(size + 1) * inst.n) // k)))
             assert got == reference_sets(inst, X, size, gamma, eps)
             kept["small" if size < 3 else "large"] += len(got)
     assert min(kept.values()) > 0
@@ -255,8 +256,9 @@ def scan_every_set(inst, X, gamma, eps):
     G = _reach_rows(D, X, gamma, eps)
     rank = np.arange(1, n + 1)
     for size in range(k):
+        need = -((-(size + 1) * n) // k)
         for ypos in combinations(range(k), size):
-            hit = _alg1_scan(Lt, G, rank, n, k, size, [p for p in range(k) if p not in ypos])
+            hit = _alg1_scan(Lt, G, rank, need, [p for p in range(k) if p not in ypos])
             if hit:
                 ci, radius, ug = hit
                 c = outs[ci]
