@@ -20,25 +20,32 @@ _MAX_CANDIDATES = 12        # C(12, 6) = 924 subsets at most
 _LLOYD_ROUNDS = 100
 
 
+def _finite(cost: float, objective: str) -> float:
+    if not math.isfinite(cost):
+        raise InputError(f"{objective} cost overflows a float")
+    return cost
+
+
+@np.errstate(over="ignore")
 def kmedian_cost(instance: Instance, selection) -> float:
-    """Sum over agents of the distance to the nearest selected center."""
+    """Sum over agents of the distance to the nearest selected center; an
+    InputError where that sum overflows a float."""
     xs = np.asarray(check_selection(instance, selection), dtype=np.intp)
-    return float(instance.dists()[:, xs].min(axis=1).sum())
+    return _finite(float(instance.dists()[:, xs].min(axis=1).sum()), "k-median")
 
 
+@np.errstate(over="ignore")
 def kmeans_cost(instance: Instance, selection) -> float:
     """Sum over agents of the squared distance to the nearest selected
     center; an InputError where that sum overflows a float."""
     xs = np.asarray(check_selection(instance, selection), dtype=np.intp)
-    with np.errstate(over="ignore"):
-        cost = float((instance.dists()[:, xs] ** 2).min(axis=1).sum())
-    if not math.isfinite(cost):
-        raise InputError("k-means cost overflows a float")
-    return cost
+    return _finite(float((instance.dists()[:, xs] ** 2).min(axis=1).sum()), "k-means")
 
 
+@np.errstate(over="ignore")
 def kmedian_exhaustive(instance: Instance) -> tuple:
-    """Global k-median optimum by subset enumeration (lexicographic tie-break)."""
+    """Global k-median optimum by subset enumeration (lexicographic
+    tie-break); an InputError where every subset's cost overflows a float."""
     if instance.m > _MAX_CANDIDATES:
         raise SizeError(f"m={instance.m} exceeds exhaustive cap {_MAX_CANDIDATES}")
     D = instance.dists()
@@ -47,9 +54,12 @@ def kmedian_exhaustive(instance: Instance) -> tuple:
         cost = D[:, subset].min(axis=1).sum()
         if cost < best_cost:
             best, best_cost = subset, cost
+    if best is None:
+        raise InputError("every k-median cost overflows a float")
     return tuple(best)
 
 
+@np.errstate(over="ignore")             # an overflowing cost is kmedian_cost's error
 def kmedian_local_search(instance: Instance, seed: int, start=None) -> tuple:
     """Best-improvement single-swap descent from a uniform random start.
 

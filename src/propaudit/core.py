@@ -97,6 +97,11 @@ class Instance:
 
     Immutable after construction; every operation on it is pure, so
     instances are safe to share across threads and processes.
+
+    The DC audits read distances through ``rows``, which computes only the
+    rows they ask for and caches none, so each audit of a Euclidean
+    instance recomputes its rows.  Before auditing many selections of one
+    instance, call ``dists()`` once: ``rows`` then gathers from its cache.
     """
 
     def __init__(self, metric: str, k: int, *, agent_points=None,
@@ -186,6 +191,19 @@ class Instance:
                 self._ac = self._matrix[: self.n, self.n:]
         return self._ac
 
+    def rows(self, cols) -> np.ndarray:
+        """d(., c) for the candidates c in `cols`, as contiguous
+        (len(cols), n) rows, bit-equal to ``dists()[:, cols].T``.
+
+        Computed from the coordinates while ``dists()`` has not run (each
+        gap's square and the coordinate order are those of ``dists()``), and
+        gathered from the matrix otherwise; nothing is cached.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        if self._ac is None and self.metric == EUCLIDEAN:
+            return _pairwise(self._candidate_points[cols], self._agent_points)
+        return np.ascontiguousarray(self.dists()[:, cols].T)
+
     def to_explicit(self) -> "Instance":
         """Materialize the full metric as an explicit-matrix instance.
 
@@ -194,7 +212,10 @@ class Instance:
         if self.metric == EXPLICIT:
             return self
         pts = np.vstack([self._agent_points, self._candidate_points])
-        return Instance.explicit(_pairwise(pts, pts), self.n, self.k)
+        # an overflowing agent-agent distance is an InputError of explicit()
+        with np.errstate(over="ignore"):
+            full = _pairwise(pts, pts)
+        return Instance.explicit(full, self.n, self.k)
 
     def to_dict(self) -> dict:
         if self.metric == EUCLIDEAN:

@@ -30,8 +30,11 @@ Two verification strategies live here:
   (anchor, agent) scratch is bounded by ``_CHUNK_ELEMS``: chunks start
   small and double, and ``_dc_scan`` yields violations in scan order, so
   an audit that stops at the first one computes only a few anchors when
-  it fails early.  ``verify_fixed_ell_dc`` reads the same chunks of the
-  same kernel, ``_dc_chunks``, at one level.
+  it fails early.  Each chunk computes its anchors' distance rows
+  (``Instance.rows``), and the selection's rows are computed once per
+  audit, so scratch is O(k n + ``_CHUNK_ELEMS``) with no n x m matrix.
+  ``verify_fixed_ell_dc`` reads the same chunks of the same kernel,
+  ``_dc_chunks``, at one level.
 
 * ``_dc_verdicts`` gives the experiment harness the eps = 0 DC verdicts
   of many selections of one instance at once, as booleans.  At eps = 0
@@ -53,7 +56,7 @@ not finite and >= 0.
 
 g is ``_reach_radius``, the one code that turns gamma and eps into a
 radius threshold: each audit builds the reach rows g(d(., x)) of the
-selected centers once (``_reach_rows``) and compares radii against them.
+selected centers once and compares radii against them.
 
 Every metric witness is built by ``_witness`` from the caller's coalition
 rule: the closed ball for the default-coalition audits, the agents inside
@@ -188,7 +191,7 @@ def _anchor_chunks(count, cap):
         size = min(2 * size, cap)
 
 
-def _dc_chunks(D, X, outs, n, gamma, eps):
+def _dc_chunks(rows, XR, outs, n, gamma, eps):
     """The coverage kernel of both default-coalitions audits, per anchor chunk.
 
     Selected center x is covered by anchor c's ball of radius s (in
@@ -199,16 +202,18 @@ def _dc_chunks(D, X, outs, n, gamma, eps):
     eps of their neighbour in the sorted order form one chain, and a chain
     is checked only at its end.
 
-    Yields (cols, s, group_end, mu) per chunk of ``_anchor_chunks`` (at
-    most _CHUNK_ELEMS / n anchors, O(_CHUNK_ELEMS + n) scratch): the
-    anchors, their sorted (anchor, agent) distances, where each chain ends,
-    and ``_coverage_radii`` sorted per anchor.  A chunk is computed only
-    when the caller asks past the chunks before it.
+    `rows(cols)` gives the distance rows d(., c) of candidates `cols` as
+    (anchor, agent) rows, and `XR` those of the selection.  Yields
+    (cols, s, group_end, mu) per chunk of ``_anchor_chunks`` (at most
+    _CHUNK_ELEMS / n anchors, O(_CHUNK_ELEMS + n) scratch): the anchors,
+    their sorted (anchor, agent) distances, where each chain ends, and
+    ``_coverage_radii`` sorted per anchor.  A chunk's rows are computed
+    only when the caller asks past the chunks before it.
     """
-    G = _reach_rows(D, X, gamma, eps)
+    G = _reach_radius(XR, gamma, eps)
     for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n)):
         cols = outs[part]
-        s = np.ascontiguousarray(D[:, cols].T)          # (anchor, agent)
+        s = rows(cols)                                  # (anchor, agent)
         mu = _coverage_radii(s, G)
         mu.sort(axis=1)
         s.sort(axis=1)
@@ -218,13 +223,19 @@ def _dc_chunks(D, X, outs, n, gamma, eps):
         yield cols, s, group_end, mu
 
 
-def _dc_scan(D, X, outs, n, k, gamma, eps):
+def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None):
     """Every violating (anchor, level, radius) of the default-coalitions
     audit over the unselected anchors, in deterministic order: anchors
     ascending, then radii ascending.  Each chain end of ``_dc_chunks`` is
-    checked at the level its ball deserves."""
+    checked at the level its ball deserves.
+
+    `D` is the n x m distance matrix or a row source like
+    ``Instance.rows``; `XR` is the selection's rows, if the caller has them.
+    """
+    rows = D if callable(D) else lambda cols: np.ascontiguousarray(D[:, cols].T)
+    XR = rows(np.asarray(X, dtype=np.intp)) if XR is None else XR
     levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
-    for cols, s, group_end, mu in _dc_chunks(D, X, outs, n, gamma, eps):
+    for cols, s, group_end, mu in _dc_chunks(rows, XR, outs, n, gamma, eps):
         bad = group_end & (mu[:, levels] > s)
         if bad.any():
             for ci, i in zip(*np.nonzero(bad)):         # anchors, then radii
@@ -275,11 +286,12 @@ def _unselected(instance: Instance, X) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _witness(D, X, anchor, level, radius, coalition, gamma, eps) -> Witness:
+def _witness(XR, X, anchor, level, radius, coalition, gamma, eps) -> Witness:
     """Violation witness for the agents in the boolean mask `coalition`,
-    with the selected centers within gamma*radius (+eps) of any of them."""
+    with the selected centers within gamma*radius (+eps) of any of them,
+    read from the selection's (center, agent) distance rows `XR`."""
     members = np.flatnonzero(coalition)
-    reach = D[np.ix_(members, np.asarray(X, dtype=np.intp))].min(axis=0)
+    reach = XR[:, members].min(axis=1)
     covered = frozenset(int(x) for x, r in zip(X, reach) if r <= gamma * radius + eps)
     return Witness(center=int(anchor), level=level, radius=radius,
                    coalition=frozenset(members.tolist()), covered=covered)
@@ -287,14 +299,18 @@ def _witness(D, X, anchor, level, radius, coalition, gamma, eps) -> Witness:
 
 def _dc_witnesses(instance: Instance, selection, gamma, eps):
     """The violations of ``_dc_scan`` as witnesses, in its order; each
-    coalition is the anchor's closed ball at the violating radius."""
+    coalition is the anchor's closed ball at the violating radius, read
+    from the anchor's own row."""
     X = check_selection(instance, selection)
     check_gamma(gamma)
     check_eps(eps)
-    D = instance.dists()
-    for a, l, r in _dc_scan(D, X, _unselected(instance, X), instance.n, instance.k,
-                            gamma, eps):
-        yield _witness(D, X, a, l, r, D[:, a] <= r + eps, gamma, eps)
+    XR = instance.rows(X)
+    row = None
+    for a, l, r in _dc_scan(instance.rows, X, _unselected(instance, X), instance.n,
+                            instance.k, gamma, eps, XR):
+        if row is None or a != row[0]:
+            row = a, instance.rows([a])[0]
+        yield _witness(XR, X, a, l, r, row[1] <= r + eps, gamma, eps)
 
 
 @timed
@@ -333,17 +349,17 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     check_eps(eps)
     n, k = instance.n, instance.k
     check_level(ell, k)
-    D = instance.dists()
+    XR = instance.rows(X)
     need = -((-ell * n) // k)
-    for cols, s, group_end, mu in _dc_chunks(D, X, _unselected(instance, X), n,
-                                             gamma, eps):
+    for cols, s, group_end, mu in _dc_chunks(instance.rows, XR, _unselected(instance, X),
+                                             n, gamma, eps):
         E = s[np.arange(len(cols)), need - 1 + group_end[:, need - 1:].argmax(axis=1)]
         bad = np.flatnonzero(mu[:, ell] > E)
         if bad.size:
             c, radius = int(cols[bad[0]]), float(E[bad[0]])
             return Verdict("fixed-ell-dc", gamma, False,
-                           _witness(D, X, c, ell, radius, D[:, c] <= radius + eps,
-                                    gamma, eps))
+                           _witness(XR, X, c, ell, radius,
+                                    instance.rows([c])[0] <= radius + eps, gamma, eps))
     return Verdict("fixed-ell-dc", gamma, True)
 
 
@@ -532,4 +548,4 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
         return Verdict("mpjr+", gamma, True)
     c, size, radius, coalition, _ = hit
     return Verdict("mpjr+", gamma, False,
-                   _witness(D, X, c, size + 1, radius, coalition, gamma, eps))
+                   _witness(D[:, X].T, X, c, size + 1, radius, coalition, gamma, eps))

@@ -98,6 +98,19 @@ class TestKMeansSnapped:
             with pytest.raises(InputError, match="overflows"):
                 kmeans_cost(inst, (0,))
 
+    def test_kmedian_overflow_rejected(self):
+        # each distance is finite; both subsets' sums are not
+        far = 1e308
+        inst = Instance.explicit([[0, 0, far, far], [0, 0, far, far],
+                                  [far, far, 0, 0], [far, far, 0, 0]], 2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="k-median cost overflows"):
+                kmedian_cost(inst, (0,))
+            with pytest.raises(InputError, match="every k-median cost overflows"):
+                kmedian_exhaustive(inst)
+            assert kmedian_local_search(inst, seed=0) in ((0,), (1,))
+
 
 class TestObjectiveFailureStory:
     def test_optimum_fails_both_audits_good_selection_passes(self):

@@ -262,6 +262,38 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "k-means cost overflows" in captured.err
 
+    @pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
+    def test_kmedian_cost_overflow_exit_two(self, tmp_path, extra, capsys):
+        # finite distances of 1e308 whose sums over two agents are not
+        far = 1e308
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "metric": "explicit", "agents": ["a0", "a1"], "candidates": ["c0", "c1"],
+            "matrix": [[0, 0, far, far], [0, 0, far, far],
+                       [far, far, 0, 0], [far, far, 0, 0]], "k": 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["baseline", str(path)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k-median cost overflows" in captured.err
+
+    def test_validate_overflowing_agent_distances(self, tmp_path, capsys):
+        # agent-candidate distances are finite, so audit accepts the file;
+        # validate checks the full metric, where the agents' distance is not
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "metric": "euclidean", "dim": 2, "agents": [[1e154, 0], [-1e154, 0]],
+            "candidates": [[0, 0], [1, 0]], "k": 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["audit", str(path), "--selection", "0"]) == 0
+            capsys.readouterr()
+            assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "distances must be finite" in captured.err
+
     def test_experiment_verbose_progress(self, monkeypatch, capsys):
         # a clock that ticks per reading keeps mean_ms equal across the runs
         ticks = itertools.count()

@@ -264,7 +264,8 @@ def scan_every_set(inst, X, gamma, eps):
                 c = outs[ci]
                 coalition = (D[:, c] <= radius) & (ug > radius)
                 return Verdict("mpjr+", gamma, False,
-                               _witness(D, X, c, size + 1, radius, coalition, gamma, eps))
+                               _witness(D[:, X].T, X, c, size + 1, radius, coalition,
+                                        gamma, eps))
     return Verdict("mpjr+", gamma, True)
 
 
