@@ -127,6 +127,11 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee,
     return Verdict("pjr", 1.0, False, wit)
 
 
+def _ballot_distances(inst: ApprovalInstance) -> np.ndarray:
+    """The ballots read as voter x candidate distances: 1 = approved, 2 = not."""
+    return np.where(inst.matrix(), 1.0, 2.0)
+
+
 @timed
 def verify_pjr_plus_sweep(inst: ApprovalInstance, committee) -> Verdict:
     """PJR+: no exclusion set Y strictly inside the committee and
@@ -139,7 +144,7 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee) -> Verdict:
     k = inst.k
     if k > _MAX_SWEEP_K:
         raise SizeError(f"k={k} exceeds sweep cap {_MAX_SWEEP_K}")
-    hit = _smallk_hit(np.where(inst.matrix(), 1.0, 2.0), X, _unselected(inst, X),
+    hit = _smallk_hit(_ballot_distances(inst), X, _unselected(inst, X),
                       k, 1.0, 0.0)
     if hit is None:
         return Verdict("pjr+", 1.0, True)

@@ -30,14 +30,25 @@ from .verify import (dc_violations, verify_dc_mpjr_plus, verify_fixed_ell_dc,
                      verify_mpjr_plus_smallk)
 
 AUDIT_AXIOMS = ("dc-mpjr+", "mpjr+", "mpjr-oracle", "fixed-ell-dc")
-# flag -> (default, the axioms that read it): off its default for any
-# other axiom, a flag is an input error
+# flag -> (default, the choices that read it): off its default for any
+# other choice, a flag is an input error (``_check_flags``)
 _AXIOM_FLAGS = {"gamma": (1.0, ("dc-mpjr+", "mpjr+", "fixed-ell-dc")),
                 "eps": (0.0, ("dc-mpjr+", "mpjr+", "fixed-ell-dc")),
                 "ell": (None, ("fixed-ell-dc",)),
                 "max_k": (24, ("mpjr+",)),
                 "max_agents": (16, ("mpjr-oracle",)),
                 "all_witnesses": (False, ("dc-mpjr+",))}
+_KIND_FLAGS = {flag: (default, ("gaussian",)) for flag, default in
+               (("n", None), ("g", None), ("sigma", 0.04), ("seed", 0), ("k", 5))}
+
+
+def _check_flags(args, table, choice):
+    """Reject each flag of `table` off its default that `--choice` does not read."""
+    value = getattr(args, choice)
+    for flag, (default, readers) in table.items():
+        if value not in readers and getattr(args, flag) != default:
+            raise InputError(f"--{flag.replace('_', '-')} does not apply to "
+                             f"--{choice} {value}")
 
 
 def _int_list(flag, text) -> tuple:
@@ -48,6 +59,8 @@ def _int_list(flag, text) -> tuple:
 
 
 def _read_selection(args) -> tuple:
+    if args.selection is not None and args.selection_file is not None:
+        raise InputError("give --selection or --selection-file, not both")
     if args.selection_file:
         raw = read_json(args.selection_file)
         if isinstance(raw, dict):
@@ -63,8 +76,7 @@ def _read_selection(args) -> tuple:
     return tuple(raw)
 
 
-def _emit(obj, out=None):
-    text = json.dumps(obj, indent=2) + "\n"
+def _write(text, out=None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -72,13 +84,14 @@ def _emit(obj, out=None):
         sys.stdout.write(text)
 
 
+def _emit(obj, out=None):
+    _write(json.dumps(obj, indent=2) + "\n", out)
+
+
 def _cmd_audit(args) -> int:
     check_gamma(args.gamma)
     check_eps(args.eps)
-    for flag, (default, axioms) in _AXIOM_FLAGS.items():
-        if args.axiom not in axioms and getattr(args, flag) != default:
-            raise InputError(f"--{flag.replace('_', '-')} does not apply to "
-                             f"--axiom {args.axiom}")
+    _check_flags(args, _AXIOM_FLAGS, "axiom")
     if args.all_witnesses and args.format != "json":
         raise InputError("--all-witnesses writes JSON only")
     instance = load_instance(args.instance)
@@ -111,7 +124,8 @@ def _cmd_audit(args) -> int:
         if wit is not None:
             extra = (f" (center={wit.center}, level={wit.level},"
                      f" radius={wit.radius})")
-        print(f"{verdict.axiom} gamma={verdict.gamma}: {verdict.status}{extra}")
+        _write(f"{verdict.axiom} gamma={verdict.gamma}: {verdict.status}{extra}\n",
+               args.out)
     return 0 if verdict.satisfied else 1
 
 
@@ -122,6 +136,7 @@ def _cmd_sear(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    _check_flags(args, _KIND_FLAGS, "kind")
     if args.kind == "gaussian":
         if args.n is None or args.g is None:
             raise InputError("gaussian generation needs --n and --g")
@@ -163,20 +178,15 @@ def _cmd_experiment(args) -> int:
                   f"{done / elapsed:.2f} instances/s, "
                   f"ETA {elapsed * (total - done) / done:.1f} s", file=sys.stderr)
     report = bench.run_experiment(cfg, threads=args.threads, progress=progress)
-    text = report.plot_data() if args.plot_data else report.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(report.plot_data() if args.plot_data else report.to_csv(), args.out)
     return 0
 
 
 def _cmd_baseline(args) -> int:
     if args.restarts < 1:
         raise InputError(f"--restarts must be >= 1, got {args.restarts}")
-    if args.exhaustive and (args.objective != "kmedian" or args.restarts != 1):
-        raise InputError("--exhaustive takes --objective kmedian and no --restarts")
+    if args.exhaustive and (args.objective, args.restarts, args.seed) != ("kmedian", 1, 0):
+        raise InputError("--exhaustive takes --objective kmedian, no --restarts or --seed")
     instance = load_instance(args.instance)
     objective = kmedian_cost if args.objective == "kmedian" else kmeans_cost
     best, best_cost = None, None
@@ -245,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a benchmark instance")
     p.add_argument("--kind", choices=("gaussian", "prop3-1", "prop3-2", "fig2"),
                    required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--sigma", type=float, default=0.04)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--n", type=int, default=_KIND_FLAGS["n"][0])
+    p.add_argument("--g", type=int, default=_KIND_FLAGS["g"][0])
+    p.add_argument("--sigma", type=float, default=_KIND_FLAGS["sigma"][0])
+    p.add_argument("--seed", type=int, default=_KIND_FLAGS["seed"][0])
+    p.add_argument("--k", type=int, default=_KIND_FLAGS["k"][0])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 

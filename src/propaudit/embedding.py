@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .approval import ApprovalInstance
+from .approval import ApprovalInstance, _ballot_distances
 from .core import Instance
 
 
 def embed_approval(inst: ApprovalInstance) -> Instance:
     """Explicit-matrix instance over voters + candidates, distances in {0,1,2,3,4}."""
     n, m = inst.n, inst.m
-    ac = np.full((n, m), 2.0)
-    for i, s in enumerate(inst.approvals):
-        ac[i, list(s)] = 1.0
+    ac = _ballot_distances(inst)
     # two-hop minima: agent-agent through a candidate, candidate-candidate
     # through an agent
     aa = (ac[:, None, :] + ac[None, :, :]).min(axis=2)

@@ -33,8 +33,9 @@ Two verification strategies live here:
   it fails early.  Each chunk computes its anchors' distance rows
   (``Instance.rows``), and the selection's rows are computed once per
   audit, so scratch is O(k n + ``_CHUNK_ELEMS``) with no n x m matrix.
-  ``verify_fixed_ell_dc`` reads the same chunks of the same kernel,
-  ``_dc_chunks``, at one level.
+  The sweep checks the i-th smallest radius at level floor(i k / n);
+  ``verify_fixed_ell_dc`` is the same scan with every level but one
+  switched off (level 0, which never falls short).
 
 * ``_dc_verdicts`` gives the experiment harness the eps = 0 DC verdicts
   of many selections of one instance at once, as booleans.  At eps = 0
@@ -191,58 +192,48 @@ def _anchor_chunks(count, cap):
         size = min(2 * size, cap)
 
 
-def _dc_chunks(rows, XR, outs, n, gamma, eps):
-    """The coverage kernel of both default-coalitions audits, per anchor chunk.
+def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None, ell=None):
+    """Every violating (anchor, level, radius) of the default-coalitions
+    audit over the unselected anchors, in deterministic order: anchors
+    ascending, then radii ascending.
 
-    Selected center x is covered by anchor c's ball of radius s (in
-    gamma * s + eps) exactly when mu(c, x) <= s, where
-    mu(c, x) = min_j max(d(j, c), g(d(j, x))).  So the coverage at a
-    radius s is the number of sorted mu values <= s, and s falls short of
-    a level exactly when the level-th smallest mu exceeds it.  Radii within
-    eps of their neighbour in the sorted order form one chain, and a chain
-    is checked only at its end.
+    Anchor c's ball of radius s covers x (in gamma * s + eps) exactly when
+    mu(c, x) <= s, so s falls short of a level when the level-th smallest
+    mu exceeds it.  Radii within eps of their neighbour form one chain,
+    checked only at its end: the i-th smallest radius at level
+    floor(i k / n).  With `ell`, radii before the ceil(ell n / k)-th are
+    checked at level 0, which mu's -inf column never fails, and the rest
+    at ell, so an anchor's first violation is at the end of the chain
+    holding that radius (later chain ends are larger).
 
-    `rows(cols)` gives the distance rows d(., c) of candidates `cols` as
-    (anchor, agent) rows, and `XR` those of the selection.  Yields
-    (cols, s, group_end, mu) per chunk of ``_anchor_chunks`` (at most
-    _CHUNK_ELEMS / n anchors, O(_CHUNK_ELEMS + n) scratch): the anchors,
-    their sorted (anchor, agent) distances, where each chain ends, and
-    ``_coverage_radii`` sorted per anchor.  A chunk's rows are computed
-    only when the caller asks past the chunks before it.
+    `D` is the n x m distance matrix or a row source like
+    ``Instance.rows``; `XR` is the selection's rows, if the caller has them.
+    Anchors run in the chunks of ``_anchor_chunks`` (O(_CHUNK_ELEMS + n)
+    scratch), each computed only when the caller asks past the ones before.
     """
+    rows = D if callable(D) else lambda cols: np.ascontiguousarray(D[:, cols].T)
+    XR = rows(np.asarray(X, dtype=np.intp)) if XR is None else XR
     G = _reach_radius(XR, gamma, eps)
+    levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
+    if ell is not None:
+        levels = np.where(levels >= ell, ell, 0)
+    # levels never decrease, so np.repeat spreads mu's columns over the radii:
+    # 18 against 180 us for mu[:, levels] at 3 anchors, n=2e4, k=20
+    spread = np.bincount(levels, minlength=k + 1)
     for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n)):
         cols = outs[part]
         s = rows(cols)                                  # (anchor, agent)
         mu = _coverage_radii(s, G)
         mu.sort(axis=1)
         s.sort(axis=1)
-        group_end = np.empty(s.shape, dtype=bool)
-        group_end[:, -1] = True
-        group_end[:, :-1] = s[:, 1:] > s[:, :-1] + eps
-        yield cols, s, group_end, mu
-
-
-def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None):
-    """Every violating (anchor, level, radius) of the default-coalitions
-    audit over the unselected anchors, in deterministic order: anchors
-    ascending, then radii ascending.  Each chain end of ``_dc_chunks`` is
-    checked at the level its ball deserves.
-
-    `D` is the n x m distance matrix or a row source like
-    ``Instance.rows``; `XR` is the selection's rows, if the caller has them.
-    """
-    rows = D if callable(D) else lambda cols: np.ascontiguousarray(D[:, cols].T)
-    XR = rows(np.asarray(X, dtype=np.intp)) if XR is None else XR
-    levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
-    for cols, s, group_end, mu in _dc_chunks(rows, XR, outs, n, gamma, eps):
-        bad = group_end & (mu[:, levels] > s)
+        bad = np.repeat(mu, spread, axis=1) > s
+        bad[:, :-1] &= s[:, 1:] > s[:, :-1] + eps       # chain ends only
         if bad.any():
             for ci, i in zip(*np.nonzero(bad)):         # anchors, then radii
                 yield int(cols[ci]), int(levels[i]), float(s[ci, i])
         # dropped before the next chunk is computed, so it reuses their memory:
         # held across it, they cost a satisfied n=5000, m=100 sweep about 4%
-        del s, group_end, mu, bad
+        del s, mu, bad
 
 
 def _dc_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
@@ -297,17 +288,19 @@ def _witness(XR, X, anchor, level, radius, coalition, gamma, eps) -> Witness:
                    coalition=frozenset(members.tolist()), covered=covered)
 
 
-def _dc_witnesses(instance: Instance, selection, gamma, eps):
-    """The violations of ``_dc_scan`` as witnesses, in its order; each
-    coalition is the anchor's closed ball at the violating radius, read
-    from the anchor's own row."""
+def _dc_witnesses(instance: Instance, selection, gamma, eps, ell=None):
+    """The violations of ``_dc_scan`` (at level `ell` only, if given) as
+    witnesses, in its order; each coalition is the anchor's closed ball at
+    the violating radius, read from the anchor's own row."""
     X = check_selection(instance, selection)
     check_gamma(gamma)
     check_eps(eps)
+    if ell is not None:
+        check_level(ell, instance.k)
     XR = instance.rows(X)
     row = None
     for a, l, r in _dc_scan(instance.rows, X, _unselected(instance, X), instance.n,
-                            instance.k, gamma, eps, XR):
+                            instance.k, gamma, eps, XR, ell):
         if row is None or a != row[0]:
             row = a, instance.rows([a])[0]
         yield _witness(XR, X, a, l, r, row[1] <= r + eps, gamma, eps)
@@ -339,28 +332,13 @@ def dc_violations(instance: Instance, selection, gamma: float = 1.0,
 def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
                         gamma: float = 1.0, eps: float = 0.0) -> Verdict:
     """Single-level default-coalitions audit: the sweep's check at level
-    ell only, per anchor at E, the end of the chain (``_dc_chunks``) that
-    holds the ceil(ell * n / k)-th smallest distance (at eps = 0, that
-    distance).  So some level falls short exactly when
-    ``verify_dc_mpjr_plus`` rejects.
+    ell only, per anchor at E, the end of the chain that holds the
+    ceil(ell * n / k)-th smallest distance (at eps = 0, that distance).
+    It is ``_dc_scan`` with every other level switched off, so some level
+    falls short exactly when ``verify_dc_mpjr_plus`` rejects.
     """
-    X = check_selection(instance, selection)
-    check_gamma(gamma)
-    check_eps(eps)
-    n, k = instance.n, instance.k
-    check_level(ell, k)
-    XR = instance.rows(X)
-    need = -((-ell * n) // k)
-    for cols, s, group_end, mu in _dc_chunks(instance.rows, XR, _unselected(instance, X),
-                                             n, gamma, eps):
-        E = s[np.arange(len(cols)), need - 1 + group_end[:, need - 1:].argmax(axis=1)]
-        bad = np.flatnonzero(mu[:, ell] > E)
-        if bad.size:
-            c, radius = int(cols[bad[0]]), float(E[bad[0]])
-            return Verdict("fixed-ell-dc", gamma, False,
-                           _witness(XR, X, c, ell, radius,
-                                    instance.rows([c])[0] <= radius + eps, gamma, eps))
-    return Verdict("fixed-ell-dc", gamma, True)
+    wit = next(_dc_witnesses(instance, selection, gamma, eps, ell), None)
+    return Verdict("fixed-ell-dc", gamma, wit is None, wit)
 
 
 def _blockers(Lt, G, need):

@@ -88,6 +88,14 @@ class TestAudit:
         assert main(["audit", prop3_2, "--selection-file", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_both_selection_sources_exit_two(self, prop3_2, tmp_path, capsys):
+        # the file's selection is satisfied, the flag's violated: neither wins
+        path = tmp_path / "sel.json"
+        path.write_text(json.dumps([0, 1, 2]))
+        assert main(["audit", prop3_2, "--selection", "1,2,3",
+                     "--selection-file", str(path)]) == 2
+        assert "--selection-file" in capsys.readouterr().err
+
     def test_selection_file_forms(self, prop3_2, tmp_path, capsys):
         path = tmp_path / "sel.json"
         for content in ({"selection": [1, 2, 3]}, [1, 2, 3]):
@@ -121,6 +129,15 @@ class TestAudit:
                      "--all-witnesses"]) == 1
         out = read_json(capsys)
         assert out["witnesses"] and out["witnesses"][0]["center"] == 0
+
+    def test_text_format_writes_out(self, prop3_2, tmp_path, capsys):
+        main(["audit", prop3_2, "--selection", "1,2,3", "--format", "text"])
+        line = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main(["audit", prop3_2, "--selection", "1,2,3", "--format", "text",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == line
 
 
     @pytest.mark.parametrize("argv", [
@@ -158,6 +175,16 @@ class TestGenerateAndPipeline:
 
     def test_generate_requires_args(self, capsys):
         assert main(["generate", "--kind", "gaussian"]) == 2
+
+    @pytest.mark.parametrize("kind", ["fig2", "prop3-1", "prop3-2"])
+    @pytest.mark.parametrize("flag,value", [("--n", "3"), ("--g", "2"), ("--k", "7"),
+                                            ("--sigma", "-1"), ("--seed", "1")])
+    def test_generate_fixture_flags_exit_two(self, kind, flag, value, capsys):
+        # a fixture is fixed: gaussian-only flags off their default are errors
+        assert main(["generate", "--kind", kind, flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert main(["generate", "--kind", kind, "--k", "5", "--seed", "0",
+                     "--sigma", "0.04"]) == 0
 
 
 class TestOtherCommands:
@@ -212,7 +239,8 @@ class TestOtherCommands:
         assert out["selection"] == [0, 3, 4]
 
     @pytest.mark.parametrize("argv", [["--objective", "kmeans", "--exhaustive"],
-                                      ["--exhaustive", "--restarts", "2"]])
+                                      ["--exhaustive", "--restarts", "2"],
+                                      ["--exhaustive", "--seed", "1"]])
     def test_baseline_exhaustive_misuse_exit_two(self, prop3_2, argv, capsys):
         assert main(["baseline", prop3_2] + argv) == 2
         assert "--exhaustive" in capsys.readouterr().err

@@ -124,19 +124,32 @@ def test_baseline_exit_codes(fixture_path, objective, restarts, seed, exhaustive
     if exhaustive:
         argv.append("--exhaustive")
     code = run(argv)
-    if restarts < 1 or (exhaustive and (objective != "kmedian" or restarts != 1)):
+    if restarts < 1 or (exhaustive and (objective != "kmedian" or restarts != 1
+                                        or seed != 0)):
         assert code == 2
 
 
 @FUZZ
 @given(kind=st.sampled_from(["gaussian", "prop3-1", "prop3-2", "fig2"]),
-       n=st.integers(-1, 12), g=st.integers(-1, 4), k=st.integers(-1, 4),
-       sigma=any_real, seed=st.integers(-3, 3))
+       n=st.none() | st.integers(-1, 12), g=st.none() | st.integers(-1, 4),
+       k=st.none() | st.integers(-1, 6), sigma=st.none() | any_real,
+       seed=st.none() | st.integers(-3, 3))
 def test_generate_exit_codes(kind, n, g, k, sigma, seed):
-    code = run(["generate", "--kind", kind, "--n", str(n), "--g", str(g),
-                "--k", str(k), "--sigma", sigma, "--seed", str(seed)])
-    if kind == "gaussian" and not in_range(sigma, 0, False):
+    argv = ["generate", "--kind", kind]
+    for flag, value in (("--n", n), ("--g", g), ("--k", k), ("--sigma", sigma),
+                        ("--seed", seed)):
+        if value is not None:
+            argv += [flag, str(value)]
+    code = run(argv)
+    if kind == "gaussian":
+        bad = n is None or g is None or not in_range(sigma or "0.04", 0, False)
+    else:   # a fixture reads none of the flags: each off its default is an error
+        bad = (n is not None or g is not None or given_as(k, 5)
+               or given_as(sigma, 0.04) or given_as(seed, 0))
+    if bad:
         assert code == 2
+    elif kind != "gaussian":
+        assert code == 0
 
 
 @pytest.fixture(scope="module")

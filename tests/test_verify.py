@@ -52,8 +52,13 @@ class TestFixedEllDc:
                 verify_fixed_ell_dc(inst, X, ell)
             with pytest.raises(InfeasibleLevel):
                 oracle_mpjr_plus_fixed_ell(inst, X, ell)
-        assert (verify_fixed_ell_dc(inst, X, np.int64(2)).witness
-                == verify_fixed_ell_dc(inst, X, 2).witness)
+        wit = verify_fixed_ell_dc(inst, X, np.int64(2)).witness
+        assert wit == verify_fixed_ell_dc(inst, X, 2).witness
+        assert type(wit.level) is int       # a numpy level is not JSON
+        # the selection is checked first: a bad selection with a bad level
+        # is the selection's error
+        with pytest.raises(InputError, match="selection"):
+            verify_fixed_ell_dc(inst, (0, 0, 1), inst.k + 1)
 
     def test_oracle_level_bounds(self, rng):
         # a full selection satisfies every level, so a SATISFIED verdict at
