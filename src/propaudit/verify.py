@@ -33,19 +33,17 @@ Two verification strategies live here:
   it fails early.  Each chunk computes its anchors' distance rows
   (``Instance.rows``), and the selection's rows are computed once per
   audit, so scratch is O(k n + ``_CHUNK_ELEMS``) with no n x m matrix.
-  The sweep checks the i-th smallest radius at level floor(i k / n);
-  ``verify_fixed_ell_dc`` is the same scan with every level but one
-  switched off (level 0, which never falls short).
-
-* ``_dc_verdicts`` gives the experiment harness the eps = 0 DC verdicts
-  of many selections of one instance at once, as booleans.  At eps = 0
-  the sweep rejects exactly when, for some unselected anchor c and level
-  l <= k, the l-th smallest mu(c, x) over the selection exceeds R_l(c),
-  the ceil(l n / k)-th smallest d(., c).  Neither mu nor R depends on the
-  selection, so both are built once per instance (mu by
-  ``_coverage_radii``) and each selection costs a gather, a sort and a
-  comparison.  It is eps = 0 only: at eps > 0 a level is checked at the
-  end of R_l's eps-chain, not at R_l, as ``verify_fixed_ell_dc`` reads it.
+  The sweep checks the i-th smallest radius s_i (1-based) at level
+  floor(i k / n); ``verify_fixed_ell_dc`` is the same scan with every
+  level but one switched off (level 0, which never falls short).  Only
+  anchors with mu_l > R_l at a checked level l are walked radius by
+  radius, mu_l being the l-th smallest mu(c, .) and R_l the
+  ceil(l n / k)-th smallest d(., c).  This drops no violation at any
+  gamma and eps: one at s_i has i >= ceil(l n / k), so mu_l > s_i >= R_l.
+  At eps = 0 the filter is the verdict, as R_l's chain ends at R_l, at a
+  level l' >= l with mu_l' >= mu_l.  So ``_dc_verdicts`` gives the
+  experiment harness these verdicts for many selections of one instance at
+  once: mu and R do not depend on the selection.
 
 Both run on exact float distances, compared exactly by default (fixtures
 and embeddings have exact small-integer distances).  An opt-in ``eps``
@@ -192,6 +190,11 @@ def _anchor_chunks(count, cap):
         size = min(2 * size, cap)
 
 
+def _level_index(n, k) -> np.ndarray:
+    """0-based index of the ceil(l n / k)-th smallest of n radii, l = 1..k."""
+    return -((-np.arange(1, k + 1) * n) // k) - 1
+
+
 def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None, ell=None):
     """Every violating (anchor, level, radius) of the default-coalitions
     audit over the unselected anchors, in deterministic order: anchors
@@ -203,8 +206,8 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None, ell=None):
     checked only at its end: the i-th smallest radius at level
     floor(i k / n).  With `ell`, radii before the ceil(ell n / k)-th are
     checked at level 0, which mu's -inf column never fails, and the rest
-    at ell, so an anchor's first violation is at the end of the chain
-    holding that radius (later chain ends are larger).
+    at ell.  Only anchors with mu_l > R_l at a checked level l (R_l is
+    the ceil(l n / k)-th smallest radius) are walked radius by radius.
 
     `D` is the n x m distance matrix or a row source like
     ``Instance.rows``; `XR` is the selection's rows, if the caller has them.
@@ -217,37 +220,32 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None, ell=None):
     levels = (np.arange(1, n + 1, dtype=np.int64) * k) // n
     if ell is not None:
         levels = np.where(levels >= ell, ell, 0)
-    # levels never decrease, so np.repeat spreads mu's columns over the radii:
-    # 18 against 180 us for mu[:, levels] at 3 anchors, n=2e4, k=20
-    spread = np.bincount(levels, minlength=k + 1)
+    q = _level_index(n, k)
     for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n)):
         cols = outs[part]
         s = rows(cols)                                  # (anchor, agent)
         mu = _coverage_radii(s, G)
         mu.sort(axis=1)
         s.sort(axis=1)
-        bad = np.repeat(mu, spread, axis=1) > s
-        bad[:, :-1] &= s[:, 1:] > s[:, :-1] + eps       # chain ends only
-        if bad.any():
-            for ci, i in zip(*np.nonzero(bad)):         # anchors, then radii
+        short = mu[:, 1:] > s[:, q]                     # (anchor, level)
+        for ci in np.flatnonzero(short.any(axis=1) if ell is None else short[:, ell - 1]):
+            bad = mu[ci, levels] > s[ci]
+            bad[:-1] &= s[ci, 1:] > s[ci, :-1] + eps    # chain ends only
+            for i in np.flatnonzero(bad):
                 yield int(cols[ci]), int(levels[i]), float(s[ci, i])
         # dropped before the next chunk is computed, so it reuses their memory:
         # held across it, they cost a satisfied n=5000, m=100 sweep about 4%
-        del s, mu, bad
+        del s, mu
 
 
 def _dc_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     """``verify_dc_mpjr_plus(instance, X, gamma).satisfied`` for each row X
     of `selections`, an (s, k) array of distinct in-range centers, at
-    eps = 0.
+    eps = 0, where ``_dc_scan``'s filter mu_l > R_l is the verdict.
 
-    The sweep rejects exactly when, for some unselected anchor c and level
-    l <= k, the l-th smallest mu(c, x) over X exceeds R_l(c), the
-    ceil(l n / k)-th smallest d(., c): the sweep checks the ball at R_l at
-    a level >= l, and every ball it checks at a level l' is at least R_l'
-    wide.  Neither mu nor R depends on X, so ``_coverage_radii`` builds mu
-    once for the centers some row uses, R comes from one sort per anchor,
-    and each row is a gather of m * k radii, a sort per anchor and a
+    Neither mu nor R depends on X, so ``_coverage_radii`` builds mu once
+    for the centers some row uses, R comes from one sort per anchor, and
+    each row is a gather of m * k radii, a sort per anchor and a
     comparison, in chunks of rows of at most _CHUNK_ELEMS radii; the
     selected anchors are then masked out.
     """
@@ -258,7 +256,7 @@ def _dc_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     keys = np.ascontiguousarray(D.T)                   # (anchor, agent)
     mu = _coverage_radii(keys, _reach_rows(D, used, gamma, 0.0))
     keys.sort(axis=1)
-    R = keys[:, -((-np.arange(1, k + 1) * n) // k) - 1]    # (anchor, level)
+    R = keys[:, _level_index(n, k)]                    # (anchor, level)
     cols = pos.reshape(sel.shape) + 1
     ok = np.empty(len(sel), dtype=bool)
     step = max(1, _CHUNK_ELEMS // (m * k))
@@ -333,9 +331,10 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
                         gamma: float = 1.0, eps: float = 0.0) -> Verdict:
     """Single-level default-coalitions audit: the sweep's check at level
     ell only, per anchor at E, the end of the chain that holds the
-    ceil(ell * n / k)-th smallest distance (at eps = 0, that distance).
-    It is ``_dc_scan`` with every other level switched off, so some level
-    falls short exactly when ``verify_dc_mpjr_plus`` rejects.
+    ceil(ell * n / k)-th smallest distance R_ell (at eps = 0, R_ell).
+    It is ``_dc_scan`` with every other level switched off, walking only
+    the anchors with mu_ell > R_ell, so some level falls short exactly
+    when ``verify_dc_mpjr_plus`` rejects.
     """
     wit = next(_dc_witnesses(instance, selection, gamma, eps, ell), None)
     return Verdict("fixed-ell-dc", gamma, wit is None, wit)

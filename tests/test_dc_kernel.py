@@ -91,14 +91,16 @@ def test_kernel_matches_reference_sweep(rng):
     for it in range(2100):
         inst, X = tied_case(rng) if it % 3 == 0 else random_case(rng, 12, 7, 4)
         X = tuple(sorted(X))
-        for gamma in (1.0, 1.5, 3.0):
-            for eps in (0.0, 1e-9, 0.25):
-                expect = reference_dc_sweep(inst, X, gamma, eps)
-                assert [as_tuple(w) for w in dc_violations(inst, X, gamma, eps)] == expect
-                verdict = verify_dc_mpjr_plus(inst, X, gamma, eps)
-                assert verdict.satisfied == (not expect)
-                if expect:
-                    assert as_tuple(verdict.witness) == expect[0]
+        pairs = [(gamma, eps) for gamma in (1.0, 1.5, 3.0) for eps in (0.0, 1e-9, 0.25)]
+        if it % 3 == 0:             # grid chains of width 1 span level boundaries
+            pairs.append((0.7, 1.0))
+        for gamma, eps in pairs:
+            expect = reference_dc_sweep(inst, X, gamma, eps)
+            assert [as_tuple(w) for w in dc_violations(inst, X, gamma, eps)] == expect
+            verdict = verify_dc_mpjr_plus(inst, X, gamma, eps)
+            assert verdict.satisfied == (not expect)
+            if expect:
+                assert as_tuple(verdict.witness) == expect[0]
 
 
 def test_fixed_ell_matches_reference(rng):
@@ -218,6 +220,25 @@ def test_dc_violations_lists_every_violating_radius():
         [(0, 1, 2.0), (0, 1, 3.0), (0, 2, 4.0)]
     assert wits[0].coalition == {0, 1} and wits[1].coalition == {0, 1, 2}
     assert verify_dc_mpjr_plus(inst, (1, 2)).witness == wits[0]
+
+
+def test_tie_across_level_boundary_raises_witness_level():
+    # anchor 0 at the origin, agents at distances 1, 2, 2, 2, both selected
+    # centers far away: level 1 falls short at R_1 = 2 (mu_1 > R_1), but
+    # the chain of 2s ends at the fourth radius, so the sweep's first
+    # witness is at level 2
+    inst = Instance.euclidean([[1.0], [2.0], [-2.0], [2.0]],
+                              [[0.0], [100.0], [-100.0]], 2)
+    X = (1, 2)
+    for gamma, eps in ((1.0, 0.0), (1.5, 0.25)):
+        expect = reference_dc_sweep(inst, X, gamma, eps)
+        assert [as_tuple(w) for w in dc_violations(inst, X, gamma, eps)] == expect
+        assert [w[:3] for w in expect] == [(0, 2, 2.0)]
+        assert as_tuple(verify_dc_mpjr_plus(inst, X, gamma, eps).witness) == expect[0]
+        for ell in (1, 2):
+            expect = reference_fixed_ell(inst, X, ell, gamma, eps)
+            assert expect[:3] == (0, ell, 2.0)
+            assert as_tuple(verify_fixed_ell_dc(inst, X, ell, gamma, eps).witness) == expect
 
 
 def test_unit_gamma_without_eps_reach_is_identity(rng):

@@ -88,6 +88,9 @@ class TestFixedEllDc:
         inst = Instance.euclidean([[1.0], [0.0]], [[3.0], [3.0], [1.0], [3.0]], 2)
         assert verify_dc_mpjr_plus(inst, (0, 1), eps=1.0).satisfied
         assert verify_fixed_ell_dc(inst, (0, 1), 1, eps=1.0).satisfied
+        # anchor 2 passes the mu_1 > R_1 filter (R_1 = 0), and its walk
+        # clears it at the chain end
+        assert dc_violations(inst, (0, 1), eps=1.0) == []
         w = verify_fixed_ell_dc(inst, (0, 1), 1).witness
         assert (w.center, w.level, w.radius, w.coalition, w.covered) == (2, 1, 0.0, {0}, set())
 
