@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (InputError, SizeError, Verdict, Witness, check_level,
                    check_selection, is_int, timed)
-from .verify import _smallk_hit, _unselected
+from .verify import _reach_rows, _smallk_hit, _unselected
 
 _MAX_VOTERS = 16       # voters whose 2^n coalitions are enumerated
 _MAX_SWEEP_K = 24      # committee size whose 2^k exclusion sets are swept
@@ -144,12 +144,12 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee) -> Verdict:
     k = inst.k
     if k > _MAX_SWEEP_K:
         raise SizeError(f"k={k} exceeds sweep cap {_MAX_SWEEP_K}")
-    hit = _smallk_hit(_ballot_distances(inst), X, _unselected(inst, X),
-                      k, 1.0, 0.0)
+    D, outs = _ballot_distances(inst), _unselected(inst, X)
+    hit = _smallk_hit(np.ascontiguousarray(D[:, outs].T), _reach_rows(D, X, 1.0, 0.0), k)
     if hit is None:
         return Verdict("pjr+", 1.0, True)
-    c, size, _, coalition, y = hit
-    wit = Witness(center=c, level=size + 1, radius=None,
+    row, size, _, coalition, y = hit
+    wit = Witness(center=int(outs[row]), level=size + 1, radius=None,
                   coalition=frozenset(np.flatnonzero(coalition).tolist()),
                   covered=frozenset(X[p] for p in range(k) if y >> p & 1))
     return Verdict("pjr+", 1.0, False, wit)

@@ -11,6 +11,7 @@ any other exception escapes ``main``: a crash is never read as a verdict.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -26,7 +27,7 @@ from .core import (ConfigError, InfeasibleLevel, InputError, SizeError,
 from .embedding import embed_approval
 from .oracle import oracle_mpjr
 from .sear import run_sear
-from .verify import (dc_violations, verify_dc_mpjr_plus, verify_fixed_ell_dc,
+from .verify import (_dc_witnesses, verify_dc_mpjr_plus, verify_fixed_ell_dc,
                      verify_mpjr_plus_smallk)
 
 AUDIT_AXIOMS = ("dc-mpjr+", "mpjr+", "mpjr-oracle", "fixed-ell-dc")
@@ -77,15 +78,36 @@ def _read_selection(args) -> tuple:
 
 
 def _write(text, out=None):
+    _write_chunks((text,), out)
+
+
+def _write_chunks(chunks, out=None):
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit(obj, out=None):
     _write(json.dumps(obj, indent=2) + "\n", out)
+
+
+def _emit_witnesses(head, first, rest, out=None):
+    """``_emit`` of `head` with a last key "witnesses" listing `first` and
+    the witnesses of the iterator `rest`, the same bytes written one
+    witness at a time: no list of them is held."""
+    def chunks():
+        text = json.dumps(dict(head, witnesses=[]), indent=2)
+        if first is None:
+            yield text + "\n"
+            return
+        yield text[:-4] + "[\n"                    # cut the closing "[]\n}"
+        for i, wit in enumerate(itertools.chain((first,), rest)):
+            item = json.dumps(wit.to_dict(), indent=2).replace("\n", "\n    ")
+            yield (",\n    " if i else "    ") + item
+        yield "\n  ]\n}\n"
+    _write_chunks(chunks(), out)
 
 
 def _cmd_audit(args) -> int:
@@ -98,11 +120,13 @@ def _cmd_audit(args) -> int:
     selection = _read_selection(args)
     if args.axiom == "dc-mpjr+":
         if args.all_witnesses:
-            wits = dc_violations(instance, selection, args.gamma, args.eps)
-            _emit({"axiom": "dc-mpjr+", "gamma": args.gamma,
-                   "satisfied": not wits,
-                   "witnesses": [w.to_dict() for w in wits]}, args.out)
-            return 0 if not wits else 1
+            wits = _dc_witnesses(instance, selection, args.gamma, args.eps)
+            # the first witness is taken before --out is opened, so an input
+            # error leaves no file
+            first = next(wits, None)
+            _emit_witnesses({"axiom": "dc-mpjr+", "gamma": args.gamma,
+                             "satisfied": first is None}, first, wits, args.out)
+            return 0 if first is None else 1
         verdict = verify_dc_mpjr_plus(instance, selection, args.gamma, args.eps)
     elif args.axiom == "mpjr+":
         verdict = verify_mpjr_plus_smallk(instance, selection, args.gamma,

@@ -63,6 +63,40 @@ def is_finite(value) -> bool:
             and math.isfinite(value))
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """`values` as a float64 array, each entry a real number as given.
+
+    Strings, nulls, bools and integers too large for a float are an
+    InputError, never converted.  Strings and nulls show in the dtype numpy
+    infers, and so do integers past uint64 (object).  A bool becomes 0 or
+    1 among numbers, so only the entries equal to 0 or 1 of a nested
+    sequence are looked up and type-checked.
+    """
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:
+        raise InputError(f"{what} is not an array of numbers: {exc}") from None
+    if a.dtype.kind == "O":
+        flat = a.ravel().tolist()
+        for v in flat:
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)):
+                raise InputError(f"{what} entry {v!r} is not a number")
+        try:
+            return np.array([float(v) for v in flat]).reshape(a.shape)
+        except OverflowError:
+            raise InputError(f"{what} holds an integer too large for a float") from None
+    if a.dtype.kind not in "iuf":
+        raise InputError(f"{what} entries must be numbers, got dtype {a.dtype}")
+    if not isinstance(values, np.ndarray):
+        for flat in np.flatnonzero((a == 0) | (a == 1)).tolist():
+            v = values
+            for i in np.unravel_index(flat, a.shape):
+                v = v[i]
+            if isinstance(v, (bool, np.bool_)):
+                raise InputError(f"{what} entry {v!r} is not a number")
+    return a.astype(np.float64, copy=False)
+
+
 def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a and the rows of b.
 
@@ -108,8 +142,8 @@ class Instance:
                  candidate_points=None, matrix=None, n_agents: int | None = None,
                  agent_names=None, candidate_names=None):
         if metric == EUCLIDEAN:
-            ap = np.asarray(agent_points, dtype=np.float64)
-            cp = np.asarray(candidate_points, dtype=np.float64)
+            ap = _numbers(agent_points, "agents")
+            cp = _numbers(candidate_points, "candidates")
             if ap.ndim != 2 or cp.ndim != 2 or ap.shape[1] != cp.shape[1]:
                 raise InputError("euclidean points must be 2-D arrays of equal dimension")
             if not (np.isfinite(ap).all() and np.isfinite(cp).all()):
@@ -121,7 +155,7 @@ class Instance:
             self.m = cp.shape[0]
             self.dim = ap.shape[1]
         elif metric == EXPLICIT:
-            d = np.asarray(matrix, dtype=np.float64)
+            d = _numbers(matrix, "matrix")
             if not is_int(n_agents):
                 raise InputError(f"n_agents must be an integer, got {n_agents!r}")
             if d.ndim != 2 or d.shape[0] != d.shape[1]:

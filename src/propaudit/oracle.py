@@ -126,15 +126,21 @@ def oracle_mpjr_plus_fixed_ell(instance: Instance, selection, ell: int,
 
 
 @timed
-def oracle_dc(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
-    """Default-coalitions audit transcribed per (anchor, level) pair, at
-    eps = 0 only: each level's radius is checked as it is, with no chain.
+def oracle_dc(instance: Instance, selection, gamma: float = 1.0, eps: float = 0.0) -> Verdict:
+    """Default-coalitions audit transcribed per (anchor, level) pair.
+
+    Level ell of anchor c is checked at E, the end of the eps-chain that
+    holds R, the ceil(ell n / k)-th smallest d(., c): from R, the sorted
+    distances are walked while the next is within eps of the last (at
+    eps = 0, E = R).  The coalition is the closed ball of radius E, and a
+    selected center covers it when some member is within gamma * E + eps.
 
     Independent of the sweep verifier: radii come from a plain sort, and
     coverage from explicit ball membership.
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
+    check_eps(eps)
     n, k = instance.n, instance.k
     D = instance.dists()
     xs = np.asarray(X, dtype=np.intp)
@@ -144,14 +150,15 @@ def oracle_dc(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
             continue
         by_dist = np.sort(D[:, c])
         for ell in range(1, k + 1):
-            need = -((-ell * n) // k)
-            radius = float(by_dist[need - 1])
+            end = -((-ell * n) // k) - 1
+            while end + 1 < n and by_dist[end + 1] <= by_dist[end] + eps:
+                end += 1
+            radius = float(by_dist[end])
             members = np.flatnonzero(D[:, c] <= radius)
             reach = D[np.ix_(members, xs)].min(axis=0)
-            cov = int((reach <= gamma * radius).sum())
-            if cov < ell:
-                covered = frozenset(int(x) for x, d in zip(X, reach)
-                                    if d <= gamma * radius)
+            covered = frozenset(int(x) for x, d in zip(X, reach)
+                                if d <= gamma * radius + eps)
+            if len(covered) < ell:
                 wit = Witness(center=c, level=ell, radius=radius,
                               coalition=frozenset(members.tolist()), covered=covered)
                 return Verdict("dc-oracle", gamma, False, wit)

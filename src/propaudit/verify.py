@@ -17,7 +17,13 @@ Two verification strategies live here:
   search over Y then skips every set where no kept anchor has enough
   agents whose such centers all lie in Y (``_exclusion_sets``).  Worst
   case O(m n log n * 2^k): practical for small k only.  The search,
-  ``_smallk_hit``, also runs approval PJR+ on a {1, 2} ballot matrix.
+  ``_smallk_hit``, takes the anchor rows, a source of their sorted copy
+  and the selection's reach rows, so it also runs approval PJR+ on a
+  {1, 2} ballot matrix, and ``_smallk_verdicts`` gives the experiment
+  harness the verdicts of many selections of one instance at once: it
+  builds the anchor and reach rows of all m candidates once, tests size 0
+  (Y empty) for every selection together, and sends only the selections
+  that pass it through the search, from size 1.
 
 * ``verify_dc_mpjr_plus`` checks each unselected anchor's tightest ball at
   every level through coverage radii: selected center x is covered by the
@@ -70,6 +76,7 @@ determinism; verdicts are order-independent either way.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -450,6 +457,13 @@ def _alg1_scan(Lt, G, rank, need, rest):
     # the overlap count can never exceed the number of nonempty intervals,
     # so rows short of the target are pruned before sorting
     alive = np.flatnonzero((Lt < ug[None, :]).sum(axis=1) >= need)
+    return _live_scan(Lt, ug, rank, need, alive)
+
+
+def _live_scan(Lt, ug, rank, need, alive):
+    """``_alg1_scan`` past its count prune, on the rows `alive` of ``Lt``
+    and the reach vector ``ug``: (row, radius, ug) of the first where the
+    live intervals reach `need`, else None."""
     if alive.size == 0:
         return None
     # clamp empty intervals to zero width so they cancel in the counting
@@ -466,25 +480,30 @@ def _alg1_scan(Lt, G, rank, need, rest):
     return int(alive[ci]), float(Ls[ci, t]), ug
 
 
-def _smallk_hit(D, X, outs, k, gamma, eps):
-    """The small-k audit's search: its first violation as (anchor, size,
-    radius, coalition mask, y), y being Y as a bit mask over positions in
-    X, or None.  Per size |Y|, only anchors that pass ``_root_bounds`` are
+def _smallk_hit(Lt, G, k, sorted_rows=None, first=0):
+    """The small-k audit's search over the anchors whose distance rows are
+    ``Lt`` (anchor, agent), against the selection's reach rows ``G``: its
+    first violation as (row of Lt, size, radius, coalition mask, y), y
+    being Y as a bit mask over the rows of G, or None.  Sizes below
+    `first` count as checked.
+
+    Per size |Y| >= 1, only anchors that pass ``_root_bounds`` are
     scanned, and only the sets Y that ``_exclusion_sets`` keeps for them
     once a size has more than ``_PLAIN_SETS``; the rest cannot violate.
-    The coalition is the agents within the radius, out of reach of X \\ Y.
+    The bound reads Lt sorted per row from `sorted_rows()`, called at the
+    first such size (``np.sort`` of Lt if not given).  The coalition is the
+    agents within the radius, out of reach of X \\ Y.
     """
-    n = len(D)
-    Lt = np.ascontiguousarray(D[:, outs].T)
-    G = _reach_rows(D, X, gamma, eps)
+    n = Lt.shape[1]
     rank = np.arange(1, n + 1, dtype=np.int64)
-    rows, Lk = np.arange(len(outs)), Lt
-    for size in range(k):
+    rows, Lk, Ls = np.arange(len(Lt)), Lt, None
+    for size in range(first, k):
         need = -((-(size + 1) * n) // k)
         if size:
-            # sorted once, after size 0, which ends most failing audits
-            if size == 1:
-                Ls, Gs = np.sort(Lt, axis=1), np.sort(G, axis=0)
+            if Ls is None:
+                # sorted only past size 0, which ends most failing audits
+                Ls = np.sort(Lt, axis=1) if sorted_rows is None else sorted_rows()
+                Gs = np.sort(G, axis=0)
             rows = np.flatnonzero(_root_bounds(Lt, Ls, G, Gs, need, size) >= need)
             if rows.size == 0:
                 continue
@@ -497,9 +516,56 @@ def _smallk_hit(D, X, outs, k, gamma, eps):
             hit = _alg1_scan(Lk, G, rank, need, [p for p in range(k) if not y >> p & 1])
             if hit is not None:
                 ci, radius, ug = hit
-                c = int(outs[rows[ci]])
-                return c, size, radius, (D[:, c] <= radius) & (ug > radius), y
+                row = int(rows[ci])
+                return row, size, radius, (Lt[row] <= radius) & (ug > radius), y
     return None
+
+
+def _check_smallk_cap(k, max_k=24):
+    cap = min(max_k, 62)                # exclusion sets are int64 bit masks
+    if k > cap:
+        raise SizeError(f"k={k} exceeds exhaustive cap {cap}")
+
+
+def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
+    """``verify_mpjr_plus_smallk(instance, X, gamma).satisfied`` for each
+    row X of `selections`, an (s, k) array of distinct in-range centers,
+    at eps = 0, with no witness built.
+
+    The anchor rows D.T and the reach rows of all m candidates are built
+    once; g is elementwise, so row x is bit-equal to ``_reach_rows(D,
+    [x])``.  Size 0 (Y empty) is tested for all rows at once: u, the min
+    over a row's k reach rows, goes through ``_alg1_scan``'s count prune
+    over (row, anchor) in chunks of at most _CHUNK_ELEMS entries, with the
+    selected anchors masked out, and ``_live_scan`` runs on the anchors it
+    keeps.  A row with no hit there goes through ``_smallk_hit`` from
+    size 1, on the anchor rows sorted once, when some row first needs them.
+    """
+    check_gamma(gamma)
+    k = instance.k
+    _check_smallk_cap(k)
+    D = instance.dists()
+    (n, m), sel = D.shape, np.asarray(selections, dtype=np.intp).reshape(-1, k)
+    LA = np.ascontiguousarray(D.T)                     # (anchor, agent)
+    GA = _reach_radius(LA, gamma, 0.0)                 # (center, agent)
+    sorted_all = functools.cache(lambda: np.sort(LA, axis=1))
+    rank = np.arange(1, n + 1, dtype=np.int64)
+    need = -(-n // k)
+    ok = np.empty(len(sel), dtype=bool)
+    step = max(1, _CHUNK_ELEMS // (m * n))
+    for lo in range(0, len(sel), step):
+        block = sel[lo:lo + step]
+        u = GA[block].min(axis=1)                      # (row, agent)
+        alive = np.count_nonzero(LA[None, :, :] < u[:, None, :], axis=2) >= need
+        alive[np.arange(len(block))[:, None], block] = False
+        for j, X in enumerate(block):
+            if _live_scan(LA, u[j], rank, need, np.flatnonzero(alive[j])) is not None:
+                ok[lo + j] = False
+                continue
+            outs = _unselected(instance, X)
+            ok[lo + j] = _smallk_hit(LA[outs], GA[X], k, lambda outs=outs: sorted_all()[outs],
+                                     first=1) is None
+    return ok
 
 
 @timed
@@ -515,14 +581,12 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     X = check_selection(instance, selection)
     check_gamma(gamma)
     check_eps(eps)
-    k = instance.k
-    cap = min(max_k, 62)                # exclusion sets are int64 bit masks
-    if k > cap:
-        raise SizeError(f"k={k} exceeds exhaustive cap {cap}")
-    D = instance.dists()
-    hit = _smallk_hit(D, X, _unselected(instance, X), k, gamma, eps)
+    _check_smallk_cap(instance.k, max_k)
+    D, outs = instance.dists(), _unselected(instance, X)
+    hit = _smallk_hit(np.ascontiguousarray(D[:, outs].T), _reach_rows(D, X, gamma, eps),
+                      instance.k)
     if hit is None:
         return Verdict("mpjr+", gamma, True)
-    c, size, radius, coalition, _ = hit
-    return Verdict("mpjr+", gamma, False,
-                   _witness(D[:, X].T, X, c, size + 1, radius, coalition, gamma, eps))
+    row, size, radius, coalition, _ = hit
+    return Verdict("mpjr+", gamma, False, _witness(D[:, X].T, X, int(outs[row]), size + 1,
+                                                   radius, coalition, gamma, eps))

@@ -3,8 +3,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from propaudit import (ConfigError, ExperimentConfig, bench, run_experiment,
-                       verify_dc_mpjr_plus, verify_mpjr_plus_smallk)
+from propaudit import (ConfigError, ExperimentConfig, Instance, SizeError, bench,
+                       run_experiment, verify, verify_dc_mpjr_plus, verify_mpjr_plus_smallk)
 from propaudit.gen import (GaussianConfig, gen_gaussian_instance, sample_selection,
                            substream)
 
@@ -140,11 +140,25 @@ class TestRun:
 
     def test_implication_check_reads_the_batch(self, monkeypatch):
         cfg = tiny_config(n_values=(20,), g_values=(2,))
-        assert run_experiment(cfg, threads=1).rate(20, 2, "mpjr+") > 0
-        monkeypatch.setattr(bench, "_dc_verdicts",
-                            lambda inst, sels, gamma: np.zeros(len(sels), dtype=bool))
+        report = run_experiment(cfg, threads=1)
+        assert report.rate(20, 2, "mpjr+") > 0 and report.rate(20, 2, "dc-mpjr+") < 1
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "_dc_verdicts",
+                          lambda inst, sels, gamma: np.zeros(len(sels), dtype=bool))
+            with pytest.raises(AssertionError, match="implication breach"):
+                run_experiment(cfg, threads=1)
+        monkeypatch.setattr(bench, "_smallk_verdicts",
+                            lambda inst, sels, gamma: np.ones(len(sels), dtype=bool))
         with pytest.raises(AssertionError, match="implication breach"):
             run_experiment(cfg, threads=1)
+
+    def test_smallk_cap_still_raises(self):
+        cfg = tiny_config(n_values=(30,), g_values=(2,), k=25, instances_per_cell=1,
+                          selections_per_instance=2)
+        with pytest.raises(SizeError, match="k=25 exceeds exhaustive cap 24"):
+            run_experiment(cfg, threads=1)
+        with pytest.raises(SizeError, match="k=25 exceeds exhaustive cap 24"):
+            run_experiment(cfg, threads=2)
 
     def test_csv_header(self):
         report = run_experiment(tiny_config(), threads=1)
@@ -156,3 +170,42 @@ class TestRun:
         text = report.plot_data()
         assert "# g=2" in text and "# g=3" in text
         assert "n\tdc-mpjr+\tmpjr+" in text
+
+
+def test_smallk_batch_matches_audit(monkeypatch, rng):
+    """``_smallk_verdicts`` gives ``verify_mpjr_plus_smallk``'s verdict on
+    10,000+ audits: k from 1 to 7, gamma 1, 1.5, 3 and 0.7 (where a
+    selected anchor's own intervals are not empty), the harness's
+    Gaussian model with one to four clusters (g = 1 included), points on a
+    4 x 4 integer grid (duplicates), uniform points, and n drawn freely, so
+    mostly not a multiple of k.  Eight selections an instance share
+    centers, and the k=7 cases reach the pruned exclusion-set search."""
+    audits = violated = uneven = 0
+    for it in range(1300):
+        k = int(rng.integers(1, 8))
+        n = int(rng.integers(k, 41))
+        if it % 3 == 0:
+            inst = gen_gaussian_instance(GaussianConfig(
+                n=n, g=int(rng.integers(1, min(n, 4) + 1)), sigma=0.04, seed=it, k=k))
+        else:
+            m = int(rng.integers(k, 16))
+            pts = (rng.integers(0, 4, (n + m, 2)).astype(float) if it % 3 == 1
+                   else rng.random((n + m, 2)))
+            inst = Instance.euclidean(pts[:n], pts[n:], k)
+        gamma = (1.0, 1.5, 3.0, 0.7)[it // 3 % 4]
+        sels = [sample_selection(inst.m, k, rng) for _ in range(8)]
+        expect = [verify_mpjr_plus_smallk(inst, X, gamma).satisfied for X in sels]
+        assert verify._smallk_verdicts(inst, sels, gamma).tolist() == expect, (it, sels)
+        audits, violated = audits + len(sels), violated + expect.count(False)
+        uneven += n % k != 0
+    assert audits >= 10000 and 1000 <= violated <= audits - 1000 and uneven >= 500
+    # one or two rows a chunk, and k = m with no anchor left
+    inst = gen_gaussian_instance(GaussianConfig(n=30, g=3, sigma=0.04, seed=7, k=4))
+    sels = [sample_selection(inst.m, 4, rng) for _ in range(12)]
+    expect = [verify_mpjr_plus_smallk(inst, X).satisfied for X in sels]
+    for cap in (1, 2000):
+        monkeypatch.setattr(verify, "_CHUNK_ELEMS", cap)
+        assert verify._smallk_verdicts(inst, sels, 1.0).tolist() == expect
+    assert 0 < expect.count(False) < len(sels)
+    full = Instance.euclidean(rng.random((5, 2)), rng.random((3, 2)), 3)
+    assert verify._smallk_verdicts(full, [(0, 1, 2)] * 2, 1.0).tolist() == [True, True]

@@ -10,10 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from propaudit import Instance, dump_instance
+from propaudit import Instance, dc_violations, dump_instance
 from propaudit import cli
 from propaudit.cli import console_main, main
-from propaudit.gen import fixture_incomparability
+from propaudit.gen import fixture_incomparability, sample_selection
 
 
 @pytest.fixture
@@ -129,6 +129,38 @@ class TestAudit:
                      "--all-witnesses"]) == 1
         out = read_json(capsys)
         assert out["witnesses"] and out["witnesses"][0]["center"] == 0
+
+    def test_all_witnesses_streamed_bytes(self, tmp_path, rng, capsys):
+        """The streamed --all-witnesses output is byte-equal to the JSON of
+        the whole list, to --out and to stdout, on seeded cases with no
+        witness, one, and many; an input error writes no file."""
+        counts = set()
+        for j in range(40):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(2, 10))
+            k = int(rng.integers(1, m))
+            pts = rng.integers(0, 4, (n + m, 2)).astype(float) if j % 2 else rng.random((n + m, 2))
+            inst = Instance.euclidean(pts[:n], pts[n:], k)
+            path = tmp_path / "inst.json"
+            dump_instance(inst, path)
+            X = sample_selection(m, k, rng)
+            gamma, eps = (1.0, 0.0) if j % 3 else (1.5, 0.25)
+            wits = dc_violations(inst, X, gamma, eps)
+            want = json.dumps({"axiom": "dc-mpjr+", "gamma": gamma, "satisfied": not wits,
+                               "witnesses": [w.to_dict() for w in wits]}, indent=2) + "\n"
+            argv = ["audit", str(path), "--selection", ",".join(map(str, X)),
+                    "--all-witnesses", "--gamma", repr(gamma), "--eps", repr(eps)]
+            out = tmp_path / "out.json"
+            assert main(argv + ["--out", str(out)]) == (1 if wits else 0)
+            assert out.read_text() == want
+            assert main(argv) == (1 if wits else 0)
+            assert capsys.readouterr().out == want
+            counts.add(min(len(wits), 2))
+        assert counts == {0, 1, 2}
+        out = tmp_path / "none.json"
+        wrong = ",".join(map(str, range(k + 1)))        # k + 1 centers
+        assert main(["audit", str(path), "--selection", wrong, "--all-witnesses",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_text_format_writes_out(self, prop3_2, tmp_path, capsys):
         main(["audit", prop3_2, "--selection", "1,2,3", "--format", "text"])
@@ -387,6 +419,28 @@ class TestOtherCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(data, k="x")))
         assert main(["audit", str(bad), "--selection", "1,2,3"]) == 2
+
+    @pytest.mark.parametrize("argv", [["audit", "--selection", "0"], ["sear"], ["baseline"],
+                                      ["validate"]])
+    @pytest.mark.parametrize("field", ["agents", "candidates", "matrix"])
+    @pytest.mark.parametrize("bad", [True, False, "0.9", None, 10 ** 400],
+                             ids=["true", "false", "str", "null", "huge"])
+    def test_entries_that_are_not_numbers_exit_two(self, tmp_path, argv, field, bad,
+                                                   capsys):
+        """Bools and strings were read as floats (audit exited 0 or 1 and
+        sear ran), and an integer past float range crashed with exit 3."""
+        if field == "matrix":
+            inst, _ = fixture_incomparability(2)
+            data = inst.to_dict()
+            data["matrix"][7][2] = bad
+        else:
+            data = Instance.euclidean([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                                      1).to_dict()
+            data[field][1][0] = bad
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        assert console_main([argv[0], str(path)] + argv[1:]) == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("site", ["instance", "selection-file", "approval"])
     def test_deeply_nested_json_exit_two(self, prop3_2, tmp_path, site, capsys):

@@ -137,6 +137,32 @@ class TestSelectionAndJson:
         with pytest.raises(InputError):
             Instance.explicit(np.ones((4, 4)) - np.eye(4), n_agents, 1)
 
+    @pytest.mark.parametrize("bad", [True, False, "0.9", "x", None, 10 ** 400, [0.5]],
+                             ids=["true", "false", "str", "word", "null", "huge", "list"])
+    def test_entries_must_be_numbers(self, bad):
+        """A bool, a string or a null is never read as a float, and an
+        integer too large for one is an InputError, not an OverflowError,
+        in agents, candidates and matrix alike."""
+        with pytest.raises(InputError):
+            Instance.euclidean([[0.5, bad], [1.0, 0.0]], [[0.0, 0.0]], 1)
+        with pytest.raises(InputError):
+            Instance.euclidean([[0.5, 0.5]], [[1.0, 0.0], [0.0, bad]], 1)
+        matrix = (np.ones((3, 3)) - np.eye(3)).tolist()
+        matrix[2][0] = bad
+        with pytest.raises(InputError):
+            Instance.explicit(matrix, 2, 1)
+        with pytest.raises(InputError):
+            Instance.explicit(np.array([[False, True], [True, False]]), 1, 1)
+
+    def test_numbers_of_every_kind_accepted(self):
+        # ints and floats, 0 and 1 among them, ints past int64 and numpy
+        # arrays give the instance their float values give
+        inst = Instance.euclidean([[0, 1], [1.0, 0.0], [2 ** 70, 0]], [[0, 0.5]], 1)
+        same = Instance.euclidean(np.array([[0.0, 1.0], [1.0, 0.0], [2.0 ** 70, 0.0]]),
+                                  [[0.0, 0.5]], 1)
+        assert np.array_equal(inst.dists(), same.dists())
+        assert Instance.explicit([[0, 1], [1, 0]], 1, 1).dists().tolist() == [[1.0]]
+
     def test_json_roundtrip(self, tmp_path, rng):
         inst, _ = fixture_incomparability(1)
         path = tmp_path / "inst.json"

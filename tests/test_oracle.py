@@ -83,6 +83,36 @@ class TestOracleDc:
             assert oracle_dc(inst, X, gamma).satisfied == \
                 verify_dc_mpjr_plus(inst, X, gamma).satisfied
 
+    @pytest.mark.parametrize("eps", [1e-9, 0.25, 1.0])
+    def test_eps_agrees_with_sweep(self, rng, eps):
+        """With eps, each level is checked at the end of the eps-chain that
+        holds its radius: the verdict is the sweep's on 1,000 cases per eps,
+        a third each on uniform points, a 4 x 4 integer grid and small
+        integer matrices, where chains of tied or near distances form."""
+        differ = violated = 0
+        for j in range(1000):
+            n, m = int(rng.integers(1, 16)), int(rng.integers(1, 9))
+            k = int(rng.integers(1, m + 1))
+            if j % 3 == 2:
+                inst = random_explicit(rng, n, m, k, max_dist=4)
+            else:
+                pts = (rng.integers(0, 4, (n + m, 2)).astype(float) if j % 3
+                       else rng.random((n + m, 2)))
+                inst = Instance.euclidean(pts[:n], pts[n:], k)
+            X = sample_selection(m, k, rng)
+            gamma = (1.0, 1.5, 0.7)[j // 3 % 3]
+            got = oracle_dc(inst, X, gamma, eps).satisfied
+            assert got == verify_dc_mpjr_plus(inst, X, gamma, eps).satisfied, (inst.to_dict(), X)
+            differ += got != oracle_dc(inst, X, gamma).satisfied
+            violated += not got
+        assert violated >= 20 and (eps < 0.25 or differ >= 50)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, True, "0"])
+    def test_bad_eps_rejected(self, eps):
+        inst, X = fixture_incomparability(2)
+        with pytest.raises(InputError):
+            oracle_dc(inst, X, eps=eps)
+
 
 def coverage_of(inst, X, members, r):
     if not members:
