@@ -6,11 +6,16 @@ axiom is satisfied, 1 on a violation, and 2 on any input or usage error,
 so shell pipelines can gate on proportionality.  The ``propaudit``
 command (``console_main``) exits 3, with the traceback on stderr, when
 any other exception escapes ``main``: a crash is never read as a verdict.
+
+``main`` builds its parser (``build_parser``) on its first call and reads
+every later command line with the same one, so a process that calls it
+many times (a test suite, a benchmark, a script) builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -53,8 +58,9 @@ def _check_flags(args, table, choice):
 
 
 def _int_list(flag, text) -> tuple:
+    """The comma-separated integers of `text`; an empty entry is an error."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise InputError(f"{flag} {text!r} is not a list of integers") from None
 
@@ -327,9 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads every command line with, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, SizeError, InfeasibleLevel, UnsupportedBackend,

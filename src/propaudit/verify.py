@@ -13,10 +13,12 @@ Two verification strategies live here:
   that.  Per size |Y| >= 1, one bound over the anchors, from sorts taken
   once, keeps only the anchors with enough agents that have at most |Y|
   such centers, less the agents of the (|Y|+1)-th most common one
-  (``_root_bounds``), and a size none keeps is skipped; a depth-first
-  search over Y then skips every set where no kept anchor has enough
-  agents whose such centers all lie in Y (``_exclusion_sets``).  Worst
-  case O(m n log n * 2^k): practical for small k only.  The search,
+  (``_root_bounds``), and a size none keeps is skipped.  One pass bounds
+  a group of sizes, as many as ``_BOUND_ELEMS`` (size, anchor, agent)
+  entries hold, and one size alone past that.  A depth-first search over
+  Y then skips every set where no kept anchor has enough agents whose
+  such centers all lie in Y (``_exclusion_sets``).  Worst case
+  O(m n log n * 2^k): practical for small k only.  The search,
   ``_smallk_hit``, takes the anchor rows, a source of their sorted copy
   and the selection's reach rows, so it also runs approval PJR+ on a
   {1, 2} ballot matrix, and ``_smallk_verdicts`` gives the experiment
@@ -101,6 +103,15 @@ _SIGN = np.uint64(1 << 63)
 # size, the k=5 experiment grid ran about 1.5x as long (0.66 vs 0.43 s,
 # with the anchors cut by _root_bounds first)
 _PLAIN_SETS = 16
+# cap on the (size, anchor, agent) entries of one _root_bounds pass, which
+# bounds as many sizes at once as fit (at least one); its scratch is 9 bytes
+# an entry (t and fit), 2.3 MB at the cap.  Library audits of the smallk-sat
+# benchmark's instances (n=200, m=100, k=12: all 11 sizes in 193,600
+# entries, 2 vCPUs): one size a pass 0.96 ms, 2^16 (3 sizes) 0.68 ms, 2^17
+# 0.61 ms, 2^18 0.57 ms, 2^20 0.57 ms.  Uncapped, a satisfied n=5000, m=100,
+# k=20 audit peaked at 83 MB (tracemalloc) instead of 13 MB: there one size
+# fills a pass
+_BOUND_ELEMS = 1 << 18
 
 
 def _float_key(r: np.ndarray) -> np.ndarray:
@@ -377,26 +388,32 @@ def _blockers(Lt, G, need):
     return first // Lt.shape[1], blocked.astype(bool), mult
 
 
-def _root_bounds(Lt, Ls, G, Gs, need, size):
-    """Per anchor row of ``Lt``, an upper bound on the agents
-    ``_alg1_scan`` counts at any Y with |Y| = size, for a target `need`,
-    read from the rows sorted (``Ls``) and the reach rows ``G`` sorted per
-    agent (``Gs``).
+def _root_bounds(Lt, Ls, G, Gs, first):
+    """Upper bounds on the agents ``_alg1_scan`` counts per anchor row of
+    ``Lt`` at any Y with |Y| = size, for sizes from `first` on, read from
+    the rows sorted (``Ls``) and the reach rows ``G`` sorted per agent
+    (``Gs``): row j of the (size, anchor) result is size first + j, its
+    target `need` being ceil((size+1) n / k).
 
     The agents counted at a radius r have t_i <= r < g(u_i), so their
     blockers (``_blockers``) lie in Y: at most `size` of them, which holds
     exactly when the (size+1)-th smallest g(d(i, x)) exceeds t_i.  Where
     those agents reach `need`, Y also leaves out one of the size+1
     positions that block the most of them, and none of the agents that
-    position blocks counts.
+    position blocks counts.  One pass takes as many sizes as fit in
+    ``_BOUND_ELEMS`` (size, anchor, agent) entries, at least one; the
+    correction runs only on the (size, anchor) pairs that reach `need`.
     """
-    t = np.maximum(Lt, Ls[:, need - 1:need])
-    fit = t < Gs[size]
-    bound = fit.sum(axis=1)
-    rows = np.flatnonzero(bound >= need)
-    fit, t = fit[rows], t[rows]
-    blocks = [(fit & (reach <= t)).sum(axis=1) for reach in G]
-    bound[rows] -= np.sort(blocks, axis=0)[-size - 1]
+    n, k = Lt.shape[1], len(G)
+    sizes = np.arange(first, min(k, first + max(1, _BOUND_ELEMS // max(1, Lt.size))))
+    need = -((-(sizes + 1) * n) // k)
+    t = np.maximum(Lt, Ls[:, need - 1].T[:, :, None])         # (size, anchor, agent)
+    fit = t < Gs[sizes][:, None, :]
+    bound = fit.sum(axis=2)
+    si, rows = np.nonzero(bound >= need[:, None])
+    fit, t = fit[si, rows], t[si, rows]                         # (pair, agent)
+    blocks = np.sort([(fit & (reach <= t)).sum(axis=1) for reach in G], axis=0)
+    bound[si, rows] -= blocks[k - 1 - sizes[si], np.arange(len(si))]
     return bound
 
 
@@ -490,9 +507,11 @@ def _smallk_hit(Lt, G, k, sorted_rows=None, first=0):
     Per size |Y| >= 1, only anchors that pass ``_root_bounds`` are
     scanned, and only the sets Y that ``_exclusion_sets`` keeps for them
     once a size has more than ``_PLAIN_SETS``; the rest cannot violate.
-    The bound reads Lt sorted per row from `sorted_rows()`, called at the
-    first such size (``np.sort`` of Lt if not given).  The coalition is the
-    agents within the radius, out of reach of X \\ Y.
+    The bounds come one group of sizes at a time (``_root_bounds``), each
+    computed when the search reaches its first size.  They read Lt sorted
+    per row from `sorted_rows()`, called at the first such size
+    (``np.sort`` of Lt if not given).  The coalition is the agents within
+    the radius, out of reach of X \\ Y.
     """
     n = Lt.shape[1]
     rank = np.arange(1, n + 1, dtype=np.int64)
@@ -504,7 +523,10 @@ def _smallk_hit(Lt, G, k, sorted_rows=None, first=0):
                 # sorted only past size 0, which ends most failing audits
                 Ls = np.sort(Lt, axis=1) if sorted_rows is None else sorted_rows()
                 Gs = np.sort(G, axis=0)
-            rows = np.flatnonzero(_root_bounds(Lt, Ls, G, Gs, need, size) >= need)
+                lo, bounds = size, ()
+            if size - lo == len(bounds):
+                lo, bounds = size, _root_bounds(Lt, Ls, G, Gs, size)
+            rows = np.flatnonzero(bounds[size - lo] >= need)
             if rows.size == 0:
                 continue
             Lk = Lt[rows]

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import os
@@ -172,6 +173,20 @@ class TestAudit:
         assert out.read_text() == line
 
 
+    @pytest.mark.parametrize("value", ["1,,2,3", "1,2,3,", ",1,2,3", "1, ,2,3", ","])
+    def test_selection_empty_entry_exit_two(self, prop3_2, value, capsys):
+        """Empty entries were dropped: "1,,2,3" and "1,2,3," ran as (1, 2, 3)."""
+        assert main(["audit", prop3_2, "--selection", value]) == 2
+        assert "--selection" in capsys.readouterr().err
+
+    def test_selection_spaces_around_numbers(self, prop3_2, capsys):
+        assert main(["audit", prop3_2, "--selection", "1,2,3"]) == 1
+        want = read_json(capsys)
+        assert main(["audit", prop3_2, "--selection", " 1, 2 ,3 "]) == 1
+        got = read_json(capsys)
+        want.pop("elapsed_ms"), got.pop("elapsed_ms")
+        assert got == want
+
     @pytest.mark.parametrize("argv", [
         ["--axiom", "mpjr-oracle", "--gamma", "2.5"],
         ["--axiom", "mpjr-oracle", "--eps", "0.3"],
@@ -248,13 +263,29 @@ class TestOtherCommands:
         assert "threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--n-values", "a"),
-                                             ("--g-values", "4,x")])
+                                             ("--g-values", "4,x"),
+                                             ("--n-values", "20,,50"),
+                                             ("--n-values", "20,"),
+                                             ("--n-values", ""),
+                                             ("--g-values", ",4"),
+                                             ("--g-values", "4, ,5")])
     def test_experiment_bad_list_exit_two(self, flag, value, capsys):
         argv = ["experiment", "--n-values", "20", "--g-values", "4",
                 "--instances", "1", "--selections", "2", "--threads", "1"]
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
+
+    def test_experiment_spaces_around_numbers(self, tmp_path):
+        argv = ["experiment", "--instances", "1", "--selections", "2", "--threads", "1"]
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        assert main(argv + ["--n-values", "20,30", "--g-values", "4",
+                            "--out", str(plain)]) == 0
+        assert main(argv + ["--n-values", " 20 ,30", "--g-values", "4 ",
+                            "--out", str(spaced)]) == 0
+        rows = [[dict(row, mean_ms=None) for row in csv.DictReader(path.open())]
+                for path in (plain, spaced)]
+        assert rows[0] == rows[1] and len(rows[0]) == 4
 
     @pytest.mark.parametrize("restarts", ["0", "-1"])
     def test_baseline_bad_restarts_exit_two(self, prop3_2, restarts, capsys):
@@ -478,3 +509,60 @@ def test_cli_import_loads_no_scipy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+def test_one_parser_serves_many_commands(prop3_2, tmp_path, monkeypatch, capsys):
+    """Commands run one after another through one ``main`` give the stdout,
+    stderr, exit code and --out bytes (less the audit's time) of each run
+    first in a fresh process, and ``main`` builds its parser once for all
+    of them."""
+    import propaudit
+    sat = tmp_path / "sat.json"
+    dump_instance(Instance.euclidean([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]],
+                                     [[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], 2), sat)
+    calls = [["audit", prop3_2, "--axiom", "nope"],                  # usage error
+             ["audit", prop3_2, "--selection", "1,,3"],              # input error
+             ["audit", "--help"],
+             ["audit", prop3_2, "--selection", "1,2,3", "--out", "{out}"],
+             ["audit", str(sat), "--selection", "0,1", "--axiom", "mpjr+",
+              "--out", "{out}"],
+             ["audit", prop3_2, "--selection", "1,2,3", "--format", "text"]]
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(propaudit.__file__)))
+    monkeypatch.setenv("COLUMNS", "80")         # help text wraps to this width
+
+    def outcome(argv, out, fresh):
+        argv = [out if a == "{out}" else a for a in argv]
+        if fresh:
+            proc = subprocess.run([sys.executable, "-m", "propaudit.cli"] + argv,
+                                  capture_output=True, text=True, env=env)
+            code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+        else:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            stdout, stderr = capsys.readouterr()
+        written = open(out, "rb").read() if os.path.exists(out) else None
+        if written is not None:
+            written = re.sub(rb'"elapsed_ms": [0-9.e-]+', b"", written)
+        return code, stdout, stderr, written
+
+    want = [outcome(argv, str(tmp_path / f"fresh{i}.out"), True)
+            for i, argv in enumerate(calls)]
+    assert [w[0] for w in want] == [2, 2, 0, 1, 0, 1]
+    assert want[0][2].startswith("usage: propaudit audit")
+    assert want[1][2].startswith("error: --selection")
+    assert want[3][3] is not None and want[4][3] is not None
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for rnd in range(2):
+            for i, argv in enumerate(calls):
+                got = outcome(argv, str(tmp_path / f"same{rnd}-{i}.out"), False)
+                assert got == want[i], argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

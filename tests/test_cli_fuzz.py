@@ -56,8 +56,8 @@ def in_range(text, low, strict):
 
 
 def bad_ints(text):
-    return any(not tok.strip().lstrip("-").isdigit()
-               for tok in text.split(",") if tok.strip())
+    """Does `text` have an entry that is not an integer?  An empty one counts."""
+    return any(not tok.strip().lstrip("-").isdigit() for tok in text.split(","))
 
 
 def given_as(text, value):

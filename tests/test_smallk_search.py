@@ -11,9 +11,10 @@ finds a violation must be among them.
 Before any set of a size is scanned, ``_root_bounds`` bounds per anchor
 the agents any Y of that size can count: those with at most |Y| centers
 x where gamma * max(d(i,c), R) + eps >= d(i,x), less those near the
-(|Y|+1)-th most common such center.  It must match that bound written
-out, and the audit that scans only the anchors it keeps must match a
-scan of every set of every size over every anchor, witness included.
+(|Y|+1)-th most common such center.  Every size's row must match that
+bound written out, however the sizes are grouped into passes, and the
+audit that scans only the anchors it keeps must match a scan of every
+set of every size over every anchor, witness included.
 
 On instances built with anchor distances at and one float either side
 of (d(i,x) - eps) / gamma, where a quotient test and the float test
@@ -21,6 +22,7 @@ disagree, the audit must match the oracle, imply the DC audit and give
 witnesses that certify themselves.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -28,6 +30,7 @@ import pytest
 
 from propaudit import (Instance, SizeError, Verdict, oracle_mpjr_plus, run_sear,
                        verify_dc_mpjr_plus, verify_mpjr_plus_smallk)
+from propaudit import verify
 from propaudit.core import check_selection
 from propaudit.gen import sample_selection
 from propaudit.verify import (_alg1_scan, _exclusion_sets, _reach_radius,
@@ -217,6 +220,30 @@ def reference_root_bounds(D, X, outs, size, need, gamma, eps):
     return bounds
 
 
+def check_root_bounds(inst, X, gamma, eps):
+    """Every size's row of ``_root_bounds``, size 0 included, group by
+    group, against the reference; returns that reference per size and the
+    group lengths."""
+    D, n, k = inst.dists(), inst.n, inst.k
+    outs = _unselected(inst, X)
+    Lt = np.ascontiguousarray(D[:, outs].T)
+    Ls = np.sort(Lt, axis=1)
+    G = _reach_rows(D, X, gamma, eps)
+    Gs = np.sort(G, axis=0)
+    wants, lengths, size = [], [], 0
+    while size < k:
+        group = _root_bounds(Lt, Ls, G, Gs, size)
+        assert group.shape[1] == len(outs) and 1 <= len(group) <= k - size
+        lengths.append(len(group))
+        for row in group:
+            need = -((-(size + 1) * n) // k)
+            want = reference_root_bounds(D, X, outs, size, need, gamma, eps)
+            assert row.tolist() == [b for _, b in want]
+            wants.append((need, want))
+            size += 1
+    return wants, lengths
+
+
 def test_root_bounds_match_reference(rng):
     cases = [random_large_k_case(rng) for _ in range(60)]
     for j in range(120):
@@ -226,23 +253,39 @@ def test_root_bounds_match_reference(rng):
     for case in cases:
         inst, sel = case[:2]
         X = check_selection(inst, sel)
-        D, n, k = inst.dists(), inst.n, inst.k
-        outs = _unselected(inst, X)
-        if len(outs) == 0:
-            continue
-        Lt = np.ascontiguousarray(D[:, outs].T)
-        Ls = np.sort(Lt, axis=1)
         for gamma, eps in case[2:] or ROOT_CASES:
-            G = _reach_rows(D, X, gamma, eps)
-            Gs = np.sort(G, axis=0)
-            for size in range(k):
-                need = -((-(size + 1) * n) // k)
-                want = reference_root_bounds(D, X, outs, size, need, gamma, eps)
-                assert _root_bounds(Lt, Ls, G, Gs, need, size).tolist() == [b for _, b in want]
+            for need, want in check_root_bounds(inst, X, gamma, eps)[0]:
                 short += sum(0 < f < need for f, _ in want)
                 cut += sum(f >= need > b for f, b in want)
                 kept += sum(b >= need for _, b in want)
     assert min(short, cut, kept) > 0
+
+
+@pytest.mark.parametrize("cap", [1, 40, 300])
+def test_root_bounds_in_split_groups(rng, monkeypatch, cap):
+    """A cap below one size's entries gives one size a group, and a cap of
+    a few sizes' entries splits the sizes into groups of several."""
+    monkeypatch.setattr(verify, "_BOUND_ELEMS", cap)
+    lengths = set()
+    for j in range(40):
+        inst, sel = random_large_k_case(rng, max_n=12)
+        X = check_selection(inst, sel)
+        gamma, eps = ROOT_CASES[j % 4]
+        lengths.update(check_root_bounds(inst, X, gamma, eps)[1])
+        got = verify_mpjr_plus_smallk(inst, X, gamma, eps=eps).to_dict()
+        want = scan_every_set(inst, X, gamma, eps).to_dict()
+        got.pop("elapsed_ms"), want.pop("elapsed_ms")
+        assert got == want
+    assert (lengths == {1}) == (cap == 1)
+
+
+def test_root_bounds_with_no_anchor_rows():
+    """m = k: no anchor row, so one group takes every size."""
+    inst = Instance.euclidean([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]],
+                              [[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], 3)
+    for gamma, eps in ROOT_CASES:
+        assert check_root_bounds(inst, (0, 1, 2), gamma, eps)[1] == [3]
+        assert verify_mpjr_plus_smallk(inst, (0, 1, 2), gamma, eps=eps).satisfied
 
 
 def scan_every_set(inst, X, gamma, eps):
@@ -305,3 +348,25 @@ def test_audit_matches_scan_of_every_set(rng):
         violated += not got["satisfied"]
         high += not got["satisfied"] and got["witness"]["level"] >= 2
     assert 100 < violated < 1100 and high >= 50
+
+
+def test_audit_scratch_stays_small():
+    """A satisfied audit walks every size; at n=5000, m=100, k=20 one size
+    fills a bound pass, so the passes take one size each and the tracemalloc
+    peak stays near one size's scratch (11.7 MB; with every size in one
+    pass, 77 MB)."""
+    rng = np.random.default_rng(7)
+    n, m, k, g = 5000, 100, 20, 5
+    hubs = 10.0 * np.stack([np.arange(g), np.arange(g) % 2], axis=1)
+    agents = hubs[np.arange(n) % g] + rng.uniform(-0.7, 0.7, (n, 2))
+    cores = hubs[np.arange(k) % g] + rng.uniform(-0.3, 0.3, (k, 2))
+    far = rng.uniform(0.0, 40.0, (m - k, 2)) + [0.0, 25.0]
+    inst = Instance.euclidean(agents, np.vstack([cores, far]), k)
+    inst.dists()
+    tracemalloc.start()
+    try:
+        assert verify_mpjr_plus_smallk(inst, tuple(range(k))).satisfied
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
