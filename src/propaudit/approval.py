@@ -18,10 +18,9 @@ import numpy as np
 
 from .core import (InputError, SizeError, Verdict, Witness, check_level,
                    check_selection, is_int, timed)
-from .verify import _reach_rows, _smallk_hit, _unselected
+from .verify import _check_smallk_cap, _smallk_hit, _unselected
 
 _MAX_VOTERS = 16       # voters whose 2^n coalitions are enumerated
-_MAX_SWEEP_K = 24      # committee size whose 2^k exclusion sets are swept
 _MAX_SIDE = 16         # vertices per side of the biclique search
 
 
@@ -128,8 +127,8 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee,
 
 
 def _ballot_distances(inst: ApprovalInstance) -> np.ndarray:
-    """The ballots read as voter x candidate distances: 1 = approved, 2 = not."""
-    return np.where(inst.matrix(), 1.0, 2.0)
+    """The ballots read as (candidate, voter) distance rows: 1 = approved, 2 = not."""
+    return np.where(inst.matrix().T, 1.0, 2.0)
 
 
 @timed
@@ -142,10 +141,10 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee) -> Verdict:
     voters and, as `covered`, the set Y."""
     X = check_selection(inst, committee)
     k = inst.k
-    if k > _MAX_SWEEP_K:
-        raise SizeError(f"k={k} exceeds sweep cap {_MAX_SWEEP_K}")
-    D, outs = _ballot_distances(inst), _unselected(inst, X)
-    hit = _smallk_hit(np.ascontiguousarray(D[:, outs].T), _reach_rows(D, X, 1.0, 0.0), k)
+    _check_smallk_cap(k)
+    B, outs = _ballot_distances(inst), _unselected(inst, X)
+    # g is the identity at gamma = 1 and eps = 0: the reach rows are X's ballot rows
+    hit = _smallk_hit(B[outs], B[list(X)], k)
     if hit is None:
         return Verdict("pjr+", 1.0, True)
     row, size, _, coalition, y = hit

@@ -18,6 +18,7 @@ import argparse
 import functools
 import itertools
 import json
+import re
 import sys
 import time
 import traceback
@@ -57,10 +58,29 @@ def _check_flags(args, table, choice):
                              f"--{choice} {value}")
 
 
+def _strict(kind, body):
+    """An argparse type: `kind` of a text that is `body`, with an optional
+    sign and spaces around it, in ASCII alone, else ValueError."""
+    pattern = re.compile(rf"\s*[+-]?(?:{body})\s*", re.ASCII | re.IGNORECASE)
+
+    def read(text):
+        if not pattern.fullmatch(text):
+            raise ValueError(f"{text!r} is not an ASCII {kind.__name__}")
+        return kind(text)
+    read.__name__ = kind.__name__       # argparse says "invalid int value"
+    return read
+
+
+# int() and float() also read digit-group underscores and other scripts'
+# digits: "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1
+_int = _strict(int, r"\d+")
+_float = _strict(float, r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan")
+
+
 def _int_list(flag, text) -> tuple:
     """The comma-separated integers of `text`; an empty entry is an error."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(_int(tok) for tok in text.split(","))
     except ValueError:
         raise InputError(f"{flag} {text!r} is not a list of integers") from None
 
@@ -266,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection", help="comma-separated candidate indices")
     p.add_argument("--selection-file", help="JSON file with a selection array")
     p.add_argument("--axiom", choices=AUDIT_AXIOMS, default="dc-mpjr+")
-    p.add_argument("--gamma", type=float, default=_AXIOM_FLAGS["gamma"][0])
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--eps", type=float, default=_AXIOM_FLAGS["eps"][0])
-    p.add_argument("--max-k", type=int, default=_AXIOM_FLAGS["max_k"][0])
-    p.add_argument("--max-agents", type=int, default=_AXIOM_FLAGS["max_agents"][0])
+    p.add_argument("--gamma", type=_float, default=_AXIOM_FLAGS["gamma"][0])
+    p.add_argument("--ell", type=_int, default=None)
+    p.add_argument("--eps", type=_float, default=_AXIOM_FLAGS["eps"][0])
+    p.add_argument("--max-k", type=_int, default=_AXIOM_FLAGS["max_k"][0])
+    p.add_argument("--max-agents", type=_int, default=_AXIOM_FLAGS["max_agents"][0])
     p.add_argument("--all-witnesses", action="store_true",
                    help="list every violating (center, level, radius) (dc-mpjr+, JSON)")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -285,25 +305,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a benchmark instance")
     p.add_argument("--kind", choices=("gaussian", "prop3-1", "prop3-2", "fig2"),
                    required=True)
-    p.add_argument("--n", type=int, default=_KIND_FLAGS["n"][0])
-    p.add_argument("--g", type=int, default=_KIND_FLAGS["g"][0])
-    p.add_argument("--sigma", type=float, default=_KIND_FLAGS["sigma"][0])
-    p.add_argument("--seed", type=int, default=_KIND_FLAGS["seed"][0])
-    p.add_argument("--k", type=int, default=_KIND_FLAGS["k"][0])
+    p.add_argument("--n", type=_int, default=_KIND_FLAGS["n"][0])
+    p.add_argument("--g", type=_int, default=_KIND_FLAGS["g"][0])
+    p.add_argument("--sigma", type=_float, default=_KIND_FLAGS["sigma"][0])
+    p.add_argument("--seed", type=_int, default=_KIND_FLAGS["seed"][0])
+    p.add_argument("--k", type=_int, default=_KIND_FLAGS["k"][0])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("experiment", help="run the satisfaction-rate grid")
     p.add_argument("--n-values", default="20,50,80,100")
     p.add_argument("--g-values", default="4,5,6")
-    p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--selections", type=int, default=1000)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--sigma", type=float, default=0.04)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--instances", type=_int, default=50)
+    p.add_argument("--selections", type=_int, default=1000)
+    p.add_argument("--k", type=_int, default=5)
+    p.add_argument("--sigma", type=_float, default=0.04)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--axioms", default="mpjr+,dc-mpjr+")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--gamma", type=_float, default=1.0)
+    p.add_argument("--threads", type=_int, default=None)
     p.add_argument("--plot-data", action="store_true")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out")
@@ -312,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="objective-driven selections")
     p.add_argument("instance")
     p.add_argument("--objective", choices=("kmedian", "kmeans"), default="kmedian")
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=_int, default=1)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--exhaustive", action="store_true",
                    help="global k-median optimum (kmedian, one run)")
     p.add_argument("--out")

@@ -132,9 +132,9 @@ class Instance:
     Immutable after construction; every operation on it is pure, so
     instances are safe to share across threads and processes.
 
-    The DC audits read distances through ``rows``, which computes only the
-    rows they ask for and caches none, so each audit of a Euclidean
-    instance recomputes its rows.  Before auditing many selections of one
+    The audits of ``verify`` (all but the oracles) read distances only
+    through ``rows``, which computes only the rows they ask for and caches
+    none, so each audit of a Euclidean instance recomputes its rows.  Before auditing many selections of one
     instance, call ``dists()`` once: ``rows`` then gathers from its cache.
     """
 
@@ -231,7 +231,8 @@ class Instance:
 
         Computed from the coordinates while ``dists()`` has not run (each
         gap's square and the coordinate order are those of ``dists()``), and
-        gathered from the matrix otherwise; nothing is cached.
+        gathered from the matrix otherwise; nothing is cached, and the
+        result is always a fresh array the caller may change in place.
         """
         cols = np.asarray(cols, dtype=np.intp)
         if self._ac is None and self.metric == EUCLIDEAN:
@@ -272,15 +273,24 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
+        """The instance of ``to_dict``'s form.  A Euclidean "dim", optional,
+        must equal the points' dimension; explicit "agents" and
+        "candidates" must be lists of names.  Neither check reads a
+        coordinate."""
         try:
             metric, k = data["metric"], data["k"]
             if metric == EUCLIDEAN:
-                return cls.euclidean(data["agents"], data["candidates"], k)
+                inst = cls.euclidean(data["agents"], data["candidates"], k)
+                if "dim" in data and not (is_int(data["dim"]) and data["dim"] == inst.dim):
+                    raise InputError(f"dim {data['dim']!r} is not the points' "
+                                     f"dimension {inst.dim}")
+                return inst
             if metric == EXPLICIT:
-                agents = data["agents"]
+                agents, candidates = data["agents"], data["candidates"]
+                if not (isinstance(agents, list) and isinstance(candidates, list)):
+                    raise InputError("explicit agents and candidates must be lists of names")
                 return cls.explicit(data["matrix"], len(agents), k,
-                                    agent_names=agents,
-                                    candidate_names=data["candidates"])
+                                    agent_names=agents, candidate_names=candidates)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad instance JSON: {exc}") from exc
         raise InputError(f"unknown metric backend {metric!r}")

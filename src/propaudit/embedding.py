@@ -19,7 +19,7 @@ from .core import Instance
 def embed_approval(inst: ApprovalInstance) -> Instance:
     """Explicit-matrix instance over voters + candidates, distances in {0,1,2,3,4}."""
     n, m = inst.n, inst.m
-    ac = _ballot_distances(inst)
+    ac = _ballot_distances(inst).T                   # (voter, candidate)
     # two-hop minima: agent-agent through a candidate, candidate-candidate
     # through an agent
     aa = (ac[:, None, :] + ac[None, :, :]).min(axis=2)

@@ -20,8 +20,8 @@ Two verification strategies live here:
   such centers all lie in Y (``_exclusion_sets``).  Worst case
   O(m n log n * 2^k): practical for small k only.  The search,
   ``_smallk_hit``, takes the anchor rows, a source of their sorted copy
-  and the selection's reach rows, so it also runs approval PJR+ on a
-  {1, 2} ballot matrix, and ``_smallk_verdicts`` gives the experiment
+  and the selection's reach rows, so it also runs approval PJR+ on
+  {1, 2} ballot rows, and ``_smallk_verdicts`` gives the experiment
   harness the verdicts of many selections of one instance at once: it
   builds the anchor and reach rows of all m candidates once, tests size 0
   (Y empty) for every selection together, and sends only the selections
@@ -61,9 +61,12 @@ at its end s, and coverage counts the centers within gamma*s + eps.
 Every verifier rejects gamma that is not finite and > 0 and eps that is
 not finite and >= 0.
 
-g is ``_reach_radius``, the one code that turns gamma and eps into a
-radius threshold: each audit builds the reach rows g(d(., x)) of the
-selected centers once and compares radii against them.
+Every audit here reads distances as contiguous (candidate, agent) rows
+from ``Instance.rows``, never as the n x m matrix.  g is
+``_reach_radius``, the one code that turns gamma and eps into a radius
+threshold: each audit applies it once to the rows of the selected centers
+it holds, giving their reach rows g(d(., x)), and compares radii against
+them.
 
 Every metric witness is built by ``_witness`` from the caller's coalition
 rule: the closed ball for the default-coalition audits, the agents inside
@@ -173,12 +176,6 @@ def _reach_radius(v, gamma, eps) -> np.ndarray:
     return r.reshape(v.shape)
 
 
-def _reach_rows(D, X, gamma, eps) -> np.ndarray:
-    """g(d(., x)) of the selected centers X, as contiguous (center, agent) rows."""
-    return np.ascontiguousarray(
-        _reach_radius(D[:, np.asarray(X, dtype=np.intp)], gamma, eps).T)
-
-
 def _coverage_radii(keys, rows) -> np.ndarray:
     """Per (anchor, agent) row of `keys`, min_j max(keys_j, rows_tj) for
     each (center, agent) row t of `rows` in column t + 1, after a column 0
@@ -262,18 +259,19 @@ def _dc_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     eps = 0, where ``_dc_scan``'s filter mu_l > R_l is the verdict.
 
     Neither mu nor R depends on X, so ``_coverage_radii`` builds mu once
-    for the centers some row uses, R comes from one sort per anchor, and
+    for the centers some row uses, from the rows of all m candidates
+    (``Instance.rows``), R comes from one in-place sort of those rows, and
     each row is a gather of m * k radii, a sort per anchor and a
     comparison, in chunks of rows of at most _CHUNK_ELEMS radii; the
     selected anchors are then masked out.
     """
     check_gamma(gamma)
-    D, k = instance.dists(), instance.k
-    (n, m), sel = D.shape, np.asarray(selections, dtype=np.intp).reshape(-1, k)
+    n, m, k = instance.n, instance.m, instance.k
+    sel = np.asarray(selections, dtype=np.intp).reshape(-1, k)
     used, pos = np.unique(sel, return_inverse=True)
-    keys = np.ascontiguousarray(D.T)                   # (anchor, agent)
-    mu = _coverage_radii(keys, _reach_rows(D, used, gamma, 0.0))
-    keys.sort(axis=1)
+    keys = instance.rows(np.arange(m))                 # (anchor, agent), a fresh array
+    mu = _coverage_radii(keys, _reach_radius(keys[used], gamma, 0.0))
+    keys.sort(axis=1)                                  # in place, once mu is built
     R = keys[:, _level_index(n, k)]                    # (anchor, level)
     cols = pos.reshape(sel.shape) + 1
     ok = np.empty(len(sel), dtype=bool)
@@ -554,21 +552,21 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     row X of `selections`, an (s, k) array of distinct in-range centers,
     at eps = 0, with no witness built.
 
-    The anchor rows D.T and the reach rows of all m candidates are built
-    once; g is elementwise, so row x is bit-equal to ``_reach_rows(D,
-    [x])``.  Size 0 (Y empty) is tested for all rows at once: u, the min
-    over a row's k reach rows, goes through ``_alg1_scan``'s count prune
-    over (row, anchor) in chunks of at most _CHUNK_ELEMS entries, with the
-    selected anchors masked out, and ``_live_scan`` runs on the anchors it
-    keeps.  A row with no hit there goes through ``_smallk_hit`` from
-    size 1, on the anchor rows sorted once, when some row first needs them.
+    The anchor rows of all m candidates (``Instance.rows``) and their
+    reach rows are built once; g is elementwise, so row x is bit-equal to
+    ``_reach_radius(instance.rows([x]), gamma, 0.0)``.  Size 0 (Y empty)
+    is tested for all rows at once: u, the min over a row's k reach rows,
+    goes through ``_alg1_scan``'s count prune over (row, anchor) in chunks
+    of at most _CHUNK_ELEMS entries, with the selected anchors masked out,
+    and ``_live_scan`` runs on the anchors it keeps.  A row with no hit
+    there goes through ``_smallk_hit`` from size 1, on the anchor rows
+    sorted once, when some row first needs them.
     """
     check_gamma(gamma)
-    k = instance.k
+    n, m, k = instance.n, instance.m, instance.k
     _check_smallk_cap(k)
-    D = instance.dists()
-    (n, m), sel = D.shape, np.asarray(selections, dtype=np.intp).reshape(-1, k)
-    LA = np.ascontiguousarray(D.T)                     # (anchor, agent)
+    sel = np.asarray(selections, dtype=np.intp).reshape(-1, k)
+    LA = instance.rows(np.arange(m))                   # (anchor, agent)
     GA = _reach_radius(LA, gamma, 0.0)                 # (center, agent)
     sorted_all = functools.cache(lambda: np.sort(LA, axis=1))
     rank = np.arange(1, n + 1, dtype=np.int64)
@@ -604,11 +602,10 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     check_gamma(gamma)
     check_eps(eps)
     _check_smallk_cap(instance.k, max_k)
-    D, outs = instance.dists(), _unselected(instance, X)
-    hit = _smallk_hit(np.ascontiguousarray(D[:, outs].T), _reach_rows(D, X, gamma, eps),
-                      instance.k)
+    XR, outs = instance.rows(X), _unselected(instance, X)
+    hit = _smallk_hit(instance.rows(outs), _reach_radius(XR, gamma, eps), instance.k)
     if hit is None:
         return Verdict("mpjr+", gamma, True)
     row, size, radius, coalition, _ = hit
-    return Verdict("mpjr+", gamma, False, _witness(D[:, X].T, X, int(outs[row]), size + 1,
+    return Verdict("mpjr+", gamma, False, _witness(XR, X, int(outs[row]), size + 1,
                                                    radius, coalition, gamma, eps))

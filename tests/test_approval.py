@@ -179,7 +179,7 @@ class TestCaps:
     """Each exhaustive routine raises SizeError one past its fixed cap."""
 
     def test_pjr_plus_sweep(self):
-        k = approval._MAX_SWEEP_K + 1
+        k = 25
         inst = ApprovalInstance([[0]], k, k)
         with pytest.raises(SizeError):
             verify_pjr_plus_sweep(inst, tuple(range(k)))

@@ -451,6 +451,21 @@ class TestOtherCommands:
         bad.write_text(json.dumps(dict(data, k="x")))
         assert main(["audit", str(bad), "--selection", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("change", [{"dim": 5}, {"agents": "ab"}],
+                             ids=["dim", "agent-string"])
+    def test_self_contradicting_instance_exit_two(self, tmp_path, change, capsys):
+        """A Euclidean file with "dim": 5 and 2-D points audited with exit
+        0, and "agents": "ab" was read as two agents named a and b."""
+        if "dim" in change:
+            inst = Instance.euclidean([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], 1)
+        else:
+            inst = Instance.explicit([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 2, 1)
+        path, out = tmp_path / "inst.json", tmp_path / "out.json"
+        path.write_text(json.dumps(dict(inst.to_dict(), **change)))
+        assert main(["audit", str(path), "--selection", "0", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["audit", "--selection", "0"], ["sear"], ["baseline"],
                                       ["validate"]])
     @pytest.mark.parametrize("field", ["agents", "candidates", "matrix"])
@@ -498,6 +513,68 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err.startswith("Traceback")
         assert captured.err.rstrip().endswith("RuntimeError: audit crashed")
+
+
+# every numeric flag and list entry of these commands, with a command line
+# that the value completes ("{inst}" is an instance file)
+NUMERIC_FLAGS = (
+    [("audit", f) for f in ("--selection", "--gamma", "--ell", "--eps", "--max-k",
+                            "--max-agents")]
+    + [("generate", f) for f in ("--n", "--g", "--sigma", "--seed", "--k")]
+    + [("experiment", f) for f in ("--n-values", "--g-values", "--instances", "--selections",
+                                   "--k", "--sigma", "--seed", "--gamma", "--threads")]
+    + [("baseline", f) for f in ("--restarts", "--seed")])
+BASE_ARGV = {
+    "audit": ["audit", "{inst}", "--selection", "1,2,3"],
+    "generate": ["generate", "--kind", "gaussian", "--n", "20", "--g", "2"],
+    "experiment": ["experiment", "--n-values", "20", "--g-values", "4", "--instances", "1",
+                   "--selections", "2", "--threads", "1"],
+    "baseline": ["baseline", "{inst}"],
+}
+
+
+def run_main(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestStrictNumbers:
+    """int() and float() read digit-group underscores and other scripts'
+    digits: "--gamma 1_5" ran at gamma 15, "--ell ٢" at level 2, and
+    "--selection 1_2,٣" as (12, 3)."""
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11"],
+                             ids=["underscore", "arabic-indic", "fullwidth"])
+    @pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
+    def test_rejected_with_exit_two_and_no_out_file(self, prop3_2, tmp_path, command, flag,
+                                                    value, capsys):
+        argv = [prop3_2 if a == "{inst}" else a for a in BASE_ARGV[command]]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        out = tmp_path / "out"
+        assert run_main(argv + ["--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1_2,\u0663", "1,2,\u0663", "1,\uff12,3"])
+    def test_list_entries(self, prop3_2, value, capsys):
+        assert main(["audit", prop3_2, "--selection", value]) == 2
+        assert "--selection" in capsys.readouterr().err
+
+    def test_spaces_signs_and_exponents_still_read(self, prop3_2, capsys):
+        outputs = []
+        for gamma, eps, ell in (("1.5", "0.000000001", "2"), (" +1.5 ", "1e-9", " +2 "),
+                                ("15e-1", "1E-9", "2")):
+            assert main(["audit", prop3_2, "--selection", " +1,2, 3", "--axiom",
+                         "fixed-ell-dc", "--gamma", gamma, "--eps", eps, "--ell", ell]) == 1
+            outputs.append(read_json(capsys))
+            outputs[-1].pop("elapsed_ms")
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0]["gamma"] == 1.5
 
 
 def test_cli_import_loads_no_scipy():

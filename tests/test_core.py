@@ -190,6 +190,27 @@ class TestSelectionAndJson:
         with pytest.raises(InputError):
             Instance.from_dict(dict(inst.to_dict(), **change))
 
+    @pytest.mark.parametrize("change", [
+        {"agents": "abcdef"},         # six one-letter names, as a string
+        {"agents": {"a": 1}},
+        {"candidates": "zxyw"},
+        {"candidates": None},
+    ])
+    def test_from_dict_rejects_names_that_are_not_lists(self, change):
+        inst, _ = fixture_incomparability(2)
+        Instance.from_dict(inst.to_dict())
+        with pytest.raises(InputError, match="lists of names"):
+            Instance.from_dict(dict(inst.to_dict(), **change))
+
+    @pytest.mark.parametrize("dim", [5, 1, 0, 2.0, "2", None, True])
+    def test_from_dict_rejects_a_dim_that_is_not_the_points(self, dim):
+        data = Instance.euclidean([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0]], 1).to_dict()
+        assert Instance.from_dict(data).dim == 2
+        del data["dim"]
+        assert Instance.from_dict(data).dim == 2           # dim stays optional
+        with pytest.raises(InputError, match="dim"):
+            Instance.from_dict(dict(data, dim=dim))
+
     def test_schema_fields(self):
         inst, _ = fixture_incomparability(2)
         data = inst.to_dict()

@@ -1,18 +1,20 @@
-"""``Instance.rows``, the distance rows the DC audits read.
+"""``Instance.rows``, the distance rows every audit reads.
 
 A Euclidean instance computes the rows it is asked for from its
 coordinates until ``dists()`` has run, and gathers them from the matrix
 after; both must be bit-equal to ``dists()[:, cols].T``, and the audits
 must give the verdicts and witnesses of the matrix path
-(``_dc_scan`` over an n x m matrix) without building the matrix.
+(``_dc_scan`` over an n x m matrix) without building the matrix.  The
+small-k audit and the experiment batches must give the same output from
+either source and on the explicit twin.
 """
 
 import numpy as np
 import pytest
 
 from propaudit import (Instance, dc_violations, verify, verify_dc_mpjr_plus,
-                       verify_fixed_ell_dc)
-from propaudit.verify import _dc_scan
+                       verify_fixed_ell_dc, verify_mpjr_plus_smallk)
+from propaudit.verify import _dc_scan, _dc_verdicts, _smallk_verdicts
 
 from conftest import random_explicit
 
@@ -171,3 +173,56 @@ def test_audits_leave_a_fresh_instance_without_its_matrix(rng):
         verify_fixed_ell_dc(inst, X, 2)
         dc_violations(inst, X, 1.5, 0.25)
     assert inst._ac is None
+
+
+def test_no_audit_calls_dists(monkeypatch, rng):
+    pts = rng.random((60, 2))
+    inst = Instance.euclidean(pts[:40], pts[40:], 4)
+
+    def refuse(self):
+        raise AssertionError("Instance.dists called")
+
+    monkeypatch.setattr(Instance, "dists", refuse)
+    sels = [(0, 1, 2, 3), (4, 9, 14, 19)]
+    for X in sels:
+        for gamma, eps in ((1.0, 0.0), (1.5, 0.25)):
+            verify_mpjr_plus_smallk(inst, X, gamma, eps=eps)
+            verify_dc_mpjr_plus(inst, X, gamma, eps)
+            dc_violations(inst, X, gamma, eps)
+            verify_fixed_ell_dc(inst, X, 2, gamma, eps)
+    for gamma in (1.0, 1.5):
+        _smallk_verdicts(inst, sels, gamma)
+        _dc_verdicts(inst, sels, gamma)
+
+
+def smallk_outputs(inst, sels, gamma, eps):
+    """The small-k audit of each selection (``to_dict()`` less
+    ``elapsed_ms``) and, at eps = 0, both batches' verdicts."""
+    out = []
+    for X in sels:
+        got = verify_mpjr_plus_smallk(inst, X, gamma, eps=eps).to_dict()
+        del got["elapsed_ms"]
+        out.append(got)
+    if eps == 0:
+        out += [_smallk_verdicts(inst, sels, gamma).tolist(),
+                _dc_verdicts(inst, sels, gamma).tolist()]
+    return out
+
+
+def test_smallk_audit_and_batches_match_on_every_source(rng):
+    """The same output from computed rows, from rows gathered after
+    ``dists()`` and from the explicit twin, on 600 cases."""
+    violated = 0
+    for inst, X in audit_cases(rng, 600):
+        sels = [X] + [tuple(sorted(int(x) for x in rng.choice(inst.m, inst.k, replace=False)))
+                      for _ in range(3)]
+        cached, explicit = twin(inst), inst.to_explicit()
+        for gamma in (0.7, 1.0, 1.5):
+            for eps in (0.0, 0.25):
+                want = smallk_outputs(inst, sels, gamma, eps)
+                assert smallk_outputs(cached, sels, gamma, eps) == want
+                assert smallk_outputs(explicit, sels, gamma, eps) == want
+                violated += sum(not v["satisfied"] for v in want[:len(sels)])
+        if inst.metric == "euclidean":
+            assert inst._ac is None
+    assert 1000 <= violated <= 13000

@@ -34,7 +34,7 @@ from propaudit import verify
 from propaudit.core import check_selection
 from propaudit.gen import sample_selection
 from propaudit.verify import (_alg1_scan, _exclusion_sets, _reach_radius,
-                              _reach_rows, _root_bounds, _unselected, _witness)
+                              _root_bounds, _unselected, _witness)
 
 CASES = ((1.0, 0.0), (1.5, 1e-9), (3.0, 0.25))
 
@@ -127,7 +127,7 @@ def test_search_matches_plain_filter_at_large_k(rng):
         D = inst.dists()
         Lt = np.ascontiguousarray(D[:, _unselected(inst, X)].T)
         gamma, eps = CASES[j % 3]
-        G = _reach_rows(D, X, gamma, eps)
+        G = _reach_radius(inst.rows(X), gamma, eps)
         for size in (0, 1, 2, k - 2, k - 1):
             got = list(_exclusion_sets(Lt, G, size, -((-(size + 1) * inst.n) // k)))
             assert got == reference_sets(inst, X, size, gamma, eps)
@@ -228,7 +228,7 @@ def check_root_bounds(inst, X, gamma, eps):
     outs = _unselected(inst, X)
     Lt = np.ascontiguousarray(D[:, outs].T)
     Ls = np.sort(Lt, axis=1)
-    G = _reach_rows(D, X, gamma, eps)
+    G = _reach_radius(inst.rows(X), gamma, eps)
     Gs = np.sort(G, axis=0)
     wants, lengths, size = [], [], 0
     while size < k:
@@ -296,7 +296,7 @@ def scan_every_set(inst, X, gamma, eps):
     if len(outs) == 0:
         return Verdict("mpjr+", gamma, True)
     Lt = np.ascontiguousarray(D[:, outs].T)
-    G = _reach_rows(D, X, gamma, eps)
+    G = _reach_radius(inst.rows(X), gamma, eps)
     rank = np.arange(1, n + 1)
     for size in range(k):
         need = -((-(size + 1) * n) // k)
