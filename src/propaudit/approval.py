@@ -53,10 +53,16 @@ class ApprovalInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ApprovalInstance":
+        """The instance ``to_dict`` wrote; "voters", optional, must be the
+        number of ballots."""
         try:
-            return cls(data["approvals"], data["candidates"], data["k"])
+            inst = cls(data["approvals"], data["candidates"], data["k"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad approval JSON: {exc}") from exc
+        voters = data.get("voters", inst.n)
+        if not (is_int(voters) and voters == inst.n):
+            raise InputError(f"voters={voters!r} but {inst.n} approval sets")
+        return inst
 
     def to_dict(self) -> dict:
         return {

@@ -7,14 +7,17 @@ aggregates satisfaction counts.  Work units are whole instances keyed by
 master seed alone, so results are identical no matter how the units are
 scheduled across processes.
 
-Each instance's selections are drawn first.  Their verdicts under each
-axiom come from one batch per instance: ``verify._smallk_verdicts`` for
-mpjr+, which builds the anchor and reach rows once and tests the empty
-exclusion set for all selections together, and ``verify._dc_verdicts``
-for dc-mpjr+, which computes the selection-independent coverage radii
-once.  So a row's ``mean_ms`` is, for either axiom, the batch wall times
-of its cell summed and divided by its selections.  Neither batch builds
-a witness.
+Each instance's selections are drawn first, from one generator reset
+to each selection's stream (``gen.reseed``), and its distance matrix is
+computed once.  Their verdicts under each axiom come from one batch per
+instance, which gathers its rows from that matrix:
+``verify._smallk_verdicts`` for mpjr+, which builds the anchor and reach
+rows and the bound table once and tests the empty exclusion set for all
+selections together, and ``verify._dc_verdicts`` for dc-mpjr+, which
+computes the selection-independent coverage radii once.  So a row's
+``mean_ms`` is, for either axiom, the batch wall times of its cell summed
+and divided by its selections; drawing and the distance matrix are not
+in it.  Neither batch builds a witness.
 
 Inside the harness, every audited selection is also checked for the
 axiom implication (anchored representation implies the default-coalition
@@ -33,7 +36,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .core import ConfigError, is_finite, is_int
-from .gen import GaussianConfig, gen_gaussian_instance, sample_selection, substream
+from .gen import GaussianConfig, gen_gaussian_instance, reseed, sample_selection, substream
 from .verify import _dc_verdicts, _smallk_verdicts
 # not called here: perfbench's tracer wraps this name of the module
 from .verify import verify_mpjr_plus_smallk  # noqa: F401
@@ -84,7 +87,8 @@ class ExperimentConfig:
 class ReportRow:
     """One (n, g, axiom) cell.  ``mean_ms`` is the audit wall time per
     selection: the cell's per-instance batch times for the axiom summed and
-    divided by its selections."""
+    divided by its selections (the distance matrix, shared by both
+    batches, is computed before either)."""
 
     n: int
     g: int
@@ -147,16 +151,21 @@ def _instance_seed(master: int, n: int, g: int, idx: int) -> int:
 def _audit_instance(task) -> tuple:
     """Audit one generated instance under all configured axioms.
 
-    The selections are drawn first, and each axiom's verdicts for all of
-    them come from one batch (``_smallk_verdicts``, ``_dc_verdicts``),
-    whose wall time is the instance's time for that axiom.  Returns (n, g,
-    per-axiom satisfied counts, per-axiom elapsed ms, audits performed).
+    The selections are drawn first, selection j from the stream
+    ``substream(master, "selection", n, g, idx, j)`` starts, by reseeding
+    one generator.  Then the distance matrix is computed, and each
+    axiom's verdicts for all of them come from one batch
+    (``_smallk_verdicts``, ``_dc_verdicts``), whose wall time is the
+    instance's time for that axiom.  Returns (n, g, per-axiom satisfied
+    counts, per-axiom elapsed ms, audits performed).
     """
     (n, g, idx, k, sigma, master, axioms, gamma, selections) = task
     cfg = GaussianConfig(n=n, g=g, sigma=sigma, seed=_instance_seed(master, n, g, idx), k=k)
     inst = gen_gaussian_instance(cfg)
-    picks = [sample_selection(inst.m, k, substream(master, "selection", n, g, idx, j))
+    gen = substream(master, "selection", n, g, idx)       # reseeded per selection
+    picks = [sample_selection(inst.m, k, reseed(gen, master, "selection", n, g, idx, j))
              for j in range(selections)]
+    inst.dists()
     verdicts, ms = {}, {}
     for axiom, batch in (("mpjr+", _smallk_verdicts), ("dc-mpjr+", _dc_verdicts)):
         if axiom in axioms:

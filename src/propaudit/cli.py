@@ -119,6 +119,21 @@ def _emit(obj, out=None):
     _write(json.dumps(obj, indent=2) + "\n", out)
 
 
+def _witness_item(wit) -> str:
+    """``json.dumps(wit.to_dict(), indent=2)`` indented as an entry of the
+    "witnesses" list (four more spaces after each newline).  Each nonempty
+    index list is written with one join, not through json's pure-Python
+    indenting encoder, which took most of an --all-witnesses run."""
+    fields = []
+    for key, val in wit.to_dict().items():
+        if isinstance(val, list) and val:
+            val = "[\n        " + ",\n        ".join(map(str, val)) + "\n      ]"
+        else:
+            val = json.dumps(val)
+        fields.append(f"      {json.dumps(key)}: {val}")
+    return "{\n" + ",\n".join(fields) + "\n    }"
+
+
 def _emit_witnesses(head, first, rest, out=None):
     """``_emit`` of `head` with a last key "witnesses" listing `first` and
     the witnesses of the iterator `rest`, the same bytes written one
@@ -130,8 +145,7 @@ def _emit_witnesses(head, first, rest, out=None):
             return
         yield text[:-4] + "[\n"                    # cut the closing "[]\n}"
         for i, wit in enumerate(itertools.chain((first,), rest)):
-            item = json.dumps(wit.to_dict(), indent=2).replace("\n", "\n    ")
-            yield (",\n    " if i else "    ") + item
+            yield (",\n    " if i else "    ") + _witness_item(wit)
         yield "\n  ]\n}\n"
     _write_chunks(chunks(), out)
 
@@ -226,6 +240,7 @@ def _cmd_experiment(args) -> int:
             elapsed = time.perf_counter() - start
             print(f"{done}/{total} instances audited, {elapsed:.1f} s elapsed, "
                   f"{done / elapsed:.2f} instances/s, "
+                  f"{done * cfg.selections_per_instance / elapsed:.1f} selections/s, "
                   f"ETA {elapsed * (total - done) / done:.1f} s", file=sys.stderr)
     report = bench.run_experiment(cfg, threads=args.threads, progress=progress)
     _write(report.plot_data() if args.plot_data else report.to_csv(), args.out)

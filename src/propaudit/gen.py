@@ -5,7 +5,8 @@ sampling.
 Randomness comes from counter-based Philox streams keyed by hashing the
 master seed together with a label path (``substream(seed, "instance", n,
 g, i)``), so any instance or selection can be regenerated independently
-of evaluation order and across processes.  Gaussian noise is produced by
+of evaluation order and across processes; ``reseed`` puts one generator
+at the start of any such stream.  Gaussian noise is produced by
 an explicit Box-Muller transform over the stream's uniforms, keeping the
 byte stream independent of library internals.
 """
@@ -22,14 +23,31 @@ from .approval import ApprovalInstance
 from .embedding import embed_approval
 
 
-def substream(seed: int, *path) -> np.random.Generator:
-    """Philox generator keyed by sha256(master seed, label path); the seed
-    must be an integer."""
+def _key(seed, path) -> int:
     if not is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     digest = hashlib.sha256(repr((int(seed),) + tuple(path)).encode()).digest()
-    key = int.from_bytes(digest[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return int.from_bytes(digest[:16], "little")
+
+
+def substream(seed: int, *path) -> np.random.Generator:
+    """Philox generator keyed by sha256(master seed, label path), at
+    counter 0 with an empty buffer; the seed must be an integer.  To draw
+    from many such streams in turn, ``reseed`` one generator instead of
+    making each: that yields the same draws, without a new generator each."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, path)))
+
+
+def reseed(gen: np.random.Generator, seed: int, *path) -> np.random.Generator:
+    """Put `gen`, a Philox generator (one from ``substream``), in the state
+    ``substream(seed, *path)`` starts in: counter 0, that key, an empty
+    buffer; returns `gen`."""
+    key = _key(seed, path)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [key & (1 << 64) - 1, key >> 64]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
@@ -78,13 +96,20 @@ def gen_gaussian_instance(cfg: GaussianConfig) -> Instance:
 
 
 def sample_selection(m: int, k: int, seed) -> tuple:
-    """Uniform size-k subset of range(m) by partial Fisher-Yates shuffle."""
+    """Uniform size-k subset of range(m) by partial Fisher-Yates shuffle.
+
+    `seed` is a generator or an integer (then ``substream(seed,
+    "selection")``).  Swap i takes a draw from [0, m - i); all k come from
+    one array-bound call, ``gen.integers(0, [m, m - 1, ..., m - k + 1])``,
+    which gives the draws of k scalar calls ``gen.integers(0, m - i)`` and
+    leaves the generator where they would.
+    """
     if not (is_int(k) and 0 <= k <= m):
         raise ConfigError(f"need an integer 0 <= k <= m={m}, got k={k!r}")
     gen = seed if isinstance(seed, np.random.Generator) else substream(seed, "selection")
     idx = list(range(m))
-    for i in range(k):
-        j = i + int(gen.integers(0, m - i))
+    for i, d in enumerate(gen.integers(0, np.arange(m, m - k, -1)).tolist()):
+        j = i + d
         idx[i], idx[j] = idx[j], idx[i]
     return tuple(sorted(idx[:k]))
 

@@ -12,20 +12,23 @@ Two verification strategies live here:
   itself needs, so each needs Y to hold every selected center nearer than
   that.  Per size |Y| >= 1, one bound over the anchors, from sorts taken
   once, keeps only the anchors with enough agents that have at most |Y|
-  such centers, less the agents of the (|Y|+1)-th most common one
-  (``_root_bounds``), and a size none keeps is skipped.  One pass bounds
-  a group of sizes, as many as ``_BOUND_ELEMS`` (size, anchor, agent)
-  entries hold, and one size alone past that.  A depth-first search over
-  Y then skips every set where no kept anchor has enough agents whose
-  such centers all lie in Y (``_exclusion_sets``).  Worst case
-  O(m n log n * 2^k): practical for small k only.  The search,
-  ``_smallk_hit``, takes the anchor rows, a source of their sorted copy
-  and the selection's reach rows, so it also runs approval PJR+ on
-  {1, 2} ballot rows, and ``_smallk_verdicts`` gives the experiment
-  harness the verdicts of many selections of one instance at once: it
-  builds the anchor and reach rows of all m candidates once, tests size 0
-  (Y empty) for every selection together, and sends only the selections
-  that pass it through the search, from size 1.
+  such centers, less the agents of the (|Y|+1)-th most common one, and a
+  size none keeps is skipped.  The bound is a table no selection changes
+  (``_bound_table``) and a count against the selection's reach rows
+  (``_bound_counts``), taken over a batch of selections at once.  One
+  pass counts as many (selection, size, anchor, agent) entries as
+  ``_BOUND_ELEMS`` holds, and one size alone past that.  A depth-first
+  search over Y then skips every set where no kept anchor has enough
+  agents whose such centers all lie in Y (``_exclusion_sets``).  Worst
+  case O(m n log n * 2^k): practical for small k only.  The search,
+  ``_smallk_hit``, takes the anchor rows, a source of their bounds and
+  the selection's reach rows, so it also runs approval PJR+ on {1, 2}
+  ballot rows, and ``_smallk_verdicts`` gives the experiment harness the
+  verdicts of many selections of one instance at once: it builds the
+  anchor and reach rows and the bound table of all m candidates once,
+  tests size 0 (Y empty) for every selection together, bounds the
+  selections that pass it together and sends them through the search,
+  from size 1.
 
 * ``verify_dc_mpjr_plus`` checks each unselected anchor's tightest ball at
   every level through coverage radii: selected center x is covered by the
@@ -81,7 +84,6 @@ determinism; verdicts are order-independent either way.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import combinations
 
@@ -106,9 +108,10 @@ _SIGN = np.uint64(1 << 63)
 # size, the k=5 experiment grid ran about 1.5x as long (0.66 vs 0.43 s,
 # with the anchors cut by _root_bounds first)
 _PLAIN_SETS = 16
-# cap on the (size, anchor, agent) entries of one _root_bounds pass, which
-# bounds as many sizes at once as fit (at least one); its scratch is 9 bytes
-# an entry (t and fit), 2.3 MB at the cap.  Library audits of the smallk-sat
+# cap on the (selection, size, anchor, agent) entries of one _bound_counts
+# pass, which bounds as many sizes (and, in a batch, selections) at once as
+# fit (one size at least); its scratch is 9 bytes an entry (the table and
+# fit), 2.3 MB at the cap.  Library audits of the smallk-sat
 # benchmark's instances (n=200, m=100, k=12: all 11 sizes in 193,600
 # entries, 2 vCPUs): one size a pass 0.96 ms, 2^16 (3 sizes) 0.68 ms, 2^17
 # 0.61 ms, 2^18 0.57 ms, 2^20 0.57 ms.  Uncapped, a satisfied n=5000, m=100,
@@ -386,33 +389,63 @@ def _blockers(Lt, G, need):
     return first // Lt.shape[1], blocked.astype(bool), mult
 
 
-def _root_bounds(Lt, Ls, G, Gs, first):
-    """Upper bounds on the agents ``_alg1_scan`` counts per anchor row of
-    ``Lt`` at any Y with |Y| = size, for sizes from `first` on, read from
-    the rows sorted (``Ls``) and the reach rows ``G`` sorted per agent
-    (``Gs``): row j of the (size, anchor) result is size first + j, its
-    target `need` being ceil((size+1) n / k).
+def _bound_table(Lt, Ls, k, sizes) -> np.ndarray:
+    """The part of ``_bound_counts`` no selection changes: per size of
+    `sizes`, t_i = max(d(i, c), R) for each (anchor, agent) entry of the
+    rows ``Lt``, R being the need-th smallest d(., c), read from the rows
+    sorted (``Ls``), and need ceil((size+1) n / k)."""
+    need = -((-(sizes + 1) * Lt.shape[1]) // k)
+    return np.maximum(Lt, Ls[:, need - 1].T[:, :, None])        # (size, anchor, agent)
+
+
+def _bound_counts(T, G, Gs, sizes) -> np.ndarray:
+    """Upper bounds on the agents ``_alg1_scan`` counts per anchor at any
+    Y with |Y| = size, as (selection, size, anchor), for a batch of
+    selections' reach rows ``G`` (selection, center, agent), sorted per
+    agent in ``Gs``, and the table ``T`` of ``_bound_table`` for `sizes`.
 
     The agents counted at a radius r have t_i <= r < g(u_i), so their
     blockers (``_blockers``) lie in Y: at most `size` of them, which holds
     exactly when the (size+1)-th smallest g(d(i, x)) exceeds t_i.  Where
     those agents reach `need`, Y also leaves out one of the size+1
     positions that block the most of them, and none of the agents that
-    position blocks counts.  One pass takes as many sizes as fit in
-    ``_BOUND_ELEMS`` (size, anchor, agent) entries, at least one; the
-    correction runs only on the (size, anchor) pairs that reach `need`.
+    position blocks counts.  The correction runs only on the (selection,
+    size, anchor) triples that reach `need`.
     """
-    n, k = Lt.shape[1], len(G)
-    sizes = np.arange(first, min(k, first + max(1, _BOUND_ELEMS // max(1, Lt.size))))
+    n, k = T.shape[2], G.shape[1]
     need = -((-(sizes + 1) * n) // k)
-    t = np.maximum(Lt, Ls[:, need - 1].T[:, :, None])         # (size, anchor, agent)
-    fit = t < Gs[sizes][:, None, :]
-    bound = fit.sum(axis=2)
-    si, rows = np.nonzero(bound >= need[:, None])
-    fit, t = fit[si, rows], t[si, rows]                         # (pair, agent)
-    blocks = np.sort([(fit & (reach <= t)).sum(axis=1) for reach in G], axis=0)
-    bound[si, rows] -= blocks[k - 1 - sizes[si], np.arange(len(si))]
+    fit = T[None] < Gs[:, sizes, None, :]           # (selection, size, anchor, agent)
+    bound = fit.sum(axis=3)
+    b, si, rows = np.nonzero(bound >= need[:, None])
+    fit, t = fit[b, si, rows], T[si, rows]                      # (triple, agent)
+    # each triple's reach row of position p, gathered one p at a time (a
+    # batch of one broadcasts its own)
+    reach = (G[0, p] if len(G) == 1 else G[b, p] for p in range(k))
+    blocks = np.sort([(fit & (row <= t)).sum(axis=1) for row in reach], axis=0)
+    bound[b, si, rows] -= blocks[k - 1 - sizes[si], np.arange(len(b))]
     return bound
+
+
+def _root_bounds(Lt, Ls, G, Gs, first):
+    """``_bound_counts`` of one selection (reach rows ``G``, sorted per
+    agent in ``Gs``) over the anchor rows ``Lt`` (sorted in ``Ls``), for
+    sizes from `first` on, as many as fit in ``_BOUND_ELEMS`` (size,
+    anchor, agent) entries, at least one: row j of the (size, anchor)
+    result is size first + j."""
+    k = len(G)
+    sizes = np.arange(first, min(k, first + max(1, _BOUND_ELEMS // max(1, Lt.size))))
+    return _bound_counts(_bound_table(Lt, Ls, k, sizes), G[None], Gs[None], sizes)[0]
+
+
+def _root_bound_rows(Lt, G, first):
+    """The rows of ``_root_bounds`` for sizes first, first + 1, ... in
+    turn, each group computed when its first size is asked for; ``Lt`` and
+    ``G`` are sorted when the first is."""
+    Ls, Gs = np.sort(Lt, axis=1), np.sort(G, axis=0)
+    while first < len(G):
+        group = _root_bounds(Lt, Ls, G, Gs, first)
+        yield from group
+        first += len(group)
 
 
 def _exclusion_sets(Lt, G, size, need):
@@ -475,19 +508,24 @@ def _alg1_scan(Lt, G, rank, need, rest):
     return _live_scan(Lt, ug, rank, need, alive)
 
 
+def _live_counts(Ls, Us, rank):
+    """The intervals live at each radius of the rows ``Ls``, sorted
+    interval starts (each clamped to its end, so an empty interval has
+    zero width), against the ends ``Us``, sorted: at the t-th start
+    (`rank`, 1-based) t intervals have begun, and those whose end is at
+    or below it have closed."""
+    return rank - np.searchsorted(Us, Ls, side="right")
+
+
 def _live_scan(Lt, ug, rank, need, alive):
     """``_alg1_scan`` past its count prune, on the rows `alive` of ``Lt``
     and the reach vector ``ug``: (row, radius, ug) of the first where the
     live intervals reach `need`, else None."""
     if alive.size == 0:
         return None
-    # clamp empty intervals to zero width so they cancel in the counting
     Ls = np.sort(np.minimum(Lt[alive], ug[None, :]), axis=1)
-    Us = np.sort(ug)
-    dead = np.searchsorted(Us, Ls.ravel(), side="right").reshape(Ls.shape)
-    live = rank[None, :] - dead
-    smax = live.max(axis=1)
-    hits = np.flatnonzero(smax >= need)
+    live = _live_counts(Ls, np.sort(ug), rank)
+    hits = np.flatnonzero(live.max(axis=1) >= need)
     if hits.size == 0:
         return None
     ci = int(hits[0])
@@ -495,36 +533,32 @@ def _live_scan(Lt, ug, rank, need, alive):
     return int(alive[ci]), float(Ls[ci, t]), ug
 
 
-def _smallk_hit(Lt, G, k, sorted_rows=None, first=0):
+def _smallk_hit(Lt, G, k, bounds=None, first=0):
     """The small-k audit's search over the anchors whose distance rows are
     ``Lt`` (anchor, agent), against the selection's reach rows ``G``: its
     first violation as (row of Lt, size, radius, coalition mask, y), y
     being Y as a bit mask over the rows of G, or None.  Sizes below
     `first` count as checked.
 
-    Per size |Y| >= 1, only anchors that pass ``_root_bounds`` are
-    scanned, and only the sets Y that ``_exclusion_sets`` keeps for them
-    once a size has more than ``_PLAIN_SETS``; the rest cannot violate.
-    The bounds come one group of sizes at a time (``_root_bounds``), each
-    computed when the search reaches its first size.  They read Lt sorted
-    per row from `sorted_rows()`, called at the first such size
-    (``np.sort`` of Lt if not given).  The coalition is the agents within
+    Per size |Y| >= 1, only anchors whose bound (``_bound_counts``)
+    reaches the size's target are scanned, and only the sets Y that
+    ``_exclusion_sets`` keeps for them once a size has more than
+    ``_PLAIN_SETS``; the rest cannot violate.  The bounds are read from
+    the source `bounds`, an iterable of one row over Lt per size, from
+    size max(first, 1) on: a batch of selections passes rows it counted
+    together, and by default ``_root_bound_rows`` computes them a group of
+    sizes at a time, sorting Lt when the search first gets past size 0,
+    which ends most failing audits.  The coalition is the agents within
     the radius, out of reach of X \\ Y.
     """
     n = Lt.shape[1]
     rank = np.arange(1, n + 1, dtype=np.int64)
-    rows, Lk, Ls = np.arange(len(Lt)), Lt, None
+    rows, Lk = np.arange(len(Lt)), Lt
+    bounds = iter(_root_bound_rows(Lt, G, max(first, 1)) if bounds is None else bounds)
     for size in range(first, k):
         need = -((-(size + 1) * n) // k)
         if size:
-            if Ls is None:
-                # sorted only past size 0, which ends most failing audits
-                Ls = np.sort(Lt, axis=1) if sorted_rows is None else sorted_rows()
-                Gs = np.sort(G, axis=0)
-                lo, bounds = size, ()
-            if size - lo == len(bounds):
-                lo, bounds = size, _root_bounds(Lt, Ls, G, Gs, size)
-            rows = np.flatnonzero(bounds[size - lo] >= need)
+            rows = np.flatnonzero(next(bounds) >= need)
             if rows.size == 0:
                 continue
             Lk = Lt[rows]
@@ -552,15 +586,22 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     row X of `selections`, an (s, k) array of distinct in-range centers,
     at eps = 0, with no witness built.
 
-    The anchor rows of all m candidates (``Instance.rows``) and their
-    reach rows are built once; g is elementwise, so row x is bit-equal to
+    The anchor rows of all m candidates (``Instance.rows``), their reach
+    rows and their ``_bound_table`` for sizes 0 to k - 1 are built once;
+    g is elementwise, so row x is bit-equal to
     ``_reach_radius(instance.rows([x]), gamma, 0.0)``.  Size 0 (Y empty)
-    is tested for all rows at once: u, the min over a row's k reach rows,
-    goes through ``_alg1_scan``'s count prune over (row, anchor) in chunks
-    of at most _CHUNK_ELEMS entries, with the selected anchors masked out,
-    and ``_live_scan`` runs on the anchors it keeps.  A row with no hit
-    there goes through ``_smallk_hit`` from size 1, on the anchor rows
-    sorted once, when some row first needs them.
+    is tested for all rows at once, in chunks of at most _CHUNK_ELEMS
+    (row, anchor, agent) entries, with the selected anchors masked out.
+    u is the min over a row's k reach rows, and R the need-th smallest
+    d(., c).  A hit at radius r counts need agents within r of c, so
+    r >= R.  Hence ``_alg1_scan``'s count prune counts the table's size-0
+    entries max(d(i, c), R) below u, not the raw d(i, c).  An anchor with
+    need agents i where d(i, c) <= R < u_i is a hit at R itself.  In a
+    row with no such anchor, ``_live_scan``'s count runs on every anchor
+    the prune keeps, all at once.  The rows with no hit at size 0 are
+    bounded together by ``_bound_counts``, in passes of at most
+    _BOUND_ELEMS (row, size, anchor, agent) entries, and go through
+    ``_smallk_hit`` from size 1 with those bounds.
     """
     check_gamma(gamma)
     n, m, k = instance.n, instance.m, instance.k
@@ -568,23 +609,46 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     sel = np.asarray(selections, dtype=np.intp).reshape(-1, k)
     LA = instance.rows(np.arange(m))                   # (anchor, agent)
     GA = _reach_radius(LA, gamma, 0.0)                 # (center, agent)
-    sorted_all = functools.cache(lambda: np.sort(LA, axis=1))
+    LS = np.sort(LA, axis=1)
+    T = _bound_table(LA, LS, k, np.arange(k))
     rank = np.arange(1, n + 1, dtype=np.int64)
     need = -(-n // k)
-    ok = np.empty(len(sel), dtype=bool)
+    near = LA <= LS[:, need - 1, None]                 # d(i, c) <= R
+    ok = np.zeros(len(sel), dtype=bool)
+    survivors = []
     step = max(1, _CHUNK_ELEMS // (m * n))
     for lo in range(0, len(sel), step):
         block = sel[lo:lo + step]
         u = GA[block].min(axis=1)                      # (row, agent)
-        alive = np.count_nonzero(LA[None, :, :] < u[:, None, :], axis=2) >= need
+        reach = T[0][None] < u[:, None, :]             # (row, anchor, agent)
+        alive = np.count_nonzero(reach, axis=2) >= need
         alive[np.arange(len(block))[:, None], block] = False
-        for j, X in enumerate(block):
-            if _live_scan(LA, u[j], rank, need, np.flatnonzero(alive[j])) is not None:
-                ok[lo + j] = False
-                continue
-            outs = _unselected(instance, X)
-            ok[lo + j] = _smallk_hit(LA[outs], GA[X], k, lambda outs=outs: sorted_all()[outs],
-                                     first=1) is None
+        hit = (alive & (np.count_nonzero(reach & near, axis=2) >= need)).any(axis=1)
+        r, c = np.nonzero(alive & ~hit[:, None])       # pairs in row order
+        Ls = np.sort(np.minimum(LA[c], u[r]), axis=1)
+        Us = np.sort(u, axis=1)
+        cut = np.searchsorted(r, np.arange(len(block) + 1))
+        top = np.empty(len(r), dtype=np.intp)
+        for j in np.flatnonzero(cut[1:] > cut[:-1]):
+            part = slice(cut[j], cut[j + 1])
+            top[part] = _live_counts(Ls[part], Us[j], rank).max(axis=1)
+        hit[r[top >= need]] = True
+        survivors += (lo + np.flatnonzero(~hit)).tolist()
+    ok[survivors] = True
+    if k == 1:                                         # size 0 is the only size
+        return ok
+    sizes = np.arange(1, k)
+    group = min(k - 1, max(1, _BOUND_ELEMS // (m * n)))            # sizes a pass
+    per = max(1, _BOUND_ELEMS // (group * m * n))                  # rows a pass
+    for lo in range(0, len(survivors), per):
+        idx = survivors[lo:lo + per]
+        G = GA[sel[idx]]                               # (row, center, agent)
+        Gs = np.sort(G, axis=1)
+        B = np.concatenate([_bound_counts(T[s:s + group], G, Gs, sizes[s - 1:s - 1 + group])
+                            for s in range(1, k, group)], axis=1)
+        for j, G_j, B_j in zip(idx, G, B):
+            outs = _unselected(instance, sel[j])
+            ok[j] = _smallk_hit(LA[outs], G_j, k, B_j[:, outs], first=1) is None
     return ok
 
 

@@ -114,6 +114,15 @@ class TestFromDict:
         with pytest.raises(InputError):
             ApprovalInstance.from_dict(dict(self.BASE, **change))
 
+    @pytest.mark.parametrize("voters", [5, 1, 0, 2.0, True, "2", None])
+    def test_rejects_a_voter_count_that_is_not_the_ballots(self, voters):
+        with pytest.raises(InputError, match="approval sets"):
+            ApprovalInstance.from_dict(dict(self.BASE, voters=voters))
+
+    def test_voter_count_is_optional(self):
+        data = {key: val for key, val in self.BASE.items() if key != "voters"}
+        assert ApprovalInstance.from_dict(data) == ApprovalInstance.from_dict(self.BASE)
+
     @pytest.mark.parametrize("approvals, m, k", [
         ([[0.7], [True, 1.2]], 2, 1.9), ([[0], [1]], 2, 1.0), ([[0], [1]], 2.0, 1),
         ([[0], [True]], 2, 1), ([[0], [1.0]], 2, 1),

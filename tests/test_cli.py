@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from propaudit import Instance, dc_violations, dump_instance
 from propaudit import cli
 from propaudit.cli import console_main, main
+from propaudit.core import Witness
 from propaudit.gen import fixture_incomparability, sample_selection
 
 
@@ -162,6 +164,28 @@ class TestAudit:
         assert main(["audit", str(path), "--selection", wrong, "--all-witnesses",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_witness_item_bytes(self, rng):
+        """Each --all-witnesses entry is the indent=2 JSON of the witness's
+        dict, indented into the list, on 1,500 random witnesses: index
+        lists missing, empty, of one entry and of hundreds, radii zero,
+        fractional, huge and infinite."""
+        def index_set(j):
+            size = (0, 1, int(rng.integers(2, 400)))[j % 3]
+            return frozenset(rng.choice(100_000, size, replace=False).tolist())
+
+        kinds = set()
+        for j in range(1500):
+            radius = (None, 0.0, float(rng.random()), 1e300 * rng.random(), math.inf)[j % 5]
+            wit = Witness(center=None if j % 7 == 0 else int(rng.integers(0, 10**6)),
+                          level=int(rng.integers(0, 30)), radius=radius,
+                          coalition=None if j % 11 == 0 else index_set(j),
+                          covered=None if j % 13 == 0 else index_set(j // 3))
+            want = json.dumps(wit.to_dict(), indent=2).replace("\n", "\n    ")
+            assert cli._witness_item(wit) == want
+            kinds.update(None if s is None else min(len(s), 2)
+                         for s in (wit.coalition, wit.covered))
+        assert kinds == {None, 0, 1, 2}
 
     def test_text_format_writes_out(self, prop3_2, tmp_path, capsys):
         main(["audit", prop3_2, "--selection", "1,2,3", "--format", "text"])
@@ -318,7 +342,7 @@ class TestOtherCommands:
         assert data["metric"] == "explicit"
         assert data["matrix"][0][2] == 1.0 and data["matrix"][0][3] == 2.0
 
-    @pytest.mark.parametrize("change", [{"k": 1.7}, {"candidates": 2.0}])
+    @pytest.mark.parametrize("change", [{"k": 1.7}, {"candidates": 2.0}, {"voters": 5}])
     def test_embed_bad_profile_exit_two(self, tmp_path, change, capsys):
         appr = tmp_path / "appr.json"
         appr.write_text(json.dumps(dict(
@@ -399,8 +423,12 @@ class TestOtherCommands:
         lines = loud.err.splitlines()
         assert len(lines) == 4
         for done, line in enumerate(lines, 1):
-            assert re.fullmatch(rf"{done}/4 instances audited, \d+\.\d s elapsed, "
-                                r"\d+\.\d\d instances/s, ETA \d+\.\d s", line), line
+            got = re.fullmatch(rf"{done}/4 instances audited, \d+\.\d s elapsed, "
+                               r"(\d+\.\d\d) instances/s, (\d+\.\d) selections/s, "
+                               r"ETA \d+\.\d s", line)
+            assert got, line
+            # three selections an instance, each rate rounded to its last digit
+            assert abs(float(got[2]) - 3 * float(got[1])) <= 0.05 + 3 * 0.005
         assert lines[-1].endswith("ETA 0.0 s")
 
     def test_validate(self, prop3_2, tmp_path, capsys):

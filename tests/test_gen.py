@@ -8,7 +8,7 @@ from propaudit import (ConfigError, GaussianConfig, Instance,
                        fixture_incomparability, fixture_objective_failure,
                        gen_gaussian_instance, sample_selection,
                        validate_metric)
-from propaudit.gen import box_muller, substream
+from propaudit.gen import box_muller, reseed, substream
 
 
 class TestGaussianModel:
@@ -133,3 +133,45 @@ class TestSelectionSampling:
 
     def test_empty_selection(self):
         assert sample_selection(5, 0, 0) == ()
+
+
+def scalar_draw_selection(m, k, gen):
+    """Partial Fisher-Yates shuffle with one scalar draw a swap: the
+    reference ``sample_selection``'s one array-bound draw must match."""
+    idx = list(range(m))
+    for i in range(k):
+        j = i + int(gen.integers(0, m - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return tuple(sorted(idx[:k]))
+
+
+def test_reseeded_sampler_matches_fresh_streams(rng):
+    """One generator, reseeded per case and left with buffered 32-bit
+    draws by the case before, gives the selection of a fresh ``substream``
+    drawn one scalar at a time, on 12,000 (seed, m, k) cases with k = 0
+    and k = m among them; both generators' next draws agree after it."""
+    gen = substream(0, "reused")
+    edges = 0
+    for case in range(12_000):
+        seed = int(rng.integers(-2**40, 2**62))
+        m = int(rng.integers(1, 120 if case % 50 else 5000))
+        k = (0, m, int(rng.integers(0, min(m, 30) + 1)))[case % 3]
+        edges += k in (0, m)
+        path = ("selection", m, k, case)
+        got = sample_selection(m, k, reseed(gen, seed, *path))
+        fresh = substream(seed, *path)
+        assert got == scalar_draw_selection(m, k, fresh) == \
+            sample_selection(m, k, substream(seed, *path)), (seed, m, k)
+        assert gen.integers(0, 1000) == fresh.integers(0, 1000)
+        assert gen.random() == fresh.random()
+        gen.integers(0, 7, size=int(rng.integers(0, 3)))    # half-used 64-bit words
+    assert edges >= 8000
+
+
+def test_reseed_restarts_every_stream():
+    gen = substream(1, "a")
+    first = gen.random(5)
+    assert (reseed(gen, 1, "a").random(5) == first).all()
+    assert (reseed(gen, 2, "b").random(5) == substream(2, "b").random(5)).all()
+    with pytest.raises(ConfigError):
+        reseed(gen, 1.5, "a")

@@ -33,8 +33,8 @@ from propaudit import (Instance, SizeError, Verdict, oracle_mpjr_plus, run_sear,
 from propaudit import verify
 from propaudit.core import check_selection
 from propaudit.gen import sample_selection
-from propaudit.verify import (_alg1_scan, _exclusion_sets, _reach_radius,
-                              _root_bounds, _unselected, _witness)
+from propaudit.verify import (_alg1_scan, _bound_counts, _bound_table, _exclusion_sets,
+                              _reach_radius, _root_bounds, _unselected, _witness)
 
 CASES = ((1.0, 0.0), (1.5, 1e-9), (3.0, 0.25))
 
@@ -286,6 +286,52 @@ def test_root_bounds_with_no_anchor_rows():
     for gamma, eps in ROOT_CASES:
         assert check_root_bounds(inst, (0, 1, 2), gamma, eps)[1] == [3]
         assert verify_mpjr_plus_smallk(inst, (0, 1, 2), gamma, eps=eps).satisfied
+
+
+@pytest.mark.parametrize("gamma", [0.7, 1.0, 1.5])
+def test_batched_bounds_match_root_bounds(rng, gamma):
+    """``_bound_counts`` of a batch of selections, from one
+    ``_bound_table`` of all m anchors, gives for each selection and size
+    the row of ``_root_bounds`` over that selection's unselected anchors."""
+    kept = 0
+    for _ in range(40):
+        inst, _ = random_large_k_case(rng)
+        m, k = inst.m, inst.k
+        LA = inst.rows(np.arange(m))
+        sizes = np.arange(k)
+        T = _bound_table(LA, np.sort(LA, axis=1), k, sizes)
+        sels = np.array([sample_selection(m, k, rng) for _ in range(5)])
+        G = _reach_radius(LA, gamma, 0.0)[sels]
+        B = _bound_counts(T, G, np.sort(G, axis=1), sizes)
+        assert B.shape == (len(sels), k, m)
+        for X, B_j in zip(sels, B):
+            outs = _unselected(inst, X)
+            Lt, G_j = inst.rows(outs), _reach_radius(inst.rows(X), gamma, 0.0)
+            Ls, Gs = np.sort(Lt, axis=1), np.sort(G_j, axis=0)
+            size = 0
+            while size < k:
+                for row in _root_bounds(Lt, Ls, G_j, Gs, size):
+                    assert row.tolist() == B_j[size, outs].tolist()
+                    kept += int((row > 0).sum())
+                    size += 1
+    assert kept > 0
+
+
+@pytest.mark.parametrize("cap", [1, 3000])
+def test_batch_verdicts_in_split_bound_passes(rng, monkeypatch, cap):
+    """A cap below one size's entries bounds one size of one selection a
+    pass, and a cap of a few sizes' entries several selections a pass;
+    the batch's verdicts stay the audit's."""
+    monkeypatch.setattr(verify, "_BOUND_ELEMS", cap)
+    violated = 0
+    for j in range(60):
+        inst, _ = random_large_k_case(rng, max_n=12)
+        gamma = ROOT_CASES[j % 4][0]
+        sels = [sample_selection(inst.m, inst.k, rng) for _ in range(6)]
+        want = [verify_mpjr_plus_smallk(inst, X, gamma).satisfied for X in sels]
+        assert verify._smallk_verdicts(inst, sels, gamma).tolist() == want
+        violated += want.count(False)
+    assert 0 < violated < 360
 
 
 def scan_every_set(inst, X, gamma, eps):
