@@ -102,16 +102,22 @@ def sample_selection(m: int, k: int, seed) -> tuple:
     "selection")``).  Swap i takes a draw from [0, m - i); all k come from
     one array-bound call, ``gen.integers(0, [m, m - 1, ..., m - k + 1])``,
     which gives the draws of k scalar calls ``gen.integers(0, m - i)`` and
-    leaves the generator where they would.
+    leaves the generator where they would.  Swap i fixes position i for
+    good, so only the later positions a swap has moved are stored: time
+    and memory are O(k log k) whatever m is.  m and k must be integers
+    (bools do not count).
     """
+    if not is_int(m):
+        raise ConfigError(f"m must be an integer, got {m!r}")
     if not (is_int(k) and 0 <= k <= m):
         raise ConfigError(f"need an integer 0 <= k <= m={m}, got k={k!r}")
     gen = seed if isinstance(seed, np.random.Generator) else substream(seed, "selection")
-    idx = list(range(m))
+    moved, picked = {}, []                  # moved: position -> index now there
     for i, d in enumerate(gen.integers(0, np.arange(m, m - k, -1)).tolist()):
         j = i + d
-        idx[i], idx[j] = idx[j], idx[i]
-    return tuple(sorted(idx[:k]))
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return tuple(sorted(picked))
 
 
 # Incomparability fixtures: six agents, k = 3, all agent-candidate

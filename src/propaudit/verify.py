@@ -20,13 +20,17 @@ Two verification strategies live here:
   ``_BOUND_ELEMS`` holds, and one size alone past that.  A depth-first
   search over Y then skips every set where no kept anchor has enough
   agents whose such centers all lie in Y (``_exclusion_sets``).  Worst
-  case O(m n log n * 2^k): practical for small k only.  The search,
-  ``_smallk_hit``, takes the anchor rows, a source of their bounds and
-  the selection's reach rows, so it also runs approval PJR+ on {1, 2}
-  ballot rows, and ``_smallk_verdicts`` gives the experiment harness the
-  verdicts of many selections of one instance at once: it builds the
-  anchor and reach rows and the bound table of all m candidates once,
-  tests size 0 (Y empty) for every selection together, bounds the
+  case O(m n log n * 2^k): practical for small k only.  One kernel,
+  ``_live_hits``, sweeps the intervals for every (reach row, anchor) pair
+  of a call at once, on the table's rows for the size: the search,
+  ``_smallk_hit``, stacks a size's exclusion sets into one call, and
+  ``_smallk_verdicts`` puts the selections of a batch in one call for
+  size 0 (Y empty).  The search takes the anchor rows, a source of their
+  table and bound rows and the selection's reach rows, so it also runs
+  approval PJR+ on {1, 2} ballot rows, and ``_smallk_verdicts`` gives the
+  experiment harness the verdicts of many selections of one instance at
+  once: it builds the anchor and reach rows and the bound table of all m
+  candidates once, tests size 0 for every selection together, bounds the
   selections that pass it together and sends them through the search,
   from size 1.
 
@@ -85,12 +89,12 @@ determinism; verdicts are order-independent either way.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .core import (Instance, SizeError, Verdict, Witness, check_eps, check_gamma,
-                   check_level, check_selection, timed)
+from .core import (InputError, Instance, SizeError, Verdict, Witness, check_eps,
+                   check_gamma, check_level, check_selection, is_int, timed)
 
 # cap on the (anchor, agent) entries of one DC anchor chunk: a chunk holds
 # _CHUNK_ELEMS // n anchors (at least one), so the coverage kernel's keys
@@ -106,7 +110,7 @@ _SIGN = np.uint64(1 << 63)
 # many; larger sizes go through the pruned search of _exclusion_sets.
 # Few sets cost less than the search's set-up: with the search at every
 # size, the k=5 experiment grid ran about 1.5x as long (0.66 vs 0.43 s,
-# with the anchors cut by _root_bounds first)
+# with the anchors cut by the bounds first)
 _PLAIN_SETS = 16
 # cap on the (selection, size, anchor, agent) entries of one _bound_counts
 # pass, which bounds as many sizes (and, in a batch, selections) at once as
@@ -359,25 +363,22 @@ def verify_fixed_ell_dc(instance: Instance, selection, ell: int,
     return Verdict("fixed-ell-dc", gamma, wit is None, wit)
 
 
-def _blockers(Lt, G, need):
-    """Each agent's blocker set per anchor row for a target count `need`,
-    deduplicated per row.
+def _blockers(T, G):
+    """Each agent's blocker set per anchor row, deduplicated per row.
 
-    ``_alg1_scan`` counts agent i at anchor c and radius s only when
-    d(i, c) <= s < g(u_i), and a count of `need` needs s at least R, the
-    need-th smallest d(., c).  So i can count only if
-    t_i = max(d(i, c), R) < g(d(i, x)) for every selected center x outside
-    Y (g is monotone, so this is the test against the nearest one), read
-    from the reach rows ``G``.  Center x_p blocks i unless the test passes
-    for x_p.  Returns (rows, blocked, mult): anchor rows ascending,
+    ``_live_hits`` counts agent i at anchor c only while
+    t_i = max(d(i, c), R) < g(u_i), t_i being the entry of the size's
+    table rows ``T`` (``_bound_table``).  g is monotone, so that holds
+    exactly when t_i < g(d(i, x)) for every selected center x outside Y,
+    read from the reach rows ``G``.  Center x_p blocks i unless the test
+    passes for x_p.  Returns (rows, blocked, mult): anchor rows ascending,
     a bool matrix (entry, position) and the number of agents sharing each
     entry.  Blocker sets are int64 bit masks here, so k is at most 62.
     """
-    t = np.maximum(Lt, np.partition(Lt, need - 1, axis=1)[:, need - 1:need])
     k = len(G)
-    free = np.zeros(Lt.shape, dtype=np.int64)
+    free = np.zeros(T.shape, dtype=np.int64)
     for p, reach in enumerate(G):
-        free |= (t < reach[None, :]).astype(np.int64) << p
+        free |= (T < reach[None, :]).astype(np.int64) << p
     masks = np.sort(free ^ ((1 << k) - 1), axis=1)
     first = np.ones(masks.shape, dtype=bool)
     first[:, 1:] = masks[:, 1:] != masks[:, :-1]
@@ -386,7 +387,7 @@ def _blockers(Lt, G, need):
     mult = np.empty(len(first), dtype=np.int64)
     mult[:-1] = first[1:] - first[:-1]
     mult[-1] = masks.size - first[-1]
-    return first // Lt.shape[1], blocked.astype(bool), mult
+    return first // T.shape[1], blocked.astype(bool), mult
 
 
 def _bound_table(Lt, Ls, k, sizes) -> np.ndarray:
@@ -399,7 +400,7 @@ def _bound_table(Lt, Ls, k, sizes) -> np.ndarray:
 
 
 def _bound_counts(T, G, Gs, sizes) -> np.ndarray:
-    """Upper bounds on the agents ``_alg1_scan`` counts per anchor at any
+    """Upper bounds on the agents ``_live_hits`` counts per anchor at any
     Y with |Y| = size, as (selection, size, anchor), for a batch of
     selections' reach rows ``G`` (selection, center, agent), sorted per
     agent in ``Gs``, and the table ``T`` of ``_bound_table`` for `sizes`.
@@ -426,33 +427,27 @@ def _bound_counts(T, G, Gs, sizes) -> np.ndarray:
     return bound
 
 
-def _root_bounds(Lt, Ls, G, Gs, first):
-    """``_bound_counts`` of one selection (reach rows ``G``, sorted per
-    agent in ``Gs``) over the anchor rows ``Lt`` (sorted in ``Ls``), for
-    sizes from `first` on, as many as fit in ``_BOUND_ELEMS`` (size,
-    anchor, agent) entries, at least one: row j of the (size, anchor)
-    result is size first + j."""
-    k = len(G)
-    sizes = np.arange(first, min(k, first + max(1, _BOUND_ELEMS // max(1, Lt.size))))
-    return _bound_counts(_bound_table(Lt, Ls, k, sizes), G[None], Gs[None], sizes)[0]
+def _root_bound_rows(Lt, Ls, G, first):
+    """(table row, bound row) of one selection (reach rows ``G``) over the
+    anchor rows ``Lt``, sorted in ``Ls``, per size from `first` on:
+    ``_bound_table`` and ``_bound_counts`` of as many sizes at a time as
+    fit in ``_BOUND_ELEMS`` (size, anchor, agent) entries, at least one,
+    each group computed when its first size is asked for.  ``G`` is sorted
+    when the first is."""
+    Gs, k = np.sort(G, axis=0), len(G)
+    step = max(1, _BOUND_ELEMS // max(1, Lt.size))
+    for lo in range(first, k, step):
+        sizes = np.arange(lo, min(k, lo + step))
+        T = _bound_table(Lt, Ls, k, sizes)
+        yield from zip(T, _bound_counts(T, G[None], Gs[None], sizes)[0])
+        del T                   # freed before the next group's table is built
 
 
-def _root_bound_rows(Lt, G, first):
-    """The rows of ``_root_bounds`` for sizes first, first + 1, ... in
-    turn, each group computed when its first size is asked for; ``Lt`` and
-    ``G`` are sorted when the first is."""
-    Ls, Gs = np.sort(Lt, axis=1), np.sort(G, axis=0)
-    while first < len(G):
-        group = _root_bounds(Lt, Ls, G, Gs, first)
-        yield from group
-        first += len(group)
-
-
-def _exclusion_sets(Lt, G, size, need):
+def _exclusion_sets(T, G, size, need):
     """The exclusion sets Y with |Y| = size, as bit masks in scan order,
-    where some anchor has at least `need` agents whose
-    blockers (``_blockers``) all lie in Y.  ``_alg1_scan`` finds nothing
-    for any other Y.
+    where some anchor of the table rows ``T`` has at least `need` agents
+    whose blockers (``_blockers``) all lie in Y.  ``_live_hits`` finds
+    nothing for any other Y.
 
     Depth first over positions, taking a position before leaving it out,
     which is lexicographic order.  At every node an anchor stays only while
@@ -467,8 +462,8 @@ def _exclusion_sets(Lt, G, size, need):
     * Below a branch an anchor never gains entries, so an anchor short of
       `need` at a node is short at every set under it.
     """
-    nrow, k = len(Lt), len(G)
-    rows, blocked, mult = _blockers(Lt, G, need)
+    nrow, k = len(T), len(G)
+    rows, blocked, mult = _blockers(T, G)
 
     def walk(p, y, r, rows, blocked, left, mult):
         keep = (np.bincount(rows, weights=mult, minlength=nrow) >= need)[rows]
@@ -490,47 +485,48 @@ def _exclusion_sets(Lt, G, size, need):
     yield from walk(0, 0, size, rows[fit], blocked[fit], left[fit], mult[fit])
 
 
-def _alg1_scan(Lt, G, rank, need, rest):
-    """One exclusion-set iteration of the small-k sweep, batched over anchors.
+def _live_hits(T, U, need, skip=None):
+    """The live-interval test of the small-k audit over every (row of
+    ``U``, row of ``T``) pair: do `need` intervals [d(i, c), u_i) overlap
+    at some radius?  ``T`` holds one size's table rows max(d(i, c), R)
+    (``_bound_table``), R the need-th smallest d(., c) and so the row's
+    minimum; ``U`` holds reach rows, u_i = g(distance to the nearest center
+    outside Y); pairs set in the bool mask `skip` (row of U, row of T)
+    never hit.  Returns, per row of U, the first row of T with a hit
+    (len(T) if none) and that hit's first radius (NaN if none).
 
-    ``Lt`` holds anchor distances as contiguous rows (anchor, agent) and
-    ``G`` the reach radii g(d) of the selected centers as rows (center,
-    agent).  For the exclusion set Y (complement rows `rest`), evaluates
-    the maximum number of simultaneously live intervals [d(i,c), g(u_i))
-    per anchor row and returns (row, radius, g(u) vector) of the first
-    anchor where the count reaches `need`, ceil((|Y|+1) * n / k), else
-    None.  g is monotone, so g(u) is the min over the `rest` rows.
+    A hit at r counts need agents with d(i, c) <= r, so r >= R, where the
+    starts max(d, R) and d give the same live count: the first radius is
+    the same float.  So a pair with fewer than need entries T < u has no
+    hit, and one with need entries T = R < u hits at R.  Only the pairs
+    before their row's first such one count live intervals, at each
+    sorted start: the t-th start (1-based) has t begun, and those whose
+    end is at or below it have closed.
     """
-    ug = G[rest[0]] if len(rest) == 1 else G[rest].min(axis=0)
-    # the overlap count can never exceed the number of nonempty intervals,
-    # so rows short of the target are pruned before sorting
-    alive = np.flatnonzero((Lt < ug[None, :]).sum(axis=1) >= need)
-    return _live_scan(Lt, ug, rank, need, alive)
-
-
-def _live_counts(Ls, Us, rank):
-    """The intervals live at each radius of the rows ``Ls``, sorted
-    interval starts (each clamped to its end, so an empty interval has
-    zero width), against the ends ``Us``, sorted: at the t-th start
-    (`rank`, 1-based) t intervals have begun, and those whose end is at
-    or below it have closed."""
-    return rank - np.searchsorted(Us, Ls, side="right")
-
-
-def _live_scan(Lt, ug, rank, need, alive):
-    """``_alg1_scan`` past its count prune, on the rows `alive` of ``Lt``
-    and the reach vector ``ug``: (row, radius, ug) of the first where the
-    live intervals reach `need`, else None."""
-    if alive.size == 0:
-        return None
-    Ls = np.sort(np.minimum(Lt[alive], ug[None, :]), axis=1)
-    live = _live_counts(Ls, np.sort(ug), rank)
-    hits = np.flatnonzero(live.max(axis=1) >= need)
-    if hits.size == 0:
-        return None
-    ci = int(hits[0])
-    t = int(np.flatnonzero(live[ci] >= need)[0])
-    return int(alive[ci]), float(Ls[ci, t]), ug
+    reach = T < U[:, None, :]                          # (row, anchor, agent)
+    alive = reach.sum(axis=2) >= need
+    if skip is not None:
+        alive &= ~skip
+    first, radius = np.full(len(U), len(T)), np.full(len(U), np.nan)
+    if not alive.any():
+        return first, radius
+    R = T.min(axis=1)
+    near = alive & ((reach & (T == R[:, None])).sum(axis=2) >= need)
+    some = near.any(axis=1)
+    first[some] = near[some].argmax(axis=1)
+    radius[some] = R[first[some]]
+    r, c = np.nonzero(alive & (np.arange(len(T)) < first[:, None]))   # pairs in row order
+    rank = np.arange(1, T.shape[1] + 1)
+    cut = np.searchsorted(r, np.arange(len(U) + 1))
+    for j in np.flatnonzero(cut[1:] > cut[:-1]):
+        cols = c[cut[j]:cut[j + 1]]
+        Ls = np.sort(np.minimum(T[cols], U[j]), axis=1)
+        live = rank - np.searchsorted(np.sort(U[j]), Ls, side="right")
+        hit = np.flatnonzero(live.max(axis=1) >= need)
+        if hit.size:
+            p = hit[0]
+            first[j], radius[j] = cols[p], Ls[p, np.argmax(live[p] >= need)]
+    return first, radius
 
 
 def _smallk_hit(Lt, G, k, bounds=None, first=0):
@@ -540,42 +536,56 @@ def _smallk_hit(Lt, G, k, bounds=None, first=0):
     being Y as a bit mask over the rows of G, or None.  Sizes below
     `first` count as checked.
 
-    Per size |Y| >= 1, only anchors whose bound (``_bound_counts``)
-    reaches the size's target are scanned, and only the sets Y that
-    ``_exclusion_sets`` keeps for them once a size has more than
-    ``_PLAIN_SETS``; the rest cannot violate.  The bounds are read from
-    the source `bounds`, an iterable of one row over Lt per size, from
-    size max(first, 1) on: a batch of selections passes rows it counted
-    together, and by default ``_root_bound_rows`` computes them a group of
-    sizes at a time, sorting Lt when the search first gets past size 0,
-    which ends most failing audits.  The coalition is the agents within
+    Each size is one kernel, ``_live_hits``, on the size's table rows
+    (``_bound_table``): the size's sets Y (all of them, or once a size has
+    more than ``_PLAIN_SETS``, those ``_exclusion_sets`` keeps) are
+    stacked into reach rows, as many as fit in ``_BOUND_ELEMS`` (set,
+    anchor, agent) entries and at least one, and the first set with a hit
+    in scan order gives the violation.  Per size |Y| >= 1, only anchors
+    whose bound (``_bound_counts``) reaches the size's target are scanned;
+    the rest cannot violate.  Table and bound rows come from the source
+    `bounds`, an iterator of one (table row, bound row) pair over Lt per
+    size from size `first` on, which must then be 1 or more: a batch of
+    selections passes rows it computed together.  By default Lt is sorted
+    once, for size 0's table rows and for ``_root_bound_rows``, which
+    bounds later sizes a group at a time once the search gets past size
+    0, where most failing audits end.  The coalition is the agents within
     the radius, out of reach of X \\ Y.
     """
     n = Lt.shape[1]
-    rank = np.arange(1, n + 1, dtype=np.int64)
-    rows, Lk = np.arange(len(Lt)), Lt
-    bounds = iter(_root_bound_rows(Lt, G, max(first, 1)) if bounds is None else bounds)
+    rows = np.arange(len(Lt))
+    if bounds is None:
+        Ls = np.sort(Lt, axis=1)
+        T = _bound_table(Lt, Ls, k, np.arange(1))[0]
+        bounds = _root_bound_rows(Lt, Ls, G, max(first, 1))
     for size in range(first, k):
         need = -((-(size + 1) * n) // k)
         if size:
-            rows = np.flatnonzero(next(bounds) >= need)
+            T = None            # frees the last size's rows before the next are built
+            T, bound = next(bounds)
+            rows = np.flatnonzero(bound >= need)
             if rows.size == 0:
                 continue
-            Lk = Lt[rows]
+            T = T[rows]
         if math.comb(k, size) <= _PLAIN_SETS:
             sets = (sum(1 << p for p in ypos) for ypos in combinations(range(k), size))
         else:
-            sets = _exclusion_sets(Lk, G, size, need)
-        for y in sets:
-            hit = _alg1_scan(Lk, G, rank, need, [p for p in range(k) if not y >> p & 1])
-            if hit is not None:
-                ci, radius, ug = hit
-                row = int(rows[ci])
-                return row, size, radius, (Lt[row] <= radius) & (ug > radius), y
+            sets = _exclusion_sets(T, G, size, need)
+        per = max(1, _BOUND_ELEMS // max(1, T.size))
+        while ys := list(islice(sets, per)):
+            U = np.array([G[[p for p in range(k) if not y >> p & 1]].min(axis=0) for y in ys])
+            hit, radius = _live_hits(T, U, need)
+            found = np.flatnonzero(hit < len(T))
+            if found.size:
+                j = found[0]
+                row, r = int(rows[hit[j]]), float(radius[j])
+                return row, size, r, (Lt[row] <= r) & (U[j] > r), ys[j]
     return None
 
 
 def _check_smallk_cap(k, max_k=24):
+    if not is_int(max_k):
+        raise InputError(f"max_k must be an integer, got {max_k!r}")
     cap = min(max_k, 62)                # exclusion sets are int64 bit masks
     if k > cap:
         raise SizeError(f"k={k} exceeds exhaustive cap {cap}")
@@ -590,18 +600,14 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     rows and their ``_bound_table`` for sizes 0 to k - 1 are built once;
     g is elementwise, so row x is bit-equal to
     ``_reach_radius(instance.rows([x]), gamma, 0.0)``.  Size 0 (Y empty)
-    is tested for all rows at once, in chunks of at most _CHUNK_ELEMS
-    (row, anchor, agent) entries, with the selected anchors masked out.
-    u is the min over a row's k reach rows, and R the need-th smallest
-    d(., c).  A hit at radius r counts need agents within r of c, so
-    r >= R.  Hence ``_alg1_scan``'s count prune counts the table's size-0
-    entries max(d(i, c), R) below u, not the raw d(i, c).  An anchor with
-    need agents i where d(i, c) <= R < u_i is a hit at R itself.  In a
-    row with no such anchor, ``_live_scan``'s count runs on every anchor
-    the prune keeps, all at once.  The rows with no hit at size 0 are
-    bounded together by ``_bound_counts``, in passes of at most
-    _BOUND_ELEMS (row, size, anchor, agent) entries, and go through
-    ``_smallk_hit`` from size 1 with those bounds.
+    is one ``_live_hits`` call over the rows' reach rows (u is the min
+    over a row's k reach rows) and the table's size-0 rows, in chunks of
+    at most _CHUNK_ELEMS (row, anchor, agent) entries, with each row's
+    selected anchors skipped.  The rows with no hit at size 0 are bounded
+    together by ``_bound_counts``, in passes of at most _BOUND_ELEMS (row,
+    size, anchor, agent) entries, and go through ``_smallk_hit`` from size
+    1 over all m anchors, with those bounds and the selected anchors'
+    bounds set to 0.
     """
     check_gamma(gamma)
     n, m, k = instance.n, instance.m, instance.k
@@ -609,31 +615,16 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     sel = np.asarray(selections, dtype=np.intp).reshape(-1, k)
     LA = instance.rows(np.arange(m))                   # (anchor, agent)
     GA = _reach_radius(LA, gamma, 0.0)                 # (center, agent)
-    LS = np.sort(LA, axis=1)
-    T = _bound_table(LA, LS, k, np.arange(k))
-    rank = np.arange(1, n + 1, dtype=np.int64)
-    need = -(-n // k)
-    near = LA <= LS[:, need - 1, None]                 # d(i, c) <= R
+    T = _bound_table(LA, np.sort(LA, axis=1), k, np.arange(k))
     ok = np.zeros(len(sel), dtype=bool)
     survivors = []
     step = max(1, _CHUNK_ELEMS // (m * n))
     for lo in range(0, len(sel), step):
         block = sel[lo:lo + step]
-        u = GA[block].min(axis=1)                      # (row, agent)
-        reach = T[0][None] < u[:, None, :]             # (row, anchor, agent)
-        alive = np.count_nonzero(reach, axis=2) >= need
-        alive[np.arange(len(block))[:, None], block] = False
-        hit = (alive & (np.count_nonzero(reach & near, axis=2) >= need)).any(axis=1)
-        r, c = np.nonzero(alive & ~hit[:, None])       # pairs in row order
-        Ls = np.sort(np.minimum(LA[c], u[r]), axis=1)
-        Us = np.sort(u, axis=1)
-        cut = np.searchsorted(r, np.arange(len(block) + 1))
-        top = np.empty(len(r), dtype=np.intp)
-        for j in np.flatnonzero(cut[1:] > cut[:-1]):
-            part = slice(cut[j], cut[j + 1])
-            top[part] = _live_counts(Ls[part], Us[j], rank).max(axis=1)
-        hit[r[top >= need]] = True
-        survivors += (lo + np.flatnonzero(~hit)).tolist()
+        skip = np.zeros((len(block), m), dtype=bool)
+        skip[np.arange(len(block))[:, None], block] = True
+        hit, _ = _live_hits(T[0], GA[block].min(axis=1), -(-n // k), skip)
+        survivors += (lo + np.flatnonzero(hit == m)).tolist()
     ok[survivors] = True
     if k == 1:                                         # size 0 is the only size
         return ok
@@ -647,8 +638,8 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
         B = np.concatenate([_bound_counts(T[s:s + group], G, Gs, sizes[s - 1:s - 1 + group])
                             for s in range(1, k, group)], axis=1)
         for j, G_j, B_j in zip(idx, G, B):
-            outs = _unselected(instance, sel[j])
-            ok[j] = _smallk_hit(LA[outs], G_j, k, B_j[:, outs], first=1) is None
+            B_j[:, sel[j]] = 0
+            ok[j] = _smallk_hit(LA, G_j, k, zip(T[1:], B_j), first=1) is None
     return ok
 
 
@@ -660,7 +651,9 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     Checks exclusion sets Y inside the selection, by size; a violation is
     an anchor c and a radius r where at least (|Y|+1)*q agents sit within
     r of c yet farther than gamma*r + eps from every selected center
-    outside Y.  The search is ``_smallk_hit``.
+    outside Y.  The search is ``_smallk_hit``.  `max_k` must be an
+    integer (``InputError`` otherwise), and k past min(max_k, 62) raises
+    ``SizeError``.
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)

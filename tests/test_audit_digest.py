@@ -1,0 +1,24 @@
+"""tools/audit_digest.py runs against the source tree and prints its three
+digests, at a small count."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_audit_digest_smoke(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "audit_digest.py"),
+                          "--cases", "4", "--profiles", "6"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["smallk", "pjr+", "experiment"]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1]) for line in lines)
+    assert "(24 verdicts," in lines[0] and "(6 verdicts," in lines[1]

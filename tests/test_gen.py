@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 
 import numpy as np
@@ -133,6 +134,30 @@ class TestSelectionSampling:
 
     def test_empty_selection(self):
         assert sample_selection(5, 0, 0) == ()
+
+    @pytest.mark.parametrize("m", [True, 5.0, "5", None])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(ConfigError, match="m must be an integer"):
+            sample_selection(m, 1, 0)
+
+    def test_huge_m_costs_only_k(self):
+        """At m = 2^40 the draw holds only the moved positions: k distinct
+        indices in milliseconds, those of the swap rule applied to the same
+        stream's draws."""
+        m, k = 2 ** 40, 25
+        start = time.perf_counter()
+        got = sample_selection(m, k, substream(3, "huge"))
+        assert time.perf_counter() - start < 1.0
+        draws = substream(3, "huge").integers(0, np.arange(m, m - k, -1)).tolist()
+        # the shuffle on a list of the positions it touches
+        touched = sorted(set(range(k)) | {i + d for i, d in enumerate(draws)})
+        slot = {p: j for j, p in enumerate(touched)}
+        idx = list(touched)
+        for i, d in enumerate(draws):
+            a, b = slot[i], slot[i + d]
+            idx[a], idx[b] = idx[b], idx[a]
+        assert got == tuple(sorted(idx[:k]))
+        assert len(set(got)) == k and all(0 <= x < m for x in got)
 
 
 def scalar_draw_selection(m, k, gen):

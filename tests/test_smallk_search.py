@@ -5,16 +5,19 @@ exclusion sets Y where some unselected anchor c has `need` agents i with
 gamma * max(d(i,c), R) + eps < u_i, where u_i is i's distance to the
 nearest center outside Y and R is the need-th smallest distance to c.
 The reference loops over every subset with that float test written out,
-not through the audit's reach rows.  Every Y on which ``_alg1_scan``
-finds a violation must be among them.
+not through the audit's reach rows.  Every Y on which a plain
+live-interval scan (``plain_scan``) finds a violation must be among them.
 
-Before any set of a size is scanned, ``_root_bounds`` bounds per anchor
-the agents any Y of that size can count: those with at most |Y| centers
-x where gamma * max(d(i,c), R) + eps >= d(i,x), less those near the
-(|Y|+1)-th most common such center.  Every size's row must match that
+``_live_hits``, the one live-interval kernel, must give the first anchor
+and radius of that plain scan on every (set, anchor) pair.
+
+Before any set of a size is scanned, ``_root_bound_rows`` bounds per
+anchor the agents any Y of that size can count: those with at most |Y|
+centers x where gamma * max(d(i,c), R) + eps >= d(i,x), less those near
+the (|Y|+1)-th most common such center.  Every size's row must match that
 bound written out, however the sizes are grouped into passes, and the
-audit that scans only the anchors it keeps must match a scan of every
-set of every size over every anchor, witness included.
+audit that scans only the anchors it keeps must match a plain scan of
+every set of every size over every anchor, witness included.
 
 On instances built with anchor distances at and one float either side
 of (d(i,x) - eps) / gamma, where a quotient test and the float test
@@ -28,15 +31,37 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from propaudit import (Instance, SizeError, Verdict, oracle_mpjr_plus, run_sear,
+from propaudit import (InputError, Instance, SizeError, Verdict, oracle_mpjr_plus, run_sear,
                        verify_dc_mpjr_plus, verify_mpjr_plus_smallk)
 from propaudit import verify
 from propaudit.core import check_selection
 from propaudit.gen import sample_selection
-from propaudit.verify import (_alg1_scan, _bound_counts, _bound_table, _exclusion_sets,
-                              _reach_radius, _root_bounds, _unselected, _witness)
+from propaudit.verify import (_bound_counts, _bound_table, _exclusion_sets, _live_hits,
+                              _reach_radius, _root_bound_rows, _unselected, _witness)
 
 CASES = ((1.0, 0.0), (1.5, 1e-9), (3.0, 0.25))
+
+
+def plain_scan(Lt, u, need):
+    """(row, radius) of the first anchor row of ``Lt`` where, at some
+    radius r among its distances, at least `need` agents i have
+    d(i, c) <= r < u_i, with the smallest such r; None if no row has one."""
+    for row in np.flatnonzero((Lt < u).sum(axis=1) >= need):
+        radii = np.unique(Lt[row])
+        live = ((Lt[row] <= radii[:, None]) & (radii[:, None] < u)).sum(axis=1)
+        if live.max() >= need:
+            return int(row), float(radii[np.argmax(live >= need)])
+    return None
+
+
+def bound_rows(Lt, G):
+    """``_root_bound_rows`` from size 0: (table row, bound row) per size."""
+    return _root_bound_rows(Lt, np.sort(Lt, axis=1), G, 0)
+
+
+def reach_of(G, y):
+    """The reach row of the exclusion set y (a bit mask over G's rows)."""
+    return G[[p for p in range(len(G)) if not y >> p & 1]].min(axis=0)
 
 
 def random_large_k_case(rng, max_n=40):
@@ -82,20 +107,67 @@ def test_search_matches_plain_filter(rng):
         outs = _unselected(inst, X)
         D = inst.dists()
         Lt = np.ascontiguousarray(D[:, outs].T)
-        rank = np.arange(1, n + 1)
         for gamma, eps in CASES:
             G = np.ascontiguousarray(_reach_radius(D[:, list(X)], gamma, eps).T)
-            for size in range(k):
+            for size, (T, _) in enumerate(bound_rows(Lt, G)):
                 need = -((-(size + 1) * n) // k)
-                got = list(_exclusion_sets(Lt, G, size, need))
+                got = list(_exclusion_sets(T, G, size, need))
                 assert got == reference_sets(inst, X, size, gamma, eps)
                 checked += len(got)
                 for ypos in combinations(range(k), size):
-                    rest = [p for p in range(k) if p not in ypos]
-                    if _alg1_scan(Lt, G, rank, need, rest):
-                        assert sum(1 << p for p in ypos) in got
+                    y = sum(1 << p for p in ypos)
+                    if plain_scan(Lt, reach_of(G, y), need):
+                        assert y in got
                         hits += 1
     assert checked > hits > 0
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+@pytest.mark.parametrize("gamma", [0.7, 1.0, 1.5])
+def test_live_hits_match_plain_scan(rng, gamma, eps):
+    """Per reach row, ``_live_hits`` gives the first anchor and radius of
+    ``plain_scan`` over the anchors not skipped, on planar and integer-grid
+    cases, with and without a skip mask, with no anchor row (m = k), and
+    with an all-zero reach row that no anchor reaches."""
+    near = counted = missed = 0
+    for case in range(80):
+        if case % 8 == 0:
+            k = int(rng.integers(1, 5))
+            inst = Instance.euclidean(rng.integers(0, 4, size=(int(rng.integers(k, 12)), 2)),
+                                      rng.integers(0, 4, size=(k, 2)), k)
+            sel = tuple(range(k))
+        else:
+            inst, sel = (hub_case, random_large_k_case)[case % 2](rng)
+        X = check_selection(inst, sel)
+        n, k = inst.n, inst.k
+        Lt = inst.rows(_unselected(inst, X))
+        G = _reach_radius(inst.rows(X), gamma, eps)
+        size = int(rng.integers(0, k))
+        need = -((-(size + 1) * n) // k)
+        T = _bound_table(Lt, np.sort(Lt, axis=1), k, np.array([size]))[0]
+        ys = [sum(1 << int(p) for p in rng.choice(k, size=size, replace=False))
+              for _ in range(4)]
+        # reach rows of sets, rows drawn from the distances themselves (ties
+        # at u = d), and a row no anchor reaches
+        values = np.unique(np.append(Lt, G))
+        U = np.vstack([reach_of(G, y) for y in ys] + [rng.choice(values, size=(4, n)),
+                                                      np.zeros((1, n))])
+        skip = rng.random((len(U), len(Lt))) < 0.3 if case % 4 > 1 else None
+        first, radius = _live_hits(T, U, need, skip)
+        assert first.shape == radius.shape == (len(U),)
+        for j, u in enumerate(U):
+            keep = np.arange(len(Lt)) if skip is None else np.flatnonzero(~skip[j])
+            want = plain_scan(Lt[keep], u, need)
+            if want is None:
+                assert first[j] == len(Lt) and np.isnan(radius[j])
+                missed += j < len(U) - 1
+                continue
+            assert (first[j], radius[j]) == (keep[want[0]], want[1])
+            if radius[j] == T[first[j]].min():
+                near += 1
+            else:
+                counted += 1
+    assert min(near, counted, missed) > 0
 
 
 def wide_case(rng, k):
@@ -128,8 +200,10 @@ def test_search_matches_plain_filter_at_large_k(rng):
         Lt = np.ascontiguousarray(D[:, _unselected(inst, X)].T)
         gamma, eps = CASES[j % 3]
         G = _reach_radius(inst.rows(X), gamma, eps)
+        tables = [T for T, _ in bound_rows(Lt, G)]
         for size in (0, 1, 2, k - 2, k - 1):
-            got = list(_exclusion_sets(Lt, G, size, -((-(size + 1) * inst.n) // k)))
+            got = list(_exclusion_sets(tables[size], G, size,
+                                       -((-(size + 1) * inst.n) // k)))
             assert got == reference_sets(inst, X, size, gamma, eps)
             kept["small" if size < 3 else "large"] += len(got)
     assert min(kept.values()) > 0
@@ -147,6 +221,16 @@ def test_mask_width_cap(rng):
     inst = Instance.euclidean(rng.random((2, 2)), rng.random((64, 2)), 63)
     with pytest.raises(SizeError):
         verify_mpjr_plus_smallk(inst, tuple(range(63)), max_k=100)
+
+
+@pytest.mark.parametrize("max_k", [True, 2.5, 3.0, "9", None])
+def test_max_k_must_be_an_integer(max_k):
+    inst = Instance.euclidean([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]], 2)
+    with pytest.raises(InputError, match="max_k must be an integer"):
+        verify_mpjr_plus_smallk(inst, (0, 1), max_k=max_k)
+    with pytest.raises(SizeError):
+        verify_mpjr_plus_smallk(inst, (0, 1), max_k=1)
+    assert verify_mpjr_plus_smallk(inst, (0, 1), max_k=np.int64(2)).satisfied
 
 
 def boundary_case(rng, gamma, eps):
@@ -220,31 +304,30 @@ def reference_root_bounds(D, X, outs, size, need, gamma, eps):
     return bounds
 
 
-def check_root_bounds(inst, X, gamma, eps):
-    """Every size's row of ``_root_bounds``, size 0 included, group by
-    group, against the reference; returns that reference per size and the
-    group lengths."""
+def check_root_bounds(inst, X, gamma, eps, monkeypatch):
+    """Every size's (table row, bound row) of ``_root_bound_rows``, size 0
+    included, against the table max(d(i,c), R) and the reference bound;
+    returns that reference per size and the lengths of the groups of sizes
+    built together (one ``_bound_table`` call each)."""
     D, n, k = inst.dists(), inst.n, inst.k
     outs = _unselected(inst, X)
     Lt = np.ascontiguousarray(D[:, outs].T)
-    Ls = np.sort(Lt, axis=1)
+    lengths, wants = [], []
+    monkeypatch.setattr(verify, "_bound_table",
+                        lambda *args: lengths.append(len(args[3])) or _bound_table(*args))
     G = _reach_radius(inst.rows(X), gamma, eps)
-    Gs = np.sort(G, axis=0)
-    wants, lengths, size = [], [], 0
-    while size < k:
-        group = _root_bounds(Lt, Ls, G, Gs, size)
-        assert group.shape[1] == len(outs) and 1 <= len(group) <= k - size
-        lengths.append(len(group))
-        for row in group:
-            need = -((-(size + 1) * n) // k)
-            want = reference_root_bounds(D, X, outs, size, need, gamma, eps)
-            assert row.tolist() == [b for _, b in want]
-            wants.append((need, want))
-            size += 1
+    for size, (table, row) in enumerate(bound_rows(Lt, G)):
+        assert row.shape == (len(outs),)
+        need = -((-(size + 1) * n) // k)
+        assert table.tolist() == np.maximum(Lt, np.sort(Lt, axis=1)[:, need - 1:need]).tolist()
+        want = reference_root_bounds(D, X, outs, size, need, gamma, eps)
+        assert row.tolist() == [b for _, b in want]
+        wants.append((need, want))
+    assert len(wants) == k == sum(lengths) and min(lengths) >= 1
     return wants, lengths
 
 
-def test_root_bounds_match_reference(rng):
+def test_root_bounds_match_reference(rng, monkeypatch):
     cases = [random_large_k_case(rng) for _ in range(60)]
     for j in range(120):
         gamma, eps = ROOT_CASES[j % 4]
@@ -254,7 +337,7 @@ def test_root_bounds_match_reference(rng):
         inst, sel = case[:2]
         X = check_selection(inst, sel)
         for gamma, eps in case[2:] or ROOT_CASES:
-            for need, want in check_root_bounds(inst, X, gamma, eps)[0]:
+            for need, want in check_root_bounds(inst, X, gamma, eps, monkeypatch)[0]:
                 short += sum(0 < f < need for f, _ in want)
                 cut += sum(f >= need > b for f, b in want)
                 kept += sum(b >= need for _, b in want)
@@ -271,7 +354,7 @@ def test_root_bounds_in_split_groups(rng, monkeypatch, cap):
         inst, sel = random_large_k_case(rng, max_n=12)
         X = check_selection(inst, sel)
         gamma, eps = ROOT_CASES[j % 4]
-        lengths.update(check_root_bounds(inst, X, gamma, eps)[1])
+        lengths.update(check_root_bounds(inst, X, gamma, eps, monkeypatch)[1])
         got = verify_mpjr_plus_smallk(inst, X, gamma, eps=eps).to_dict()
         want = scan_every_set(inst, X, gamma, eps).to_dict()
         got.pop("elapsed_ms"), want.pop("elapsed_ms")
@@ -279,12 +362,12 @@ def test_root_bounds_in_split_groups(rng, monkeypatch, cap):
     assert (lengths == {1}) == (cap == 1)
 
 
-def test_root_bounds_with_no_anchor_rows():
+def test_root_bounds_with_no_anchor_rows(monkeypatch):
     """m = k: no anchor row, so one group takes every size."""
     inst = Instance.euclidean([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]],
                               [[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], 3)
     for gamma, eps in ROOT_CASES:
-        assert check_root_bounds(inst, (0, 1, 2), gamma, eps)[1] == [3]
+        assert check_root_bounds(inst, (0, 1, 2), gamma, eps, monkeypatch)[1] == [3]
         assert verify_mpjr_plus_smallk(inst, (0, 1, 2), gamma, eps=eps).satisfied
 
 
@@ -292,7 +375,8 @@ def test_root_bounds_with_no_anchor_rows():
 def test_batched_bounds_match_root_bounds(rng, gamma):
     """``_bound_counts`` of a batch of selections, from one
     ``_bound_table`` of all m anchors, gives for each selection and size
-    the row of ``_root_bounds`` over that selection's unselected anchors."""
+    the (table row, bound row) of ``_root_bound_rows`` over that
+    selection's unselected anchors."""
     kept = 0
     for _ in range(40):
         inst, _ = random_large_k_case(rng)
@@ -306,14 +390,11 @@ def test_batched_bounds_match_root_bounds(rng, gamma):
         assert B.shape == (len(sels), k, m)
         for X, B_j in zip(sels, B):
             outs = _unselected(inst, X)
-            Lt, G_j = inst.rows(outs), _reach_radius(inst.rows(X), gamma, 0.0)
-            Ls, Gs = np.sort(Lt, axis=1), np.sort(G_j, axis=0)
-            size = 0
-            while size < k:
-                for row in _root_bounds(Lt, Ls, G_j, Gs, size):
-                    assert row.tolist() == B_j[size, outs].tolist()
-                    kept += int((row > 0).sum())
-                    size += 1
+            G_j = _reach_radius(inst.rows(X), gamma, 0.0)
+            for size, (table, row) in enumerate(bound_rows(inst.rows(outs), G_j)):
+                assert table.tolist() == T[size, outs].tolist()
+                assert row.tolist() == B_j[size, outs].tolist()
+                kept += int((row > 0).sum())
     assert kept > 0
 
 
@@ -336,22 +417,22 @@ def test_batch_verdicts_in_split_bound_passes(rng, monkeypatch, cap):
 
 def scan_every_set(inst, X, gamma, eps):
     """The small-k audit with no anchor bound and no search: every Y of
-    every size through ``_alg1_scan`` over every anchor."""
+    every size through ``plain_scan`` over every anchor."""
     D, n, k = inst.dists(), inst.n, inst.k
     outs = _unselected(inst, X)
     if len(outs) == 0:
         return Verdict("mpjr+", gamma, True)
     Lt = np.ascontiguousarray(D[:, outs].T)
     G = _reach_radius(inst.rows(X), gamma, eps)
-    rank = np.arange(1, n + 1)
     for size in range(k):
         need = -((-(size + 1) * n) // k)
         for ypos in combinations(range(k), size):
-            hit = _alg1_scan(Lt, G, rank, need, [p for p in range(k) if p not in ypos])
+            u = reach_of(G, sum(1 << p for p in ypos))
+            hit = plain_scan(Lt, u, need)
             if hit:
-                ci, radius, ug = hit
+                ci, radius = hit
                 c = outs[ci]
-                coalition = (D[:, c] <= radius) & (ug > radius)
+                coalition = (D[:, c] <= radius) & (u > radius)
                 return Verdict("mpjr+", gamma, False,
                                _witness(D[:, X].T, X, c, size + 1, radius, coalition,
                                         gamma, eps))
