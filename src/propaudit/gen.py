@@ -105,12 +105,15 @@ def sample_selection(m: int, k: int, seed) -> tuple:
     leaves the generator where they would.  Swap i fixes position i for
     good, so only the later positions a swap has moved are stored: time
     and memory are O(k log k) whatever m is.  m and k must be integers
-    (bools do not count).
+    (bools do not count), and m at most 2**63 when k > 0: the draws are
+    int64.
     """
     if not is_int(m):
         raise ConfigError(f"m must be an integer, got {m!r}")
     if not (is_int(k) and 0 <= k <= m):
         raise ConfigError(f"need an integer 0 <= k <= m={m}, got k={k!r}")
+    if k and m > 1 << 63:
+        raise ConfigError(f"m={m} is past the sampler's int64 draws: need m <= 2**63")
     gen = seed if isinstance(seed, np.random.Generator) else substream(seed, "selection")
     moved, picked = {}, []                  # moved: position -> index now there
     for i, d in enumerate(gen.integers(0, np.arange(m, m - k, -1)).tolist()):

@@ -9,6 +9,7 @@ holds the level's radius.  Neither shares code with the kernel.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,142 @@ def test_batched_verdicts_match_sweep(monkeypatch, rng):
         monkeypatch.setattr(verify, "_CHUNK_ELEMS", cap)
         assert _dc_verdicts(inst, sels, 1.0).tolist() == expect
     assert 0 < expect.count(False) < len(sels)
+
+
+def separated_clusters(rng, n, m, k, g):
+    """A desk-size dc-sat layout: g clusters of n/g agents (order shuffled)
+    10 apart, k/g cores within 0.3 of each cluster's hub (candidates
+    0..k-1, core c at hub c % g) and m - k far candidates 15 or more from
+    every hub.  The cores pass the DC audit at gamma 1; a selection that
+    drops a hub's cores fails at them."""
+    hubs = 10.0 * np.stack([np.arange(g), np.arange(g) % 2], axis=1)
+    agents = hubs[rng.permutation(n) % g] + rng.uniform(-0.7, 0.7, (n, 2))
+    cores = hubs[np.arange(k) % g] + rng.uniform(-0.3, 0.3, (k, 2))
+    far = rng.uniform(0.0, 40.0, (m - k, 2)) + [0.0, 25.0]
+    return Instance.euclidean(agents, np.vstack([cores, far]), k)
+
+
+def spy_kernel(monkeypatch):
+    """Record (agents, anchor rows) of every ``_coverage_radii`` call."""
+    calls, kernel = [], verify._coverage_radii
+
+    def spy(keys, rows):
+        calls.append(keys.shape[::-1])
+        return kernel(keys, rows)
+    monkeypatch.setattr(verify, "_coverage_radii", spy)
+    return calls
+
+
+def chunk_rows(calls, n):
+    """[anchors screened, anchors at the exact kernel] per chunk, from the
+    calls of ``spy_kernel``: a screen call (fewer than n agents) opens each
+    chunk."""
+    chunks = []
+    for agents, anchors in calls:
+        if agents < n:
+            chunks.append([anchors, 0])
+        else:
+            chunks[-1][1] += anchors
+    return chunks
+
+
+def screen_cases(rng):
+    """(instance, selection, [(gamma, eps)]) with n >= 200: separated
+    clusters with their cores and with one hub's cores swapped for far
+    candidates; uneven Gaussian-like hubs with random selections; and
+    points on an integer grid, where many distances tie, at eps > 0."""
+    cases = []
+    inst = separated_clusters(rng, 240, 24, 6, 3)
+    sat = tuple(range(6))
+    cases.append((inst, sat, [(1.0, 0.0), (1.5, 0.25), (0.7, 0.0)]))
+    cases.append((inst, (1, 2, 4, 5, 22, 23), [(1.0, 0.0), (1.5, 0.25)]))
+    hubs = 4 * rng.random((3, 2))
+    pts = hubs[rng.choice(3, 230, p=[0.6, 0.3, 0.1])] + 0.5 * rng.random((230, 2))
+    for _ in range(2):
+        X = tuple(sorted(int(x) for x in rng.choice(30, 5, replace=False)))
+        cases.append((Instance.euclidean(pts[:200], pts[200:], 5), X,
+                      [(1.0, 0.0), (1.5, 0.1)]))
+    grid = rng.integers(0, 8, (225, 2)).astype(float)
+    X = tuple(sorted(int(x) for x in rng.choice(25, 4, replace=False)))
+    cases.append((Instance.euclidean(grid[:200], grid[200:], 4), X,
+                  [(1.0, 0.0), (1.0, 1.0), (0.7, 1.0), (1.5, 0.25)]))
+    return cases
+
+
+def test_screen_stride_keeps_every_output(monkeypatch, rng):
+    """Every stride, from the exact screen (1) to one agent (n), lists the
+    references' violations and witnesses, with chunks of at most 8
+    anchors.  At stride 16, some chunk holds anchors the screen passes and
+    anchors it flags, and some audit at eps = 0 sends more anchors to the
+    exact kernel than have a violation: at eps = 0 those are the anchors
+    the exact filter flags, so the screen flagged one the filter passes."""
+    cases = screen_cases(rng)
+    expect = {}
+    for j, (inst, X, pairs) in enumerate(cases):
+        for gamma, eps in pairs:
+            expect[j, gamma, eps] = (
+                reference_dc_sweep(inst, X, gamma, eps),
+                [reference_fixed_ell(inst, X, ell, gamma, eps) for ell in range(1, inst.k + 1)])
+    calls = spy_kernel(monkeypatch)
+    mixed_chunks = extra_rows = 0
+    for stride in (1, 2, 16, None):
+        for j, (inst, X, pairs) in enumerate(cases):
+            monkeypatch.setattr(verify, "_SCREEN_STRIDE", stride or inst.n)
+            monkeypatch.setattr(verify, "_CHUNK_ELEMS", 8 * inst.n)
+            for gamma, eps in pairs:
+                sweep, fixed = expect[j, gamma, eps]
+                calls.clear()
+                assert [as_tuple(w) for w in dc_violations(inst, X, gamma, eps)] == sweep
+                if stride == 16:
+                    chunks = chunk_rows(calls, inst.n)
+                    mixed_chunks += sum(0 < b < a for a, b in chunks)
+                    if eps == 0:
+                        extra_rows += sum(b for _, b in chunks) > len({c for c, *_ in sweep})
+                verdict = verify_dc_mpjr_plus(inst, X, gamma, eps)
+                assert verdict.satisfied == (not sweep)
+                if sweep:
+                    assert as_tuple(verdict.witness) == sweep[0]
+                for ell, want in enumerate(fixed, 1):
+                    verdict = verify_fixed_ell_dc(inst, X, ell, gamma, eps)
+                    assert verdict.satisfied == (want is None)
+                    if want:
+                        assert as_tuple(verdict.witness) == want
+    assert mixed_chunks and extra_rows
+    assert any(sweep for sweep, _ in expect.values())
+    assert any(not sweep for sweep, _ in expect.values())
+
+
+def test_screen_pins_exact_kernel_work(monkeypatch):
+    """Full-width ``_coverage_radii`` rows are the exact kernel's work.  A
+    satisfied audit of separated clusters sends none of its 32 anchors
+    there, over four chunks; a selection without hub 0's cores (0 and 4)
+    stops in the first chunk, (0, 4, 8, 9), and sends only those two."""
+    n, m, k = 1000, 40, 8
+    inst = separated_clusters(np.random.default_rng(7), n, m, k, 4)
+    calls = spy_kernel(monkeypatch)
+    assert verify_dc_mpjr_plus(inst, tuple(range(k))).satisfied
+    assert chunk_rows(calls, n) == [[4, 0], [8, 0], [16, 0], [4, 0]]
+    calls.clear()
+    X = (1, 2, 3, 5, 6, 7, m - 2, m - 1)
+    verdict = verify_dc_mpjr_plus(inst, X)
+    assert not verdict.satisfied and verdict.witness.center == 0
+    assert chunk_rows(calls, n) == [[4, 2]]
+    assert {0, 4} <= {w.center for w in dc_violations(inst, X)}
+
+
+def test_satisfied_audit_holds_no_distance_matrix():
+    """A satisfied n=5000, m=100, k=20 audit computes every anchor's row
+    but peaks (tracemalloc) below the n x m matrix's n * m * 8 bytes: 1.7 MB
+    against 4 MB."""
+    n, m, k = 5000, 100, 20
+    inst = separated_clusters(np.random.default_rng(7), n, m, k, 5)
+    tracemalloc.start()
+    try:
+        assert verify_dc_mpjr_plus(inst, tuple(range(k))).satisfied
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8
 
 
 def test_dc_violations_lists_every_violating_radius():

@@ -159,6 +159,17 @@ class TestSelectionSampling:
         assert got == tuple(sorted(idx[:k]))
         assert len(set(got)) == k and all(0 <= x < m for x in got)
 
+    def test_m_past_int64_draws_rejected(self):
+        """m = 2^63 is the largest m the int64 draws cover: it keeps its
+        draws; one past it, and far past it, is a ConfigError."""
+        got = sample_selection(2 ** 63, 2, 0)
+        assert got == (5010179074970479715, 6795470815888760609)
+        assert sample_selection(2 ** 63, 1, 0) == (6795470815888760609,)
+        for m in (2 ** 63 + 1, 2 ** 64 - 1, 2 ** 70):
+            with pytest.raises(ConfigError, match="int64"):
+                sample_selection(m, 2, 0)
+        assert sample_selection(2 ** 70, 0, 0) == ()
+
 
 def scalar_draw_selection(m, k, gen):
     """Partial Fisher-Yates shuffle with one scalar draw a swap: the

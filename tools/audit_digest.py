@@ -1,7 +1,7 @@
-"""Digests of the small-k audit's outputs, for checking that a change to
-its code leaves every output as it was.
+"""Digests of the audits' outputs, for checking that a change to their
+code leaves every output as it was.
 
-Prints three sha256 digests, one a line, each with what it covers:
+Prints four sha256 digests, one a line, each with what it covers:
 
 * ``smallk``: ``verify_mpjr_plus_smallk(...).to_dict()`` less
   ``elapsed_ms`` on seeded planar cases, at every gamma in {0.7, 1, 1.5}
@@ -11,12 +11,20 @@ Prints three sha256 digests, one a line, each with what it covers:
 * ``pjr+``: ``verify_pjr_plus_sweep(...).to_dict()`` less ``elapsed_ms``
   on seeded approval profiles where voter groups of uneven size approve
   blocks of candidates, with uniform random committees; most are violated.
+* ``dc``: ``dc_violations(...)`` (each witness's ``to_dict()``) and
+  ``verify_fixed_ell_dc(...).to_dict()`` less ``elapsed_ms`` at ell in
+  {1, ceil(k/2), k}, on seeded planar cases with n of 200-1500, so that
+  the DC sweep runs several anchor chunks and its screen both passes and
+  flags anchors, at the same gamma and eps grids.  Hubs, ties and
+  selections are as for ``smallk``, with k of 2-20.  Its count is of
+  lines (violation lists and verdicts), its violated count of verdicts.
 * ``experiment``: ``run_experiment(...).to_csv(include_timing=False)`` of
   a small grid at gamma 1 and 1.5.
 
 Run it on two commits and compare the lines:
 
-    PYTHONPATH=src python tools/audit_digest.py [--cases 1000] [--profiles 1000]
+    PYTHONPATH=src python tools/audit_digest.py [--cases 1000] [--profiles 1000] \
+        [--dc-cases 100]
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ import json
 
 import numpy as np
 
-from propaudit import (ApprovalInstance, ExperimentConfig, Instance, run_experiment,
-                       run_sear, sample_selection, substream, verify_mpjr_plus_smallk,
-                       verify_pjr_plus_sweep)
+from propaudit import (ApprovalInstance, ExperimentConfig, Instance, dc_violations,
+                       run_experiment, run_sear, sample_selection, substream,
+                       verify_fixed_ell_dc, verify_mpjr_plus_smallk, verify_pjr_plus_sweep)
 
 GAMMAS = (0.7, 1.0, 1.5)
 EPSILONS = (0.0, 0.25)
@@ -41,12 +49,13 @@ def _line(verdict) -> str:
     return json.dumps(d, sort_keys=True)
 
 
-def hub_case(gen):
-    """A planar instance with agents around uneven hubs, and a selection."""
-    k = int(gen.integers(2, 13))
+def hub_case(gen, k_hi=13, n_lo=0, n_hi=61, extra=16):
+    """A planar instance with agents around uneven hubs, and a selection:
+    k in [2, k_hi), n in [max(k, n_lo), n_hi) and m - k in [1, extra)."""
+    k = int(gen.integers(2, k_hi))
     g = int(gen.integers(1, 4))
-    n = int(gen.integers(k, 61))
-    m = k + int(gen.integers(1, 16))
+    n = int(gen.integers(max(k, n_lo), n_hi))
+    m = k + int(gen.integers(1, extra))
     hubs = 4 * gen.random((g, 2))
     weight = gen.random(g) + 0.1
     agents = hubs[gen.choice(g, size=n, p=weight / weight.sum())] + 0.4 * gen.random((n, 2))
@@ -96,6 +105,17 @@ def smallk_lines(cases, seed):
                 yield _line(verify_mpjr_plus_smallk(inst, X, gamma, eps=eps))
 
 
+def dc_lines(cases, seed):
+    gen = substream(seed, "audit-digest", "dc")
+    for _ in range(cases):
+        inst, X = hub_case(gen, k_hi=21, n_lo=200, n_hi=1501, extra=41)
+        for gamma in GAMMAS:
+            for eps in EPSILONS:
+                yield json.dumps([w.to_dict() for w in dc_violations(inst, X, gamma, eps)])
+                for ell in sorted({1, -(-inst.k // 2), inst.k}):
+                    yield _line(verify_fixed_ell_dc(inst, X, ell, gamma, eps))
+
+
 def pjr_plus_lines(profiles, seed):
     gen = substream(seed, "audit-digest", "pjr+")
     for _ in range(profiles):
@@ -113,12 +133,15 @@ def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--cases", type=int, default=1000, help="small-k cases (6 audits each)")
     p.add_argument("--profiles", type=int, default=1000, help="approval profiles")
+    p.add_argument("--dc-cases", type=int, default=100,
+                   help="DC cases (6 violation lists and up to 18 fixed-ell verdicts each)")
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
-    for name, lines in (("smallk", smallk_lines(args.cases, args.seed)),
-                        ("pjr+", pjr_plus_lines(args.profiles, args.seed))):
+    for name, lines, unit in (("smallk", smallk_lines(args.cases, args.seed), "verdicts"),
+                              ("pjr+", pjr_plus_lines(args.profiles, args.seed), "verdicts"),
+                              ("dc", dc_lines(args.dc_cases, args.seed), "lines")):
         sha, count, violated = digest(lines)
-        print(f"{name} {sha} ({count} verdicts, {violated} violated)")
+        print(f"{name} {sha} ({count} {unit}, {violated} violated)")
     csv = experiment_csv(args.seed)
     print(f"experiment {hashlib.sha256(csv.encode()).hexdigest()} "
           f"({csv.count(chr(10))} csv lines)")
