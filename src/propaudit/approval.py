@@ -1,7 +1,7 @@
 """Approval-ballot committees: brute-force verifiers, PJR+ through the
-small-k audit's search (``verify._smallk_hit``) on the ballots read as
-distances in {1, 2}, plus the balanced-biclique instance generator used
-for hardness-style fixtures.
+small-k audit's search driver (``verify._smallk_hits``, on a batch of
+one) on the ballots read as distances in {1, 2}, plus the
+balanced-biclique instance generator used for hardness-style fixtures.
 
 The exhaustive verifiers enumerate voter subsets (2^n) and are guarded by
 fixed caps (``verify_pjr_bruteforce`` also takes the cap that
@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (InputError, SizeError, Verdict, Witness, check_level,
                    check_selection, is_int, timed)
-from .verify import _check_smallk_cap, _smallk_hit, _unselected
+from .verify import _check_smallk_cap, _smallk_hits, _unselected
 
 _MAX_VOTERS = 16       # voters whose 2^n coalitions are enumerated
 _MAX_SIDE = 16         # vertices per side of the biclique search
@@ -142,7 +142,7 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee) -> Verdict:
     """PJR+: no exclusion set Y strictly inside the committee and
     unselected c where (|Y|+1) * q voters approve c and nobody in X \\ Y.
     That is mPJR+ at gamma = 1 on the ballots read as distances, 1 =
-    approved and 2 = not, so ``verify._smallk_hit`` searches it: Y by
+    approved and 2 = not, so ``verify._smallk_hits`` searches it: Y by
     popcount then lexicographically, c by index.  The witness lists those
     voters and, as `covered`, the set Y."""
     X = check_selection(inst, committee)
@@ -150,7 +150,7 @@ def verify_pjr_plus_sweep(inst: ApprovalInstance, committee) -> Verdict:
     _check_smallk_cap(k)
     B, outs = _ballot_distances(inst), _unselected(inst, X)
     # g is the identity at gamma = 1 and eps = 0: the reach rows are X's ballot rows
-    hit = _smallk_hit(B[outs], B[list(X)], k)
+    hit = _smallk_hits(B[outs], B[list(X)][None])[0]
     if hit is None:
         return Verdict("pjr+", 1.0, True)
     row, size, _, coalition, y = hit

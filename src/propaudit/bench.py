@@ -11,10 +11,12 @@ Each instance's selections are drawn first, from one generator reset
 to each selection's stream (``gen.reseed``), and its distance matrix is
 computed once.  Their verdicts under each axiom come from one batch per
 instance, which gathers its rows from that matrix:
-``verify._smallk_verdicts`` for mpjr+, which builds the anchor and reach
-rows and the bound table once and tests the empty exclusion set for all
-selections together, and ``verify._dc_verdicts`` for dc-mpjr+, which
-computes the selection-independent coverage radii once.  So a row's
+``verify._smallk_verdicts`` for mpjr+, which builds the anchor rows of
+all candidates once and runs the small-k search driver
+(``verify._smallk_hits``) on the selections together, as many a call as
+fit in its fixed scratch budget, and
+``verify._dc_verdicts`` for dc-mpjr+, which computes the
+selection-independent coverage radii once.  So a row's
 ``mean_ms`` is, for either axiom, the batch wall times of its cell summed
 and divided by its selections; drawing and the distance matrix are not
 in it.  Neither batch builds a witness.

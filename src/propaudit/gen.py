@@ -116,7 +116,8 @@ def sample_selection(m: int, k: int, seed) -> tuple:
         raise ConfigError(f"m={m} is past the sampler's int64 draws: need m <= 2**63")
     gen = seed if isinstance(seed, np.random.Generator) else substream(seed, "selection")
     moved, picked = {}, []                  # moved: position -> index now there
-    for i, d in enumerate(gen.integers(0, np.arange(m, m - k, -1)).tolist()):
+    # uint64 bounds are exact up to m = 2**63, where a default arange is float64
+    for i, d in enumerate(gen.integers(0, np.arange(m, m - k, -1, dtype=np.uint64)).tolist()):
         j = i + d
         picked.append(moved.get(j, j))
         moved[j] = moved.get(i, i)

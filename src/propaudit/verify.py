@@ -22,17 +22,19 @@ Two verification strategies live here:
   agents whose such centers all lie in Y (``_exclusion_sets``).  Worst
   case O(m n log n * 2^k): practical for small k only.  One kernel,
   ``_live_hits``, sweeps the intervals for every (reach row, anchor) pair
-  of a call at once, on the table's rows for the size: the search,
-  ``_smallk_hit``, stacks a size's exclusion sets into one call, and
-  ``_smallk_verdicts`` puts the selections of a batch in one call for
-  size 0 (Y empty).  The search takes the anchor rows, a source of their
-  table and bound rows and the selection's reach rows, so it also runs
-  approval PJR+ on {1, 2} ballot rows, and ``_smallk_verdicts`` gives the
-  experiment harness the verdicts of many selections of one instance at
-  once: it builds the anchor and reach rows and the bound table of all m
-  candidates once, tests size 0 for every selection together, bounds the
-  selections that pass it together and sends them through the search,
-  from size 1.
+  of a call at once, on the table's rows for the size, and one driver,
+  ``_smallk_hits``, runs the search for a batch of selections: size 0
+  (Y empty) for the whole batch in stacked calls, then the selections
+  that pass it through the sizes in groups, each group's table built once
+  and bounded for them together, each size's exclusion sets stacked into
+  calls.  It takes the anchor rows, the selections' reach rows and a mask
+  of anchors to skip, so the single audit is a batch of one, approval
+  PJR+ is a batch of one on {1, 2} ballot rows, and ``_smallk_verdicts``
+  gives the experiment harness the verdicts of many selections of one
+  instance: the anchor rows of all m candidates, built once, with each
+  selection's own anchors skipped, and as many selections a call as fit
+  in ``_BOUND_ELEMS`` reach entries, so its scratch does not grow with
+  their number.
 
 * ``verify_dc_mpjr_plus`` checks each unselected anchor's tightest ball at
   every level through coverage radii: selected center x is covered by the
@@ -129,8 +131,9 @@ _SIGN = np.uint64(1 << 63)
 _PLAIN_SETS = 16
 # cap on the (selection, size, anchor, agent) entries of one _bound_counts
 # pass, which bounds as many sizes (and, in a batch, selections) at once as
-# fit (one size at least); its scratch is 9 bytes an entry (the table and
-# fit), 2.3 MB at the cap.  Library audits of the smallk-sat
+# fit (one size at least), and on the (reach row, anchor, agent) entries of
+# one small-k _live_hits call; a pass's scratch is 9 bytes an entry (the
+# table and fit), 2.3 MB at the cap.  Library audits of the smallk-sat
 # benchmark's instances (n=200, m=100, k=12: all 11 sizes in 193,600
 # entries, 2 vCPUs): one size a pass 0.96 ms, 2^16 (3 sizes) 0.68 ms, 2^17
 # 0.61 ms, 2^18 0.57 ms, 2^20 0.57 ms.  Uncapped, a satisfied n=5000, m=100,
@@ -462,22 +465,6 @@ def _bound_counts(T, G, Gs, sizes) -> np.ndarray:
     return bound
 
 
-def _root_bound_rows(Lt, Ls, G, first):
-    """(table row, bound row) of one selection (reach rows ``G``) over the
-    anchor rows ``Lt``, sorted in ``Ls``, per size from `first` on:
-    ``_bound_table`` and ``_bound_counts`` of as many sizes at a time as
-    fit in ``_BOUND_ELEMS`` (size, anchor, agent) entries, at least one,
-    each group computed when its first size is asked for.  ``G`` is sorted
-    when the first is."""
-    Gs, k = np.sort(G, axis=0), len(G)
-    step = max(1, _BOUND_ELEMS // max(1, Lt.size))
-    for lo in range(first, k, step):
-        sizes = np.arange(lo, min(k, lo + step))
-        T = _bound_table(Lt, Ls, k, sizes)
-        yield from zip(T, _bound_counts(T, G[None], Gs[None], sizes)[0])
-        del T                   # freed before the next group's table is built
-
-
 def _exclusion_sets(T, G, size, need):
     """The exclusion sets Y with |Y| = size, as bit masks in scan order,
     where some anchor of the table rows ``T`` has at least `need` agents
@@ -564,58 +551,88 @@ def _live_hits(T, U, need, skip=None):
     return first, radius
 
 
-def _smallk_hit(Lt, G, k, bounds=None, first=0):
-    """The small-k audit's search over the anchors whose distance rows are
-    ``Lt`` (anchor, agent), against the selection's reach rows ``G``: its
-    first violation as (row of Lt, size, radius, coalition mask, y), y
-    being Y as a bit mask over the rows of G, or None.  Sizes below
-    `first` count as checked.
+def _smallk_hits(L, G, skip=None) -> list:
+    """The small-k audit's search for a batch of selections over the
+    anchors whose distance rows are ``L`` (anchor, agent): per selection,
+    with reach rows ``G[j]`` (center, agent), its first violation as (row
+    of L, size, radius, coalition mask, y), y being Y as a bit mask over
+    the rows of G[j], or None.  Anchors set in the bool mask `skip`
+    (selection, anchor) never violate.
 
     Each size is one kernel, ``_live_hits``, on the size's table rows
-    (``_bound_table``): the size's sets Y (all of them, or once a size has
-    more than ``_PLAIN_SETS``, those ``_exclusion_sets`` keeps) are
-    stacked into reach rows, as many as fit in ``_BOUND_ELEMS`` (set,
-    anchor, agent) entries and at least one, and the first set with a hit
-    in scan order gives the violation.  Per size |Y| >= 1, only anchors
-    whose bound (``_bound_counts``) reaches the size's target are scanned;
-    the rest cannot violate.  Table and bound rows come from the source
-    `bounds`, an iterator of one (table row, bound row) pair over Lt per
-    size from size `first` on, which must then be 1 or more: a batch of
-    selections passes rows it computed together.  By default Lt is sorted
-    once, for size 0's table rows and for ``_root_bound_rows``, which
-    bounds later sizes a group at a time once the search gets past size
-    0, where most failing audits end.  The coalition is the agents within
-    the radius, out of reach of X \\ Y.
+    (``_bound_table``), over reach rows stacked as many as fit in
+    ``_BOUND_ELEMS`` (reach row, anchor, agent) entries, at least one.
+    Size 0 (Y empty), where most failing audits end, stacks the
+    selections.  The rest go on through the sizes from 1 in groups of as
+    many as fit in ``_BOUND_ELEMS`` (size, anchor, agent) entries, at
+    least one: a group's table is built once, and ``_bound_counts``
+    bounds the selections still live against it, as many at a time as fit
+    in ``_BOUND_ELEMS`` (selection, size, anchor, agent) entries.  Per
+    selection and size, only anchors whose bound reaches the size's target
+    are scanned, the rest cannot violate, and the size's sets Y (all of
+    them, or once a size has more than ``_PLAIN_SETS``, those
+    ``_exclusion_sets`` keeps) are stacked: the first set with a hit in
+    scan order gives the violation.  The coalition is the agents within
+    the radius r, out of reach of X \\ Y, read from the table row: a hit
+    has r >= R, where max(d, R) <= r exactly when d <= r.
     """
-    n = Lt.shape[1]
-    rows = np.arange(len(Lt))
-    if bounds is None:
-        Ls = np.sort(Lt, axis=1)
-        T = _bound_table(Lt, Ls, k, np.arange(1))[0]
-        bounds = _root_bound_rows(Lt, Ls, G, max(first, 1))
-    for size in range(first, k):
-        need = -((-(size + 1) * n) // k)
-        if size:
-            T = None            # frees the last size's rows before the next are built
-            T, bound = next(bounds)
-            rows = np.flatnonzero(bound >= need)
-            if rows.size == 0:
-                continue
-            T = T[rows]
-        if math.comb(k, size) <= _PLAIN_SETS:
-            sets = (sum(1 << p for p in ypos) for ypos in combinations(range(k), size))
-        else:
-            sets = _exclusion_sets(T, G, size, need)
+    s, k, n = G.shape
+    Ls = np.sort(L, axis=1)
+    hits = [None] * s
+
+    def scan(T, rows, U, owners, size, ys, need, mask=None):
+        first, radius = _live_hits(T, U, need, mask)
+        for j in np.flatnonzero(first < len(T)):
+            if hits[owners[j]] is None:
+                r = float(radius[j])
+                hits[owners[j]] = (int(rows[first[j]]), size, r,
+                                   (T[first[j]] <= r) & (U[j] > r), ys[j])
+
+    T = _bound_table(L, Ls, k, np.arange(1))[0]
+    per = max(1, _BOUND_ELEMS // max(1, T.size))
+    for lo in range(0, s, per):
+        scan(T, np.arange(len(T)), G[lo:lo + per].min(axis=1), range(lo, lo + per), 0,
+             [0] * per, -(-n // k), None if skip is None else skip[lo:lo + per])
+    live, Gs = np.arange(s), None
+    group = max(1, _BOUND_ELEMS // max(1, L.size))
+    for lo in range(1, k, group):
+        # drop the last group's table and every copy of its rows before the next
+        # is built: held, they took a satisfied n=5000, m=100, k=20 audit's
+        # tracemalloc peak from 11.6 to 14.8 MB
+        T = Tk = sets = None
+        keep = np.array([hits[j] is None for j in live], dtype=bool)
+        if not keep.all():
+            live, G, Gs = live[keep], G[keep], None
+        if not live.size:
+            break
+        if Gs is None:
+            Gs = np.sort(G, axis=1)
+        sizes = np.arange(lo, min(k, lo + group))
+        need = -((-(sizes + 1) * n) // k)
+        T = _bound_table(L, Ls, k, sizes)
         per = max(1, _BOUND_ELEMS // max(1, T.size))
-        while ys := list(islice(sets, per)):
-            U = np.array([G[[p for p in range(k) if not y >> p & 1]].min(axis=0) for y in ys])
-            hit, radius = _live_hits(T, U, need)
-            found = np.flatnonzero(hit < len(T))
-            if found.size:
-                j = found[0]
-                row, r = int(rows[hit[j]]), float(radius[j])
-                return row, size, r, (Lt[row] <= r) & (U[j] > r), ys[j]
-    return None
+        for c in range(0, len(live), per):
+            B = _bound_counts(T, G[c:c + per], Gs[c:c + per], sizes)
+            if skip is not None:
+                B *= ~skip[live[c:c + per], None]
+            for j, G_j, B_j in zip(live[c:c + per], G[c:c + per], B):
+                for size, Tk, b, t in zip(sizes.tolist(), T, B_j, need.tolist()):
+                    rows = np.flatnonzero(b >= t)
+                    if rows.size == 0:
+                        continue
+                    Tk = Tk[rows]
+                    if math.comb(k, size) <= _PLAIN_SETS:
+                        sets = (sum(1 << p for p in y) for y in combinations(range(k), size))
+                    else:
+                        sets = _exclusion_sets(Tk, G_j, size, t)
+                    step = max(1, _BOUND_ELEMS // max(1, Tk.size))
+                    while hits[j] is None and (ys := list(islice(sets, step))):
+                        U = np.array([G_j[[p for p in range(k) if not y >> p & 1]].min(axis=0)
+                                      for y in ys])
+                        scan(Tk, rows, U, [j] * len(ys), size, ys, t)
+                    if hits[j] is not None:
+                        break
+    return hits
 
 
 def _check_smallk_cap(k, max_k=24):
@@ -629,53 +646,26 @@ def _check_smallk_cap(k, max_k=24):
 def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     """``verify_mpjr_plus_smallk(instance, X, gamma).satisfied`` for each
     row X of `selections`, an (s, k) array of distinct in-range centers,
-    at eps = 0, with no witness built.
-
-    The anchor rows of all m candidates (``Instance.rows``), their reach
-    rows and their ``_bound_table`` for sizes 0 to k - 1 are built once;
-    g is elementwise, so row x is bit-equal to
-    ``_reach_radius(instance.rows([x]), gamma, 0.0)``.  Size 0 (Y empty)
-    is one ``_live_hits`` call over the rows' reach rows (u is the min
-    over a row's k reach rows) and the table's size-0 rows, in chunks of
-    at most _CHUNK_ELEMS (row, anchor, agent) entries, with each row's
-    selected anchors skipped.  The rows with no hit at size 0 are bounded
-    together by ``_bound_counts``, in passes of at most _BOUND_ELEMS (row,
-    size, anchor, agent) entries, and go through ``_smallk_hit`` from size
-    1 over all m anchors, with those bounds and the selected anchors'
-    bounds set to 0.
+    at eps = 0, with no witness built: ``_smallk_hits`` over the anchor
+    rows of all m candidates (``Instance.rows``), built once, with each
+    row's selected anchors in `skip`.  g is elementwise, so the reach row
+    of x is bit-equal to ``_reach_radius(instance.rows([x]), gamma, 0.0)``.
+    The selections go in calls of at most ``_BOUND_ELEMS`` (selection,
+    center, agent) reach entries, at least one selection, so the scratch
+    does not grow with their number.
     """
     check_gamma(gamma)
-    n, m, k = instance.n, instance.m, instance.k
-    _check_smallk_cap(k)
-    sel = np.asarray(selections, dtype=np.intp).reshape(-1, k)
-    LA = instance.rows(np.arange(m))                   # (anchor, agent)
-    GA = _reach_radius(LA, gamma, 0.0)                 # (center, agent)
-    T = _bound_table(LA, np.sort(LA, axis=1), k, np.arange(k))
-    ok = np.zeros(len(sel), dtype=bool)
-    survivors = []
-    step = max(1, _CHUNK_ELEMS // (m * n))
+    _check_smallk_cap(instance.k)
+    sel = np.asarray(selections, dtype=np.intp).reshape(-1, instance.k)
+    L = instance.rows(np.arange(instance.m))           # (anchor, agent)
+    GA, ok = _reach_radius(L, gamma, 0.0), []
+    step = max(1, _BOUND_ELEMS // (instance.k * instance.n))
     for lo in range(0, len(sel), step):
         block = sel[lo:lo + step]
-        skip = np.zeros((len(block), m), dtype=bool)
+        skip = np.zeros((len(block), instance.m), dtype=bool)
         skip[np.arange(len(block))[:, None], block] = True
-        hit, _ = _live_hits(T[0], GA[block].min(axis=1), -(-n // k), skip)
-        survivors += (lo + np.flatnonzero(hit == m)).tolist()
-    ok[survivors] = True
-    if k == 1:                                         # size 0 is the only size
-        return ok
-    sizes = np.arange(1, k)
-    group = min(k - 1, max(1, _BOUND_ELEMS // (m * n)))            # sizes a pass
-    per = max(1, _BOUND_ELEMS // (group * m * n))                  # rows a pass
-    for lo in range(0, len(survivors), per):
-        idx = survivors[lo:lo + per]
-        G = GA[sel[idx]]                               # (row, center, agent)
-        Gs = np.sort(G, axis=1)
-        B = np.concatenate([_bound_counts(T[s:s + group], G, Gs, sizes[s - 1:s - 1 + group])
-                            for s in range(1, k, group)], axis=1)
-        for j, G_j, B_j in zip(idx, G, B):
-            B_j[:, sel[j]] = 0
-            ok[j] = _smallk_hit(LA, G_j, k, zip(T[1:], B_j), first=1) is None
-    return ok
+        ok += [hit is None for hit in _smallk_hits(L, GA[block], skip)]
+    return np.array(ok, dtype=bool)
 
 
 @timed
@@ -686,7 +676,7 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     Checks exclusion sets Y inside the selection, by size; a violation is
     an anchor c and a radius r where at least (|Y|+1)*q agents sit within
     r of c yet farther than gamma*r + eps from every selected center
-    outside Y.  The search is ``_smallk_hit``.  `max_k` must be an
+    outside Y.  The search is ``_smallk_hits``, on a batch of one.  `max_k` must be an
     integer (``InputError`` otherwise), and k past min(max_k, 62) raises
     ``SizeError``.
     """
@@ -695,7 +685,7 @@ def verify_mpjr_plus_smallk(instance: Instance, selection, gamma: float = 1.0,
     check_eps(eps)
     _check_smallk_cap(instance.k, max_k)
     XR, outs = instance.rows(X), _unselected(instance, X)
-    hit = _smallk_hit(instance.rows(outs), _reach_radius(XR, gamma, eps), instance.k)
+    hit = _smallk_hits(instance.rows(outs), _reach_radius(XR, gamma, eps)[None])[0]
     if hit is None:
         return Verdict("mpjr+", gamma, True)
     row, size, radius, coalition, _ = hit

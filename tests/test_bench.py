@@ -199,13 +199,21 @@ def test_smallk_batch_matches_audit(monkeypatch, rng):
         audits, violated = audits + len(sels), violated + expect.count(False)
         uneven += n % k != 0
     assert audits >= 10000 and 1000 <= violated <= audits - 1000 and uneven >= 500
-    # one or two rows a chunk, and k = m with no anchor left
+    # one or two rows a size-0 chunk (900 entries a row), the driver handed
+    # at most the cap's (selection, center, agent) reach entries a call, at
+    # least one selection (120 entries a selection), and k = m with no
+    # anchor left
     inst = gen_gaussian_instance(GaussianConfig(n=30, g=3, sigma=0.04, seed=7, k=4))
     sels = [sample_selection(inst.m, 4, rng) for _ in range(12)]
     expect = [verify_mpjr_plus_smallk(inst, X).satisfied for X in sels]
-    for cap in (1, 2000):
-        monkeypatch.setattr(verify, "_CHUNK_ELEMS", cap)
+    real, calls = verify._smallk_hits, []
+    monkeypatch.setattr(verify, "_smallk_hits",
+                        lambda L, G, skip: calls.append(len(G)) or real(L, G, skip))
+    for cap, sizes in ((1, [1] * 12), (360, [3] * 4), (2000, [12])):
+        calls.clear()
+        monkeypatch.setattr(verify, "_BOUND_ELEMS", cap)
         assert verify._smallk_verdicts(inst, sels, 1.0).tolist() == expect
+        assert calls == sizes
     assert 0 < expect.count(False) < len(sels)
     full = Instance.euclidean(rng.random((5, 2)), rng.random((3, 2)), 3)
     assert verify._smallk_verdicts(full, [(0, 1, 2)] * 2, 1.0).tolist() == [True, True]

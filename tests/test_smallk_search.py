@@ -11,13 +11,16 @@ live-interval scan (``plain_scan``) finds a violation must be among them.
 ``_live_hits``, the one live-interval kernel, must give the first anchor
 and radius of that plain scan on every (set, anchor) pair.
 
-Before any set of a size is scanned, ``_root_bound_rows`` bounds per
-anchor the agents any Y of that size can count: those with at most |Y|
-centers x where gamma * max(d(i,c), R) + eps >= d(i,x), less those near
-the (|Y|+1)-th most common such center.  Every size's row must match that
-bound written out, however the sizes are grouped into passes, and the
-audit that scans only the anchors it keeps must match a plain scan of
-every set of every size over every anchor, witness included.
+Before any set of a size is scanned, ``_bound_table`` and
+``_bound_counts`` bound per anchor the agents any Y of that size can
+count: those with at most |Y| centers x where
+gamma * max(d(i,c), R) + eps >= d(i,x), less those near the (|Y|+1)-th
+most common such center.  Every size's row must match that bound written
+out, however the search driver ``_smallk_hits`` groups the sizes into
+passes, and the audit that scans only the anchors it keeps must match a
+plain scan of every set of every size over every anchor, witness
+included.  For a batch of selections over all m anchors, the driver must
+give each selection the hit of its own audit.
 
 On instances built with anchor distances at and one float either side
 of (d(i,x) - eps) / gamma, where a quotient test and the float test
@@ -37,7 +40,7 @@ from propaudit import verify
 from propaudit.core import check_selection
 from propaudit.gen import sample_selection
 from propaudit.verify import (_bound_counts, _bound_table, _exclusion_sets, _live_hits,
-                              _reach_radius, _root_bound_rows, _unselected, _witness)
+                              _reach_radius, _smallk_hits, _unselected, _witness)
 
 CASES = ((1.0, 0.0), (1.5, 1e-9), (3.0, 0.25))
 
@@ -55,8 +58,12 @@ def plain_scan(Lt, u, need):
 
 
 def bound_rows(Lt, G):
-    """``_root_bound_rows`` from size 0: (table row, bound row) per size."""
-    return _root_bound_rows(Lt, np.sort(Lt, axis=1), G, 0)
+    """(table row, bound row) per size from 0, from one ``_bound_table``
+    and one ``_bound_counts`` of every size, for the selection whose reach
+    rows are ``G``."""
+    sizes = np.arange(len(G))
+    T = _bound_table(Lt, np.sort(Lt, axis=1), len(G), sizes)
+    return zip(T, _bound_counts(T, G[None], np.sort(G, axis=0)[None], sizes)[0])
 
 
 def reach_of(G, y):
@@ -305,25 +312,41 @@ def reference_root_bounds(D, X, outs, size, need, gamma, eps):
 
 
 def check_root_bounds(inst, X, gamma, eps, monkeypatch):
-    """Every size's (table row, bound row) of ``_root_bound_rows``, size 0
-    included, against the table max(d(i,c), R) and the reference bound;
-    returns that reference per size and the lengths of the groups of sizes
-    built together (one ``_bound_table`` call each)."""
+    """Every size's (table row, bound row), size 0 included, against the
+    table max(d(i,c), R) and the reference bound: those of ``bound_rows``,
+    and those the search driver builds in its groups of sizes from 1 (one
+    ``_bound_table`` call each, after size 0's own), up to the group of
+    its first hit.  Returns that reference per size and the lengths of the
+    driver's ``_bound_table`` calls."""
     D, n, k = inst.dists(), inst.n, inst.k
     outs = _unselected(inst, X)
     Lt = np.ascontiguousarray(D[:, outs].T)
-    lengths, wants = [], []
+    G = _reach_radius(inst.rows(X), gamma, eps)
+    lengths, groups, wants = [], [], []
+
+    def counts(T, G, Gs, sizes):
+        B = _bound_counts(T, G, Gs, sizes)
+        groups.append((sizes, T, B[0]))
+        return B
+
     monkeypatch.setattr(verify, "_bound_table",
                         lambda *args: lengths.append(len(args[3])) or _bound_table(*args))
-    G = _reach_radius(inst.rows(X), gamma, eps)
-    for size, (table, row) in enumerate(bound_rows(Lt, G)):
-        assert row.shape == (len(outs),)
+    monkeypatch.setattr(verify, "_bound_counts", counts)
+    _smallk_hits(Lt, G[None])
+    groups.append((np.arange(k), *zip(*bound_rows(Lt, G))))
+    for size in range(k):
         need = -((-(size + 1) * n) // k)
-        assert table.tolist() == np.maximum(Lt, np.sort(Lt, axis=1)[:, need - 1:need]).tolist()
-        want = reference_root_bounds(D, X, outs, size, need, gamma, eps)
-        assert row.tolist() == [b for _, b in want]
-        wants.append((need, want))
-    assert len(wants) == k == sum(lengths) and min(lengths) >= 1
+        wants.append((need, reference_root_bounds(D, X, outs, size, need, gamma, eps)))
+    for sizes, tables, rows in groups:
+        for size, table, row in zip(sizes, tables, rows):
+            need, want = wants[size]
+            assert row.shape == (len(outs),)
+            assert table.tolist() == np.maximum(Lt, np.sort(Lt, axis=1)[:, need - 1:need]).tolist()
+            assert row.tolist() == [b for _, b in want]
+    built = [len(sizes) for sizes, _, _ in groups[:-1]]
+    assert lengths[0] == 1 and lengths[1:] == built and min(lengths) >= 1
+    starts = np.concatenate([[0]] + [g[0] for g in groups[:-1]])
+    assert starts.tolist() == list(range(sum(lengths)))
     return wants, lengths
 
 
@@ -363,11 +386,11 @@ def test_root_bounds_in_split_groups(rng, monkeypatch, cap):
 
 
 def test_root_bounds_with_no_anchor_rows(monkeypatch):
-    """m = k: no anchor row, so one group takes every size."""
+    """m = k: no anchor row, so after size 0 one group takes every size."""
     inst = Instance.euclidean([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]],
                               [[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], 3)
     for gamma, eps in ROOT_CASES:
-        assert check_root_bounds(inst, (0, 1, 2), gamma, eps, monkeypatch)[1] == [3]
+        assert check_root_bounds(inst, (0, 1, 2), gamma, eps, monkeypatch)[1] == [1, 2]
         assert verify_mpjr_plus_smallk(inst, (0, 1, 2), gamma, eps=eps).satisfied
 
 
@@ -375,8 +398,8 @@ def test_root_bounds_with_no_anchor_rows(monkeypatch):
 def test_batched_bounds_match_root_bounds(rng, gamma):
     """``_bound_counts`` of a batch of selections, from one
     ``_bound_table`` of all m anchors, gives for each selection and size
-    the (table row, bound row) of ``_root_bound_rows`` over that
-    selection's unselected anchors."""
+    the (table row, bound row) of a batch of one (``bound_rows``) over
+    that selection's unselected anchors."""
     kept = 0
     for _ in range(40):
         inst, _ = random_large_k_case(rng)
@@ -439,11 +462,12 @@ def scan_every_set(inst, X, gamma, eps):
     return Verdict("mpjr+", gamma, True)
 
 
-def hub_case(rng):
+def hub_case(rng, k_hi=11):
     """Agents around 1-3 hubs of uneven weight and candidates near them
-    and far off; the selection is SEAR's or has one center near each hub
-    and the rest at random, so a heavy hub is often short at level >= 2."""
-    k = int(rng.integers(2, 11))
+    and far off, k in [2, k_hi); the selection is SEAR's or has one center
+    near each hub and the rest at random, so a heavy hub is often short at
+    level >= 2."""
+    k = int(rng.integers(2, k_hi))
     g = int(rng.integers(1, 4))
     n = int(rng.integers(k, 50))
     m = k + int(rng.integers(1, 12))
@@ -475,6 +499,46 @@ def test_audit_matches_scan_of_every_set(rng):
         violated += not got["satisfied"]
         high += not got["satisfied"] and got["witness"]["level"] >= 2
     assert 100 < violated < 1100 and high >= 50
+
+
+@pytest.mark.parametrize("cap", ["default", "three sizes", 1])
+def test_batch_hits_match_audit_witness(rng, monkeypatch, cap):
+    """For batches of selections at k up to 8, ``_smallk_hits`` over all m
+    anchor rows, with each selection's own anchors in `skip`, gives each
+    selection the witness of its audit mapped to anchors (center, level,
+    radius, coalition) and the set Y of the audit's own search.  A cap of
+    three sizes' entries (three selections a size-0 chunk, three sizes a
+    group) or of 1 (one of each, one set a kernel call) splits the
+    survivors across passes; k up to 8 reaches ``_exclusion_sets``."""
+    searched, violated, deep = [], 0, 0
+    monkeypatch.setattr(verify, "_exclusion_sets",
+                        lambda *args: searched.append(args[2]) or _exclusion_sets(*args))
+    for j in range(80):
+        inst, X = hub_case(rng, k_hi=9)
+        n, m, k = inst.n, inst.m, inst.k
+        if cap != "default":
+            monkeypatch.setattr(verify, "_BOUND_ELEMS", 1 if cap == 1 else 3 * m * n)
+        gamma, eps = ROOT_CASES[j % 4]
+        sels = np.array([sorted(X)] + [sample_selection(m, k, rng) for _ in range(5)])
+        L = inst.rows(np.arange(m))
+        skip = np.zeros((len(sels), m), dtype=bool)
+        skip[np.arange(len(sels))[:, None], sels] = True
+        hits = _smallk_hits(L, _reach_radius(L, gamma, eps)[sels], skip)
+        assert len(hits) == len(sels)
+        for X, hit in zip(sels, hits):
+            want = verify_mpjr_plus_smallk(inst, X, gamma, eps=eps)
+            assert (hit is None) == want.satisfied
+            if hit is None:
+                continue
+            row, size, radius, coalition, y = hit
+            w = want.witness
+            assert (row, size + 1, radius) == (w.center, w.level, w.radius)
+            assert frozenset(np.flatnonzero(coalition).tolist()) == w.coalition
+            own = _smallk_hits(inst.rows(_unselected(inst, X)),
+                               _reach_radius(inst.rows(X), gamma, eps)[None])[0]
+            assert own[4] == y
+            violated, deep = violated + 1, deep + (size >= 2)
+    assert 0 < violated < 480 and deep > 0 and searched
 
 
 def test_audit_scratch_stays_small():

@@ -1,13 +1,18 @@
 """Digests of the audits' outputs, for checking that a change to their
 code leaves every output as it was.
 
-Prints four sha256 digests, one a line, each with what it covers:
+Prints five sha256 digests, one a line, each with what it covers:
 
 * ``smallk``: ``verify_mpjr_plus_smallk(...).to_dict()`` less
   ``elapsed_ms`` on seeded planar cases, at every gamma in {0.7, 1, 1.5}
   and eps in {0, 0.25}.  Agents sit around 1-3 hubs of uneven weight (a
   third of the cases on a quarter grid, for exact distance ties), k is
   2-12, and the selection is SEAR's or a uniform random one.
+* ``batch``: the experiment's small-k batch, ``verify._smallk_verdicts``,
+  on instances drawn as for ``smallk``, each with a batch of 8 uniform
+  random selections at every gamma of the grid, one line a verdict.  The
+  ``experiment`` line below stays at k = 5, where every size's sets are
+  scanned plainly; here k reaches 12 and the pruned exclusion-set search.
 * ``pjr+``: ``verify_pjr_plus_sweep(...).to_dict()`` less ``elapsed_ms``
   on seeded approval profiles where voter groups of uneven size approve
   blocks of candidates, with uniform random committees; most are violated.
@@ -36,7 +41,7 @@ import json
 import numpy as np
 
 from propaudit import (ApprovalInstance, ExperimentConfig, Instance, dc_violations,
-                       run_experiment, run_sear, sample_selection, substream,
+                       run_experiment, run_sear, sample_selection, substream, verify,
                        verify_fixed_ell_dc, verify_mpjr_plus_smallk, verify_pjr_plus_sweep)
 
 GAMMAS = (0.7, 1.0, 1.5)
@@ -105,6 +110,17 @@ def smallk_lines(cases, seed):
                 yield _line(verify_mpjr_plus_smallk(inst, X, gamma, eps=eps))
 
 
+def batch_lines(cases, seed):
+    gen = substream(seed, "audit-digest", "batch")
+    for _ in range(cases):
+        inst, _ = hub_case(gen)
+        sels = [sample_selection(inst.m, inst.k, gen) for _ in range(8)]
+        for gamma in GAMMAS:
+            for X, ok in zip(sels, verify._smallk_verdicts(inst, sels, gamma)):
+                yield json.dumps({"gamma": gamma, "satisfied": bool(ok), "selection": X},
+                                 sort_keys=True)
+
+
 def dc_lines(cases, seed):
     gen = substream(seed, "audit-digest", "dc")
     for _ in range(cases):
@@ -131,13 +147,15 @@ def experiment_csv(seed) -> str:
 
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--cases", type=int, default=1000, help="small-k cases (6 audits each)")
+    p.add_argument("--cases", type=int, default=1000,
+                   help="small-k cases (6 audits each), and batch cases (24 verdicts each)")
     p.add_argument("--profiles", type=int, default=1000, help="approval profiles")
     p.add_argument("--dc-cases", type=int, default=100,
                    help="DC cases (6 violation lists and up to 18 fixed-ell verdicts each)")
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     for name, lines, unit in (("smallk", smallk_lines(args.cases, args.seed), "verdicts"),
+                              ("batch", batch_lines(args.cases, args.seed), "verdicts"),
                               ("pjr+", pjr_plus_lines(args.profiles, args.seed), "verdicts"),
                               ("dc", dc_lines(args.dc_cases, args.seed), "lines")):
         sha, count, violated = digest(lines)
