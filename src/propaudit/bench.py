@@ -5,7 +5,9 @@ center selections, audits each under the configured axioms, and
 aggregates satisfaction counts.  Work units are whole instances keyed by
 (cell, instance index), and every random draw is reproducible from the
 master seed alone, so results are identical no matter how the units are
-scheduled across processes.
+scheduled across processes.  With ``threads=1`` they run in this
+process, and ``concurrent.futures``' process pool (and with it
+``multiprocessing``) is imported only when ``threads`` > 1.
 
 Each instance's selections are drawn first, from one generator reset
 to each selection's stream (``gen.reseed``), and its distance matrix is
@@ -33,7 +35,6 @@ import hashlib
 import os
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -200,6 +201,7 @@ def run_experiment(cfg: ExperimentConfig, threads=None, progress=None) -> Experi
         if threads == 1:
             outcomes = map(_audit_instance, tasks)
         else:
+            from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
             outcomes = pool.map(_audit_instance, tasks, chunksize=4)
         for done, (n, g, s, t, audits) in enumerate(outcomes, 1):

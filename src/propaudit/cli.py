@@ -10,6 +10,15 @@ any other exception escapes ``main``: a crash is never read as a verdict.
 ``main`` builds its parser (``build_parser``) on its first call and reads
 every later command line with the same one, so a process that calls it
 many times (a test suite, a benchmark, a script) builds it once.
+
+At import the module loads only ``core``, ``verify`` and ``sear``, all
+that ``audit`` and ``sear`` run.  Every other command imports its own
+modules when it runs: ``generate`` ``gen`` (the two incomparability
+fixtures also ``approval`` and ``embedding``), ``experiment`` ``bench``,
+``baseline`` ``baselines``, ``embed`` ``approval`` and ``embedding``, and
+``audit --axiom mpjr-oracle`` ``oracle``.  The audit and SEAR entry
+points stay names of this module, where a caller (a test, a tracer) can
+replace them.
 """
 
 from __future__ import annotations
@@ -23,15 +32,9 @@ import sys
 import time
 import traceback
 
-from . import bench, gen
-from .approval import ApprovalInstance
-from .baselines import (kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
-                        kmedian_exhaustive, kmedian_local_search)
 from .core import (ConfigError, InfeasibleLevel, InputError, SizeError,
                    UnsupportedBackend, Instance, check_eps, check_gamma,
                    dump_instance, load_instance, read_json, validate_metric)
-from .embedding import embed_approval
-from .oracle import oracle_mpjr
 from .sear import run_sear
 from .verify import (_dc_witnesses, verify_dc_mpjr_plus, verify_fixed_ell_dc,
                      verify_mpjr_plus_smallk)
@@ -172,6 +175,7 @@ def _cmd_audit(args) -> int:
         verdict = verify_mpjr_plus_smallk(instance, selection, args.gamma,
                                           max_k=args.max_k, eps=args.eps)
     elif args.axiom == "mpjr-oracle":
+        from .oracle import oracle_mpjr
         verdict = oracle_mpjr(instance, selection, max_agents=args.max_agents)
     elif args.axiom == "fixed-ell-dc":
         if args.ell is None:
@@ -200,6 +204,7 @@ def _cmd_sear(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import gen
     _check_flags(args, _KIND_FLAGS, "kind")
     if args.kind == "gaussian":
         if args.n is None or args.g is None:
@@ -225,6 +230,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from . import bench
     cfg = bench.ExperimentConfig(
         n_values=_int_list("--n-values", args.n_values),
         g_values=_int_list("--g-values", args.g_values),
@@ -248,6 +254,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    from .baselines import (kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
+                            kmedian_exhaustive, kmedian_local_search)
     if args.restarts < 1:
         raise InputError(f"--restarts must be >= 1, got {args.restarts}")
     if args.exhaustive and (args.objective, args.restarts, args.seed) != ("kmedian", 1, 0):
@@ -272,6 +280,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .approval import ApprovalInstance
+    from .embedding import embed_approval
     embedded = embed_approval(ApprovalInstance.from_dict(read_json(args.approval)))
     if args.out:
         dump_instance(embedded, args.out)

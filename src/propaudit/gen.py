@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, Instance, is_finite, is_int
-from .approval import ApprovalInstance
-from .embedding import embed_approval
 
 
 def _key(seed, path) -> int:
@@ -146,6 +144,8 @@ _FIXTURE_PROFILES = {
 def fixture_incomparability(which: int) -> tuple:
     """One of the two six-agent fixtures separating the default-coalition
     audit from metric PJR; returns (instance, selection)."""
+    from .approval import ApprovalInstance      # only the fixtures need these two
+    from .embedding import embed_approval
     if which not in _FIXTURE_PROFILES:
         raise ConfigError("fixture index must be 1 or 2")
     spec = _FIXTURE_PROFILES[which]

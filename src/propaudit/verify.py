@@ -649,7 +649,8 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     at eps = 0, with no witness built: ``_smallk_hits`` over the anchor
     rows of all m candidates (``Instance.rows``), built once, with each
     row's selected anchors in `skip`.  g is elementwise, so the reach row
-    of x is bit-equal to ``_reach_radius(instance.rows([x]), gamma, 0.0)``.
+    of x is bit-equal to ``_reach_radius(instance.rows([x]), gamma, 0.0)``,
+    and g runs only on the rows of the centers some selection uses.
     The selections go in calls of at most ``_BOUND_ELEMS`` (selection,
     center, agent) reach entries, at least one selection, so the scratch
     does not grow with their number.
@@ -657,14 +658,15 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     check_gamma(gamma)
     _check_smallk_cap(instance.k)
     sel = np.asarray(selections, dtype=np.intp).reshape(-1, instance.k)
+    used = np.flatnonzero(np.bincount(sel.ravel(), minlength=instance.m))
     L = instance.rows(np.arange(instance.m))           # (anchor, agent)
-    GA, ok = _reach_radius(L, gamma, 0.0), []
+    GU, ok = _reach_radius(L[used], gamma, 0.0), []
     step = max(1, _BOUND_ELEMS // (instance.k * instance.n))
     for lo in range(0, len(sel), step):
         block = sel[lo:lo + step]
         skip = np.zeros((len(block), instance.m), dtype=bool)
         skip[np.arange(len(block))[:, None], block] = True
-        ok += [hit is None for hit in _smallk_hits(L, GA[block], skip)]
+        ok += [hit is None for hit in _smallk_hits(L, GU[np.searchsorted(used, block)], skip)]
     return np.array(ok, dtype=bool)
 
 
