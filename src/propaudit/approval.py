@@ -107,10 +107,13 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee,
 
     A committee fails PJR when some coalition S with |S|*k >= ell*n shares
     ell commonly-approved candidates yet sees fewer than ell committee
-    members across its union of ballots.
+    members across its union of ballots.  `max_voters` must be an integer
+    (``InputError`` otherwise), and n past it raises ``SizeError``.
     """
     X = check_selection(inst, committee)
     n, k = inst.n, inst.k
+    if not is_int(max_voters):
+        raise InputError(f"max_voters must be an integer, got {max_voters!r}")
     if n > max_voters:
         raise SizeError(f"n={n} exceeds exhaustive cap {max_voters}")
     masks = inst.masks()

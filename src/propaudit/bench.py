@@ -12,16 +12,18 @@ process, and ``concurrent.futures``' process pool (and with it
 Each instance's selections are drawn first, from one generator reset
 to each selection's stream (``gen.reseed``), and its distance matrix is
 computed once.  Their verdicts under each axiom come from one batch per
-instance, which gathers its rows from that matrix:
-``verify._smallk_verdicts`` for mpjr+, which builds the anchor rows of
-all candidates once and runs the small-k search driver
+instance, which gathers its rows from that matrix.  Both batches take
+their set-up from one front end, ``verify._batch_rows``: the anchor rows
+of all candidates, the reach rows of the centers some selection uses,
+each selection's index into them and a mask of its own anchors.  Then
+``verify._smallk_verdicts`` for mpjr+ runs the small-k search driver
 (``verify._smallk_hits``) on the selections together, as many a call as
-fit in its fixed scratch budget, and
-``verify._dc_verdicts`` for dc-mpjr+, which computes the
-selection-independent coverage radii once.  So a row's
-``mean_ms`` is, for either axiom, the batch wall times of its cell summed
-and divided by its selections; drawing and the distance matrix are not
-in it.  Neither batch builds a witness.
+fit in its fixed scratch budget, and ``verify._dc_verdicts`` for
+dc-mpjr+ computes the selection-independent coverage radii once and
+gives each selection the DC audits' one level test, ``verify._short``.
+So a row's ``mean_ms`` is, for either axiom, the batch wall times of its
+cell summed and divided by its selections; drawing and the distance
+matrix are not in it.  Neither batch builds a witness.
 
 Inside the harness, every audited selection is also checked for the
 axiom implication (anchored representation implies the default-coalition

@@ -32,9 +32,13 @@ def oracle_mpjr(instance: Instance, selection, max_agents: int = _MAX_AGENTS) ->
 
     Only radii among the agent-candidate distances matter: the ball
     structure is constant between consecutive values.  At each radius the
-    induced approval election is checked exhaustively.
+    induced approval election is checked exhaustively.  `max_agents` must
+    be an integer (``InputError`` otherwise), and n past it raises
+    ``SizeError``.
     """
     X = check_selection(instance, selection)
+    if not is_int(max_agents):
+        raise InputError(f"max_agents must be an integer, got {max_agents!r}")
     if instance.n > max_agents:
         raise SizeError(f"n={instance.n} exceeds exhaustive cap {max_agents}")
     D = instance.dists()

@@ -33,8 +33,8 @@ Two verification strategies live here:
   gives the experiment harness the verdicts of many selections of one
   instance: the anchor rows of all m candidates, built once, with each
   selection's own anchors skipped, and as many selections a call as fit
-  in ``_BOUND_ELEMS`` reach entries, so its scratch does not grow with
-  their number.
+  in ``_BOUND_ELEMS`` reach entries, so the search's scratch does not grow
+  with their number.
 
 * ``verify_dc_mpjr_plus`` checks each unselected anchor's tightest ball at
   every level through coverage radii: selected center x is covered by the
@@ -65,7 +65,13 @@ Two verification strategies live here:
   At eps = 0 the filter is the verdict, as R_l's chain ends at R_l, at a
   level l' >= l with mu_l' >= mu_l.  So ``_dc_verdicts`` gives the
   experiment harness these verdicts for many selections of one instance at
-  once: mu and R do not depend on the selection.
+  once: mu and R do not depend on the selection.  One function,
+  ``_short``, tests mu_l > R_l for the screen, the exact step and
+  fixed-l in ``_dc_scan`` and for ``_dc_verdicts``.
+
+Both experiment batches take their set-up from ``_batch_rows`` (the
+anchor rows, the used centers' reach rows, each selection's index into
+them and its own-anchor mask) and keep their own loops.
 
 Both run on exact float distances, compared exactly by default (fixtures
 and embeddings have exact small-integer distances).  An opt-in ``eps``
@@ -235,6 +241,17 @@ def _level_index(n, k) -> np.ndarray:
     return -((-np.arange(1, k + 1) * n) // k) - 1
 
 
+def _short(mu, R, ell=None) -> np.ndarray:
+    """The DC audits' level test: a bool mask over the anchors of `mu`,
+    coverage radii sorted per anchor and shaped (..., anchor, 1 + k) with
+    level 0's -inf first, set where mu_l > R_l at some level l (at `ell`
+    only, if given), R (anchor, k) being each anchor's level radii, R_l
+    the ceil(l n / k)-th smallest d(., c)."""
+    if ell is not None:
+        return mu[..., ell] > R[..., ell - 1]
+    return (mu[..., 1:] > R).any(axis=-1)
+
+
 def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None, ell=None):
     """Every violating (anchor, level, radius) of the default-coalitions
     audit over the unselected anchors, in deterministic order: anchors
@@ -247,7 +264,8 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None, ell=None):
     floor(i k / n).  With `ell`, radii before the ceil(ell n / k)-th are
     checked at level 0, which mu's -inf column never fails, and the rest
     at ell.  Only anchors with mu_l > R_l at a checked level l (R_l is
-    the ceil(l n / k)-th smallest radius) are walked radius by radius.
+    the ceil(l n / k)-th smallest radius; the test is ``_short``) are
+    walked radius by radius.
 
     A screen runs first: the same kernel over every ``_SCREEN_STRIDE``-th
     agent gives ub >= mu entry by entry (a minimum over fewer agents is
@@ -271,23 +289,18 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None, ell=None):
     if ell is not None:
         levels = np.where(levels >= ell, ell, 0)
     q = _level_index(n, k)
-
-    def short(mu, R):
-        """Rows of `mu` (sorted) with mu_l > R_l at a checked level l."""
-        over = mu[:, 1:] > R[:, q]                      # (anchor, level)
-        return np.flatnonzero(over.any(axis=1) if ell is None else over[:, ell - 1])
-
     for part in _anchor_chunks(len(outs), max(1, _CHUNK_ELEMS // n)):
         cols = outs[part]
         s = rows(cols)                                  # (anchor, agent)
         ub = _coverage_radii(np.ascontiguousarray(s[:, ::_SCREEN_STRIDE]), Gs)
         ub.sort(axis=1)
         s.sort(axis=1)
-        flagged = short(ub, s)
+        R = s[:, q]                                     # (anchor, level)
+        flagged = np.flatnonzero(_short(ub, R, ell))
         if flagged.size:
             mu = _coverage_radii(rows(cols[flagged]), G)
             mu.sort(axis=1)
-            for fi in short(mu, s[flagged]):
+            for fi in np.flatnonzero(_short(mu, R[flagged], ell)):
                 ci = flagged[fi]
                 bad = mu[fi, levels] > s[ci]
                 bad[:-1] &= s[ci, 1:] > s[ci, :-1] + eps    # chain ends only
@@ -298,35 +311,48 @@ def _dc_scan(D, X, outs, n, k, gamma, eps, XR=None, ell=None):
         del s
 
 
+def _batch_rows(instance: Instance, selections, gamma) -> tuple:
+    """The set-up both experiment batches share, for `selections`, an
+    (s, k) array of distinct in-range centers: (the (s, k) selections, the
+    anchor rows of all m candidates (``Instance.rows``, a fresh array),
+    the reach rows at eps = 0 of the centers some selection uses, each
+    selection's (s, k) index into those reach rows, and the (s, m) mask of
+    each selection's own anchors).  g is elementwise, so the reach row of
+    x is bit-equal to ``_reach_radius(instance.rows([x]), gamma, 0.0)``,
+    and g runs only on the used centers' rows."""
+    check_gamma(gamma)
+    sel = np.asarray(selections, dtype=np.intp).reshape(-1, instance.k)
+    used = np.flatnonzero(np.bincount(sel.ravel(), minlength=instance.m))
+    L = instance.rows(np.arange(instance.m))           # (anchor, agent)
+    own = np.zeros((len(sel), instance.m), dtype=bool)
+    own[np.arange(len(sel))[:, None], sel] = True
+    return sel, L, _reach_radius(L[used], gamma, 0.0), np.searchsorted(used, sel), own
+
+
 def _dc_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     """``verify_dc_mpjr_plus(instance, X, gamma).satisfied`` for each row X
     of `selections`, an (s, k) array of distinct in-range centers, at
-    eps = 0, where ``_dc_scan``'s filter mu_l > R_l is the verdict.
+    eps = 0, where the level test ``_short`` is the verdict.
 
     Neither mu nor R depends on X, so ``_coverage_radii`` builds mu once
-    for the centers some row uses, from the rows of all m candidates
-    (``Instance.rows``), R comes from one in-place sort of those rows, and
-    each row is a gather of m * k radii, a sort per anchor and a
-    comparison, in chunks of rows of at most _CHUNK_ELEMS radii; the
-    selected anchors are then masked out.
+    for the used centers from the rows of ``_batch_rows``, R comes from one
+    in-place sort of those rows, and each row X is a gather of m (1 + k)
+    radii (level 0's -inf column first), a sort per anchor and ``_short``,
+    in chunks of rows of about _CHUNK_ELEMS radii, with X's own anchors
+    masked out.
     """
-    check_gamma(gamma)
+    sel, L, GU, pos, own = _batch_rows(instance, selections, gamma)
     n, m, k = instance.n, instance.m, instance.k
-    sel = np.asarray(selections, dtype=np.intp).reshape(-1, k)
-    used, pos = np.unique(sel, return_inverse=True)
-    keys = instance.rows(np.arange(m))                 # (anchor, agent), a fresh array
-    mu = _coverage_radii(keys, _reach_radius(keys[used], gamma, 0.0))
-    keys.sort(axis=1)                                  # in place, once mu is built
-    R = keys[:, _level_index(n, k)]                    # (anchor, level)
-    cols = pos.reshape(sel.shape) + 1
+    mu = _coverage_radii(L, GU)                        # (anchor, 1 + used)
+    L.sort(axis=1)                                     # in place, once mu is built
+    R = L[:, _level_index(n, k)]                       # (anchor, level)
+    cols = np.hstack([np.zeros((len(sel), 1), dtype=np.intp), pos + 1])
     ok = np.empty(len(sel), dtype=bool)
     step = max(1, _CHUNK_ELEMS // (m * k))
     for lo in range(0, len(sel), step):
-        block = mu[:, cols[lo:lo + step]]               # (anchor, row, level)
+        block = mu[:, cols[lo:lo + step]].swapaxes(0, 1)   # (row, anchor, 1 + k)
         block.sort(axis=2)
-        short = (block > R[:, None, :]).any(axis=2)
-        short[sel[lo:lo + step], np.arange(block.shape[1])[:, None]] = False
-        ok[lo:lo + step] = ~short.any(axis=0)
+        ok[lo:lo + step] = ~(_short(block, R) & ~own[lo:lo + step]).any(axis=1)
     return ok
 
 
@@ -457,10 +483,7 @@ def _bound_counts(T, G, Gs, sizes) -> np.ndarray:
     bound = fit.sum(axis=3)
     b, si, rows = np.nonzero(bound >= need[:, None])
     fit, t = fit[b, si, rows], T[si, rows]                      # (triple, agent)
-    # each triple's reach row of position p, gathered one p at a time (a
-    # batch of one broadcasts its own)
-    reach = (G[0, p] if len(G) == 1 else G[b, p] for p in range(k))
-    blocks = np.sort([(fit & (row <= t)).sum(axis=1) for row in reach], axis=0)
+    blocks = np.sort([(fit & (G[b, p] <= t)).sum(axis=1) for p in range(k)], axis=0)
     bound[b, si, rows] -= blocks[k - 1 - sizes[si], np.arange(len(b))]
     return bound
 
@@ -647,27 +670,17 @@ def _smallk_verdicts(instance: Instance, selections, gamma) -> np.ndarray:
     """``verify_mpjr_plus_smallk(instance, X, gamma).satisfied`` for each
     row X of `selections`, an (s, k) array of distinct in-range centers,
     at eps = 0, with no witness built: ``_smallk_hits`` over the anchor
-    rows of all m candidates (``Instance.rows``), built once, with each
-    row's selected anchors in `skip`.  g is elementwise, so the reach row
-    of x is bit-equal to ``_reach_radius(instance.rows([x]), gamma, 0.0)``,
-    and g runs only on the rows of the centers some selection uses.
-    The selections go in calls of at most ``_BOUND_ELEMS`` (selection,
-    center, agent) reach entries, at least one selection, so the scratch
+    rows of ``_batch_rows``, with each row's own anchors in `skip`.  The
+    selections go in calls of at most ``_BOUND_ELEMS`` (selection, center,
+    agent) reach entries, at least one selection, so the search's scratch
     does not grow with their number.
     """
-    check_gamma(gamma)
+    sel, L, GU, pos, own = _batch_rows(instance, selections, gamma)
     _check_smallk_cap(instance.k)
-    sel = np.asarray(selections, dtype=np.intp).reshape(-1, instance.k)
-    used = np.flatnonzero(np.bincount(sel.ravel(), minlength=instance.m))
-    L = instance.rows(np.arange(instance.m))           # (anchor, agent)
-    GU, ok = _reach_radius(L[used], gamma, 0.0), []
     step = max(1, _BOUND_ELEMS // (instance.k * instance.n))
-    for lo in range(0, len(sel), step):
-        block = sel[lo:lo + step]
-        skip = np.zeros((len(block), instance.m), dtype=bool)
-        skip[np.arange(len(block))[:, None], block] = True
-        ok += [hit is None for hit in _smallk_hits(L, GU[np.searchsorted(used, block)], skip)]
-    return np.array(ok, dtype=bool)
+    return np.array([hit is None for lo in range(0, len(sel), step)
+                     for hit in _smallk_hits(L, GU[pos[lo:lo + step]], own[lo:lo + step])],
+                    dtype=bool)
 
 
 @timed

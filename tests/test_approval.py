@@ -183,6 +183,15 @@ class TestPjrBruteforce:
         with pytest.raises(SizeError):
             verify_pjr_bruteforce(inst, (0,), max_voters=16)
 
+    @pytest.mark.parametrize("max_voters", [True, 2.5, 16.0, "16", None])
+    def test_max_voters_must_be_an_integer(self, max_voters):
+        inst = ApprovalInstance([{0}, {0, 1}, {1}], 2, 1)
+        with pytest.raises(InputError, match="max_voters must be an integer"):
+            verify_pjr_bruteforce(inst, (0,), max_voters=max_voters)
+        with pytest.raises(SizeError):
+            verify_pjr_bruteforce(inst, (0,), max_voters=2)
+        assert verify_pjr_bruteforce(inst, (0,), max_voters=np.int64(3)).satisfied
+
 
 class TestCaps:
     """Each exhaustive routine raises SizeError one past its fixed cap."""

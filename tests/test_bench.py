@@ -220,9 +220,13 @@ def test_smallk_batch_matches_audit(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5])
-def test_smallk_batch_reaches_only_used_centers(monkeypatch, rng, gamma):
-    """``_smallk_verdicts`` runs ``_reach_radius`` once, on the rows of the
-    centers its selections use, and keeps the single audits' verdicts."""
+@pytest.mark.parametrize("batch, audit", [("_smallk_verdicts", verify_mpjr_plus_smallk),
+                                          ("_dc_verdicts", verify_dc_mpjr_plus)],
+                         ids=["smallk", "dc"])
+def test_batch_reaches_only_used_centers(monkeypatch, rng, gamma, batch, audit):
+    """Each experiment batch runs ``_reach_radius`` once, on the rows of the
+    centers its selections use (``_batch_rows``), and keeps the single
+    audits' verdicts."""
     real, rows = verify._reach_radius, []
     monkeypatch.setattr(verify, "_reach_radius",
                         lambda v, g, e: rows.append(len(v)) or real(v, g, e))
@@ -230,9 +234,8 @@ def test_smallk_batch_reaches_only_used_centers(monkeypatch, rng, gamma):
         inst = gen_gaussian_instance(GaussianConfig(n=40, g=3, sigma=0.05, seed=seed, k=4))
         sels = [sample_selection(inst.m, 4, rng) for _ in range(5)]
         rows.clear()
-        got = verify._smallk_verdicts(inst, sels, gamma).tolist()
+        got = getattr(verify, batch)(inst, sels, gamma).tolist()
         assert rows == [len(set().union(*sels))] and rows[0] < inst.m
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_reach_radius", real)
-            assert got == [verify_mpjr_plus_smallk(inst, X, gamma).satisfied
-                           for X in sels]
+            assert got == [audit(inst, X, gamma).satisfied for X in sels]

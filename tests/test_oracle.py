@@ -34,6 +34,15 @@ class TestOracleMpjr:
         with pytest.raises(SizeError):
             oracle_mpjr(inst, (0, 1))
 
+    @pytest.mark.parametrize("max_agents", [True, 2.5, 16.0, "16", None])
+    def test_max_agents_must_be_an_integer(self, max_agents):
+        inst, X = fixture_incomparability(2)
+        with pytest.raises(InputError, match="max_agents must be an integer"):
+            oracle_mpjr(inst, X, max_agents=max_agents)
+        with pytest.raises(SizeError):
+            oracle_mpjr(inst, X, max_agents=inst.n - 1)
+        assert oracle_mpjr(inst, X, max_agents=np.int64(inst.n)).satisfied
+
     @pytest.mark.parametrize("audit", [
         oracle_mpjr_plus, lambda inst, X: oracle_mpjr_plus_fixed_ell(inst, X, 1)])
     def test_anchored_oracles_cap(self, rng, audit):

@@ -177,6 +177,43 @@ def test_live_hits_match_plain_scan(rng, gamma, eps):
     assert min(near, counted, missed) > 0
 
 
+class SortCounter:
+    """numpy, counting ``sort`` calls."""
+
+    def __init__(self):
+        self.sorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sort(self, *args, **kwargs):
+        self.sorts += 1
+        return np.sort(*args, **kwargs)
+
+
+def test_live_hits_near_r_shortcut(monkeypatch):
+    """A row whose first alive anchor has `need` agents at R < u hits
+    there with no interval count, and only a row that needs one sorts
+    (its starts and its ends).  The verdicts are the same with the
+    shortcut off, or with the count also run on the first near-R anchor,
+    so only this count of sorts tells those apart."""
+    T = np.array([[1.0, 1.0, 2.0, 3.0],             # R = 1, need 2
+                  [4.0, 2.0, 2.0, 2.0]])            # R = 2
+    near = np.array([[5.0, 5.0, 0.0, 0.0],          # anchor 0 hits at R = 1
+                     [0.0, 0.0, 3.0, 3.0]])         # anchor 0 dead, 1 hits at R = 2
+    # anchor 0 alive with one agent at R, so counted (it hits at 2); anchor 1
+    # would hit at R
+    counted = np.array([[0.0, 5.0, 5.0, 5.0]])
+    counter = SortCounter()
+    monkeypatch.setattr(verify, "np", counter)
+    first, radius = _live_hits(T, near, 2)
+    assert counter.sorts == 0
+    assert first.tolist() == [0, 1] and radius.tolist() == [1.0, 2.0]
+    first, radius = _live_hits(T, counted, 2)
+    assert counter.sorts == 2
+    assert first.tolist() == [0] and radius.tolist() == [2.0]
+
+
 def wide_case(rng, k):
     """Instance at a given k with m - k in [1, 7] and n in [k, 3k), whose
     last candidates sit far from every agent, so sets near size k - 1 are

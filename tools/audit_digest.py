@@ -1,7 +1,7 @@
 """Digests of the audits' outputs, for checking that a change to their
 code leaves every output as it was.
 
-Prints five sha256 digests, one a line, each with what it covers:
+Prints six sha256 digests, one a line, each with what it covers:
 
 * ``smallk``: ``verify_mpjr_plus_smallk(...).to_dict()`` less
   ``elapsed_ms`` on seeded planar cases, at every gamma in {0.7, 1, 1.5}
@@ -23,6 +23,12 @@ Prints five sha256 digests, one a line, each with what it covers:
   flags anchors, at the same gamma and eps grids.  Hubs, ties and
   selections are as for ``smallk``, with k of 2-20.  Its count is of
   lines (violation lists and verdicts), its violated count of verdicts.
+* ``dc-batch``: the experiment's DC batch, ``verify._dc_verdicts``, on
+  the ``dc`` line's instances, each with a batch of 300 uniform random
+  selections at every gamma of the grid, one line a verdict.  A batch
+  runs in chunks of 2^16 // (m k) selections, so at these sizes most
+  calls span several chunks; the ``experiment`` line covers it at k = 5
+  only.
 * ``experiment``: ``run_experiment(...).to_csv(include_timing=False)`` of
   a small grid at gamma 1 and 1.5.
 
@@ -110,15 +116,22 @@ def smallk_lines(cases, seed):
                 yield _line(verify_mpjr_plus_smallk(inst, X, gamma, eps=eps))
 
 
-def batch_lines(cases, seed):
-    gen = substream(seed, "audit-digest", "batch")
+def batch_verdict_lines(batch, cases, count, gen, draw, **shape):
+    """One line a verdict of the experiment batch `batch` on `count`
+    uniform random selections, drawn from `draw`, of each of `cases` hub
+    cases drawn from `gen`, at every gamma of the grid."""
     for _ in range(cases):
-        inst, _ = hub_case(gen)
-        sels = [sample_selection(inst.m, inst.k, gen) for _ in range(8)]
+        inst, _ = hub_case(gen, **shape)
+        sels = [sample_selection(inst.m, inst.k, draw) for _ in range(count)]
         for gamma in GAMMAS:
-            for X, ok in zip(sels, verify._smallk_verdicts(inst, sels, gamma)):
+            for X, ok in zip(sels, batch(inst, sels, gamma)):
                 yield json.dumps({"gamma": gamma, "satisfied": bool(ok), "selection": X},
                                  sort_keys=True)
+
+
+def batch_lines(cases, seed):
+    gen = substream(seed, "audit-digest", "batch")
+    return batch_verdict_lines(verify._smallk_verdicts, cases, 8, gen, gen)
 
 
 def dc_lines(cases, seed):
@@ -130,6 +143,15 @@ def dc_lines(cases, seed):
                 yield json.dumps([w.to_dict() for w in dc_violations(inst, X, gamma, eps)])
                 for ell in sorted({1, -(-inst.k // 2), inst.k}):
                     yield _line(verify_fixed_ell_dc(inst, X, ell, gamma, eps))
+
+
+def dc_batch_lines(cases, seed):
+    """The ``dc`` line's instances (the same draws from the same stream),
+    with selections from a stream of their own."""
+    return batch_verdict_lines(verify._dc_verdicts, cases, 300,
+                               substream(seed, "audit-digest", "dc"),
+                               substream(seed, "audit-digest", "dc-batch"),
+                               k_hi=21, n_lo=200, n_hi=1501, extra=41)
 
 
 def pjr_plus_lines(profiles, seed):
@@ -151,13 +173,16 @@ def main(argv=None) -> None:
                    help="small-k cases (6 audits each), and batch cases (24 verdicts each)")
     p.add_argument("--profiles", type=int, default=1000, help="approval profiles")
     p.add_argument("--dc-cases", type=int, default=100,
-                   help="DC cases (6 violation lists and up to 18 fixed-ell verdicts each)")
+                   help="DC cases (6 violation lists and up to 18 fixed-ell verdicts each), "
+                        "and DC batch cases (900 verdicts each)")
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     for name, lines, unit in (("smallk", smallk_lines(args.cases, args.seed), "verdicts"),
                               ("batch", batch_lines(args.cases, args.seed), "verdicts"),
                               ("pjr+", pjr_plus_lines(args.profiles, args.seed), "verdicts"),
-                              ("dc", dc_lines(args.dc_cases, args.seed), "lines")):
+                              ("dc", dc_lines(args.dc_cases, args.seed), "lines"),
+                              ("dc-batch", dc_batch_lines(args.dc_cases, args.seed),
+                               "verdicts")):
         sha, count, violated = digest(lines)
         print(f"{name} {sha} ({count} {unit}, {violated} violated)")
     csv = experiment_csv(args.seed)
