@@ -100,6 +100,24 @@ def _subset_fold(masks: np.ndarray, start, op) -> np.ndarray:
     return out
 
 
+def _coalitions(masks: np.ndarray, voters, X) -> tuple:
+    """Every coalition of `voters`, whose ballot bit masks are `masks`, by
+    bit mask over them (2^len(voters)): its size, the number of committee
+    members X in its ballot union, and a function that builds the witness
+    of the coalition with mask s at a center and a level: those voters,
+    and as `covered` those committee members."""
+    union = _subset_fold(masks, 0, np.bitwise_or)
+    xmask = np.int64(sum(1 << c for c in X))
+    sizes = np.bitwise_count(np.arange(len(union), dtype=np.uint64)).astype(np.int64)
+    coverage = np.bitwise_count((union & xmask).view(np.uint64)).astype(np.int64)
+
+    def witness(s, center, level):
+        return Witness(center=center, level=level, radius=None,
+                       coalition=frozenset(v for i, v in enumerate(voters) if s >> i & 1),
+                       covered=frozenset(x for x in X if union[s] >> x & 1))
+    return sizes, coverage, witness
+
+
 @timed
 def verify_pjr_bruteforce(inst: ApprovalInstance, committee,
                           max_voters: int = _MAX_VOTERS) -> Verdict:
@@ -117,22 +135,15 @@ def verify_pjr_bruteforce(inst: ApprovalInstance, committee,
     if n > max_voters:
         raise SizeError(f"n={n} exceeds exhaustive cap {max_voters}")
     masks = inst.masks()
-    xmask = np.int64(sum(1 << c for c in X))
-    union = _subset_fold(masks, 0, np.bitwise_or)
+    sizes, coverage, witness = _coalitions(masks, range(n), X)
     inter = _subset_fold(masks, (1 << inst.m) - 1, np.bitwise_and)
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     cohesion = np.bitwise_count(inter.view(np.uint64)).astype(np.int64)
-    coverage = np.bitwise_count((union & xmask).view(np.uint64)).astype(np.int64)
     level = np.minimum((sizes * k) // n, cohesion)
     violated = (sizes > 0) & (level > coverage)
     if not violated.any():
         return Verdict("pjr", 1.0, True)
     s = int(np.flatnonzero(violated)[0])
-    coalition = frozenset(i for i in range(n) if s >> i & 1)
-    wit = Witness(center=None, level=int(level[s]), radius=None,
-                  coalition=coalition,
-                  covered=frozenset(c for c in X if union[s] >> c & 1))
-    return Verdict("pjr", 1.0, False, wit)
+    return Verdict("pjr", 1.0, False, witness(s, None, int(level[s])))
 
 
 def _ballot_distances(inst: ApprovalInstance) -> np.ndarray:
@@ -176,7 +187,6 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
     n, k = inst.n, inst.k
     check_level(ell, k)
     masks = inst.masks()
-    xmask = np.int64(sum(1 << c for c in X))
     xset = set(X)
     for c in range(inst.m):
         if c in xset:
@@ -186,16 +196,11 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
             raise SizeError(f"{len(approvers)} approvers exceed cap {_MAX_VOTERS}")
         if not approvers:
             continue
-        union = _subset_fold(masks[approvers], 0, np.bitwise_or)
-        sizes = np.bitwise_count(np.arange(len(union), dtype=np.uint64)).astype(np.int64)
-        coverage = np.bitwise_count((union & xmask).view(np.uint64)).astype(np.int64)
+        sizes, coverage, witness = _coalitions(masks[approvers], approvers, X)
         violated = (sizes * k >= ell * n) & (coverage < ell) & (sizes > 0)
         if violated.any():
-            s = int(np.flatnonzero(violated)[0])
-            coalition = frozenset(approvers[i] for i in range(len(approvers)) if s >> i & 1)
-            wit = Witness(center=c, level=ell, radius=None, coalition=coalition,
-                          covered=frozenset(x for x in X if union[s] >> x & 1))
-            return Verdict("fixed-ell-pjr+", 1.0, False, wit)
+            return Verdict("fixed-ell-pjr+", 1.0, False,
+                           witness(int(np.flatnonzero(violated)[0]), c, ell))
     return Verdict("fixed-ell-pjr+", 1.0, True)
 
 

@@ -78,7 +78,7 @@ def kmedian_local_search(instance: Instance, seed: int, start=None) -> tuple:
     cost = D[:, current].min(axis=1).sum()
     while True:
         best_swap, best_cost = None, cost
-        outside = [c for c in range(m) if c not in set(current)]
+        outside = sorted(set(range(m)) - set(current))
         for xi, x in enumerate(current):
             rest = current[:xi] + current[xi + 1:]
             base = D[:, rest].min(axis=1) if rest else np.full(instance.n, np.inf)

@@ -4,6 +4,17 @@ These transcribe the definitions directly (subset enumeration, explicit
 ball computations) and deliberately share no sweep machinery with the
 production verifiers, so that agreement between the two is meaningful
 evidence of correctness.  All are desk-scale only, guarded by caps.
+
+A violation's witness carries what the definition names: ``oracle_mpjr``
+the radius, the coalition, its level and the selected centers its
+members approve at that radius (``center`` None); ``oracle_mpjr_plus``
+the anchor, the coalition's level, its radius (its farthest member from
+the anchor), the coalition and the selected centers covering it;
+``oracle_mpjr_plus_fixed_ell`` the same at level ell, with ``covered``
+None; ``oracle_dc`` the anchor, the level, the ball's radius, the ball
+and the selected centers covering it.  The two anchored oracles are one
+transcription, ``_anchored_oracle``, that differs only in the level
+vector.
 """
 
 from __future__ import annotations
@@ -55,78 +66,70 @@ def oracle_mpjr(instance: Instance, selection, max_agents: int = _MAX_AGENTS) ->
     return Verdict("mpjr", 1.0, True)
 
 
-def _anchored_violations(D, X, c, n, k, gamma, bits):
-    """Violation table over all coalitions for one anchor candidate."""
-    dc = D[:, c]
-    rmax = np.where(bits, dc[None, :], -np.inf).max(axis=1)
-    cov = np.zeros(len(bits), dtype=np.int64)
-    for x in X:
-        mind = np.where(bits, D[:, x][None, :], np.inf).min(axis=1)
-        cov += mind <= gamma * rmax
-    return rmax, cov
+def _anchored_oracle(instance: Instance, selection, gamma, ell=None) -> Verdict:
+    """Both anchored oracles, one transcription.
 
-
-@timed
-def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
-    """Anchored proportional representation, straight from the definition.
-
-    Every unselected center c and every nonempty coalition S is examined;
-    the coalition's radius is its farthest member from c, and coverage is
-    counted inside gamma times that radius.
+    Every unselected center c and every coalition S is examined: the
+    coalition's radius is its farthest member from c, a selected center
+    covers it when some member is within gamma times that radius, and S is
+    violated when its level exceeds its cover count.  The level is
+    min(|S| k // n, k); with `ell` given, it is ell where that is at least
+    ell and 0 elsewhere.  The first violated (c, S), by c then by S's bit
+    mask, is the witness.
     """
     X = check_selection(instance, selection)
     check_gamma(gamma)
     n, k = instance.n, instance.k
+    if ell is not None:
+        check_level(ell, k)
     if n > _MAX_AGENTS:
         raise SizeError(f"n={n} exceeds exhaustive cap {_MAX_AGENTS}")
     D = instance.dists()
     bits = _subset_bits(n)
-    sizes = bits.sum(axis=1).astype(np.int64)
-    justified = np.minimum((sizes * k) // n, k)
+    level = np.minimum(bits.sum(axis=1) * k // n, k)
+    if ell is not None:
+        level = np.where(level >= ell, ell, 0)
+    # reach[S, p]: the distance from X[p] to the nearest member of coalition S
+    reach = np.stack([np.where(bits, D[:, x], np.inf).min(axis=1) for x in X], axis=1)
+    axiom = "mpjr+-oracle" if ell is None else "fixed-ell-mpjr+-oracle"
     xset = set(X)
     for c in range(instance.m):
         if c in xset:
             continue
-        rmax, cov = _anchored_violations(D, X, c, n, k, gamma, bits)
-        violated = (sizes > 0) & (justified > cov)
+        rmax = np.where(bits, D[:, c], -np.inf).max(axis=1)
+        within = reach <= gamma * rmax[:, None]
+        violated = level > within.sum(axis=1)
         if violated.any():
             s = int(np.flatnonzero(violated)[0])
-            members = frozenset(np.flatnonzero(bits[s]).tolist())
-            reach = D[np.ix_(sorted(members), np.asarray(X, dtype=np.intp))].min(axis=0)
-            covered = frozenset(int(x) for x, d in zip(X, reach)
-                                if d <= gamma * rmax[s])
-            wit = Witness(center=c, level=int(justified[s]), radius=float(rmax[s]),
-                          coalition=members, covered=covered)
-            return Verdict("mpjr+-oracle", gamma, False, wit)
-    return Verdict("mpjr+-oracle", gamma, True)
+            covered = frozenset(x for x, w in zip(X, within[s]) if w)
+            wit = Witness(center=c, level=int(level[s]), radius=float(rmax[s]),
+                          coalition=frozenset(np.flatnonzero(bits[s]).tolist()),
+                          covered=covered if ell is None else None)
+            return Verdict(axiom, gamma, False, wit)
+    return Verdict(axiom, gamma, True)
+
+
+@timed
+def oracle_mpjr_plus(instance: Instance, selection, gamma: float = 1.0) -> Verdict:
+    """Anchored proportional representation, straight from the definition
+    (``_anchored_oracle`` at every level).  A violation's witness carries
+    the anchor, the coalition's level min(|S| k // n, k), its radius, the
+    coalition and, as `covered`, the selected centers covering it: fewer
+    than its level.
+    """
+    return _anchored_oracle(instance, selection, gamma)
 
 
 @timed
 def oracle_mpjr_plus_fixed_ell(instance: Instance, selection, ell: int,
                                gamma: float = 1.0) -> Verdict:
-    """Single-level variant of the anchored oracle (used by transfer tests)."""
-    X = check_selection(instance, selection)
-    check_gamma(gamma)
-    n, k = instance.n, instance.k
-    check_level(ell, k)
-    if n > _MAX_AGENTS:
-        raise SizeError(f"n={n} exceeds exhaustive cap {_MAX_AGENTS}")
-    D = instance.dists()
-    bits = _subset_bits(n)
-    sizes = bits.sum(axis=1).astype(np.int64)
-    xset = set(X)
-    for c in range(instance.m):
-        if c in xset:
-            continue
-        rmax, cov = _anchored_violations(D, X, c, n, k, gamma, bits)
-        violated = (sizes * k >= ell * n) & (sizes > 0) & (cov < ell)
-        if violated.any():
-            s = int(np.flatnonzero(violated)[0])
-            members = frozenset(np.flatnonzero(bits[s]).tolist())
-            wit = Witness(center=c, level=ell, radius=float(rmax[s]),
-                          coalition=members, covered=None)
-            return Verdict("fixed-ell-mpjr+-oracle", gamma, False, wit)
-    return Verdict("fixed-ell-mpjr+-oracle", gamma, True)
+    """The anchored oracle at the single level `ell` (``_anchored_oracle``):
+    only coalitions with |S| k >= ell n count, and each is violated when
+    fewer than ell selected centers cover it.  A violation's witness
+    carries the anchor, level ell, the radius and the coalition, with
+    `covered` None.
+    """
+    return _anchored_oracle(instance, selection, gamma, ell)
 
 
 @timed

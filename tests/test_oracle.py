@@ -74,6 +74,34 @@ class TestOracleMpjrPlus:
             assert oracle_mpjr_plus(inst, (nearest,)).satisfied
 
 
+class TestAnchoredOraclesAgree:
+    @pytest.mark.parametrize("gamma", [0.7, 1.0, 1.5])
+    def test_full_oracle_is_some_level(self, rng, gamma):
+        """``oracle_mpjr_plus`` is violated exactly when
+        ``oracle_mpjr_plus_fixed_ell`` is at some ell in 1..k, at its
+        witness's level among them; that witness has fewer covered centers
+        than its level, and a fixed-ell witness is a coalition of at least
+        ell n / k agents, at level ell with `covered` None."""
+        violated = 0
+        for _ in range(150):
+            inst, X = random_case(rng, max_k=4)
+            full = oracle_mpjr_plus(inst, X, gamma)
+            fixed = [oracle_mpjr_plus_fixed_ell(inst, X, ell, gamma)
+                     for ell in range(1, inst.k + 1)]
+            assert full.satisfied == all(v.satisfied for v in fixed)
+            for ell, v in enumerate(fixed, 1):
+                if not v.satisfied:
+                    w = v.witness
+                    assert (w.level, w.covered) == (ell, None)
+                    assert len(w.coalition) * inst.k >= ell * inst.n
+            if not full.satisfied:
+                w = full.witness
+                assert len(w.covered) < w.level and w.covered <= set(X)
+                assert not fixed[w.level - 1].satisfied
+                violated += 1
+        assert 0 < violated < 150
+
+
 class TestOracleDc:
     def test_instance2_pair(self):
         inst, X = fixture_incomparability(2)

@@ -578,6 +578,28 @@ def test_batch_hits_match_audit_witness(rng, monkeypatch, cap):
     assert 0 < violated < 480 and deep > 0 and searched
 
 
+def test_violated_audit_searches_no_size_past_its_hit(rng, monkeypatch):
+    """Once a selection has a hit, ``_smallk_hits`` leaves its size loop,
+    so a violated audit never calls ``_exclusion_sets`` at a size above its
+    witness level - 1.  Without that exit the later sizes of the hit's
+    group go on: each past ``_PLAIN_SETS`` sets with an anchor row left
+    calls ``_exclusion_sets``, though no set of it is scanned, so the
+    verdicts are the same and only these calls tell the two apart."""
+    searched = []
+    monkeypatch.setattr(verify, "_exclusion_sets",
+                        lambda *args: searched.append(args[2]) or _exclusion_sets(*args))
+    deep = 0
+    for j in range(400):
+        inst, X = hub_case(rng)
+        gamma, eps = ROOT_CASES[j % 4]
+        searched.clear()
+        v = verify_mpjr_plus_smallk(inst, X, gamma, eps=eps)
+        if not v.satisfied:
+            assert max(searched, default=0) <= v.witness.level - 1
+            deep += bool(searched)
+    assert deep > 0
+
+
 def test_audit_scratch_stays_small():
     """A satisfied audit walks every size; at n=5000, m=100, k=20 one size
     fills a bound pass, so the passes take one size each and the tracemalloc

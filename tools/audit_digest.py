@@ -1,7 +1,7 @@
 """Digests of the audits' outputs, for checking that a change to their
 code leaves every output as it was.
 
-Prints six sha256 digests, one a line, each with what it covers:
+Prints seven sha256 digests, one a line, each with what it covers:
 
 * ``smallk``: ``verify_mpjr_plus_smallk(...).to_dict()`` less
   ``elapsed_ms`` on seeded planar cases, at every gamma in {0.7, 1, 1.5}
@@ -31,6 +31,14 @@ Prints six sha256 digests, one a line, each with what it covers:
   only.
 * ``experiment``: ``run_experiment(...).to_csv(include_timing=False)`` of
   a small grid at gamma 1 and 1.5.
+* ``oracle``: the exhaustive references, each ``.to_dict()`` less
+  ``elapsed_ms``: ``oracle_mpjr_plus`` at every gamma of the grid and
+  ``oracle_mpjr_plus_fixed_ell`` at every ell and gamma, on seeded desk
+  cases (n of 1-8, m of 2-6, a third of them on an integer grid, so that
+  distances tie) with uniform random selections, one case per small-k
+  case; then ``verify_pjr_bruteforce`` and
+  ``verify_fixed_ell_pjr_plus_bruteforce`` at every ell, on seeded
+  random ballots of 1-8 voters, one profile per approval profile.
 
 Run it on two commits and compare the lines:
 
@@ -47,8 +55,10 @@ import json
 import numpy as np
 
 from propaudit import (ApprovalInstance, ExperimentConfig, Instance, dc_violations,
-                       run_experiment, run_sear, sample_selection, substream, verify,
-                       verify_fixed_ell_dc, verify_mpjr_plus_smallk, verify_pjr_plus_sweep)
+                       oracle_mpjr_plus, oracle_mpjr_plus_fixed_ell, run_experiment, run_sear,
+                       sample_selection, substream, verify, verify_fixed_ell_dc,
+                       verify_fixed_ell_pjr_plus_bruteforce, verify_mpjr_plus_smallk,
+                       verify_pjr_bruteforce, verify_pjr_plus_sweep)
 
 GAMMAS = (0.7, 1.0, 1.5)
 EPSILONS = (0.0, 0.25)
@@ -94,6 +104,28 @@ def group_profile(gen):
     noise = gen.random((n, m)) < 0.05
     approvals = [set(blocks[group[i]].tolist()) | set(np.flatnonzero(noise[i]).tolist())
                  for i in range(n)]
+    return ApprovalInstance(approvals, m, k), sample_selection(m, k, gen)
+
+
+def desk_case(gen):
+    """A planar instance small enough for the exhaustive oracles (n in
+    [1, 8], m in [2, 6], k in [1, m)), a third of them on an integer grid,
+    and a uniform random selection."""
+    n, m = int(gen.integers(1, 9)), int(gen.integers(2, 7))
+    k = int(gen.integers(1, m))
+    agents, cands = 3 * gen.random((n, 2)), 3 * gen.random((m, 2))
+    if gen.random() < 1 / 3:
+        agents, cands = np.round(agents), np.round(cands)
+    return Instance.euclidean(agents, cands, k), sample_selection(m, k, gen)
+
+
+def desk_profile(gen):
+    """Random ballots of 1-8 voters over 2-7 candidates, each approving a
+    candidate with probability 0.45, and a uniform random committee of
+    k in [1, m)."""
+    n, m = int(gen.integers(1, 9)), int(gen.integers(2, 8))
+    k = int(gen.integers(1, m))
+    approvals = [np.flatnonzero(gen.random(m) < 0.45).tolist() for _ in range(n)]
     return ApprovalInstance(approvals, m, k), sample_selection(m, k, gen)
 
 
@@ -160,6 +192,21 @@ def pjr_plus_lines(profiles, seed):
         yield _line(verify_pjr_plus_sweep(*group_profile(gen)))
 
 
+def oracle_lines(cases, profiles, seed):
+    gen = substream(seed, "audit-digest", "oracle")
+    for _ in range(cases):
+        inst, X = desk_case(gen)
+        for gamma in GAMMAS:
+            yield _line(oracle_mpjr_plus(inst, X, gamma))
+            for ell in range(1, inst.k + 1):
+                yield _line(oracle_mpjr_plus_fixed_ell(inst, X, ell, gamma))
+    for _ in range(profiles):
+        inst, X = desk_profile(gen)
+        yield _line(verify_pjr_bruteforce(inst, X))
+        for ell in range(1, inst.k + 1):
+            yield _line(verify_fixed_ell_pjr_plus_bruteforce(inst, X, ell))
+
+
 def experiment_csv(seed) -> str:
     return "".join(run_experiment(ExperimentConfig(
         n_values=(20, 40, 60), g_values=(4, 6), instances_per_cell=3,
@@ -170,8 +217,10 @@ def experiment_csv(seed) -> str:
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--cases", type=int, default=1000,
-                   help="small-k cases (6 audits each), and batch cases (24 verdicts each)")
-    p.add_argument("--profiles", type=int, default=1000, help="approval profiles")
+                   help="small-k cases (6 audits each), batch cases (24 verdicts each), "
+                        "and oracle desk cases (3 + 3k verdicts each)")
+    p.add_argument("--profiles", type=int, default=1000,
+                   help="approval profiles, and oracle desk profiles (1 + k verdicts each)")
     p.add_argument("--dc-cases", type=int, default=100,
                    help="DC cases (6 violation lists and up to 18 fixed-ell verdicts each), "
                         "and DC batch cases (900 verdicts each)")
@@ -188,6 +237,8 @@ def main(argv=None) -> None:
     csv = experiment_csv(args.seed)
     print(f"experiment {hashlib.sha256(csv.encode()).hexdigest()} "
           f"({csv.count(chr(10))} csv lines)")
+    sha, count, violated = digest(oracle_lines(args.cases, args.profiles, args.seed))
+    print(f"oracle {sha} ({count} verdicts, {violated} violated)")
 
 
 if __name__ == "__main__":
