@@ -4,9 +4,12 @@ one) on the ballots read as distances in {1, 2}, plus the
 balanced-biclique instance generator used for hardness-style fixtures.
 
 The exhaustive verifiers enumerate voter subsets (2^n) and are guarded by
-fixed caps (``verify_pjr_bruteforce`` also takes the cap that
-``oracle_mpjr`` passes on); they exist as ground truth for desk-scale
-inputs, not as production verification paths.
+fixed caps on voters, not on candidates; they exist as ground truth for
+desk-scale inputs, not as production verification paths.  One fold,
+``_subset_fold``, enumerates the subsets under them and under the
+exhaustive references of ``oracle.py``: it combines each subset's member
+rows with min, max, or or and.  Ballots are folded as bool rows packed
+into uint64 words, ceil(m / 64) a voter (``_words``).
 """
 
 from __future__ import annotations
@@ -79,71 +82,78 @@ class ApprovalInstance:
             a[i, list(s)] = True
         return a
 
-    def masks(self) -> np.ndarray:
-        """Per-voter candidate bitmasks (requires m <= 62)."""
-        if self.m > 62:
-            raise SizeError("bitmask path supports at most 62 candidates")
-        out = np.zeros(self.n, dtype=np.int64)
-        for i, s in enumerate(self.approvals):
-            for c in s:
-                out[i] |= np.int64(1) << np.int64(c)
-        return out
 
-
-def _subset_fold(masks: np.ndarray, start, op) -> np.ndarray:
-    """fold[S] = `start` combined by `op` with the masks of the voters in
-    subset S, for all 2^n subsets."""
-    out = np.full(1 << len(masks), start, dtype=np.int64)
-    for v, mask in enumerate(masks):
-        blk = out.reshape(-1, 2 << v)
-        blk[:, 1 << v:] = op(blk[:, :1 << v], mask)
+def _subset_fold(rows: np.ndarray, start, op) -> np.ndarray:
+    """fold[S] = `start` combined by the ufunc `op` with the rows of the
+    members of S, for all 2^n subsets S of the n rows (by bit mask), rows
+    of any shape and dtype."""
+    out = np.empty((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
+    out[0] = start
+    for v, row in enumerate(rows):
+        op(out[:1 << v], row, out=out[1 << v:2 << v])
     return out
 
 
-def _coalitions(masks: np.ndarray, voters, X) -> tuple:
-    """Every coalition of `voters`, whose ballot bit masks are `masks`, by
-    bit mask over them (2^len(voters)): its size, the number of committee
+def _subset_sizes(n: int) -> np.ndarray:
+    """|S| for all 2^n subsets S of range(n), by bit mask."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+
+
+def _words(A: np.ndarray) -> np.ndarray:
+    """Bool rows packed into little-endian uint64 words: column c is bit
+    c % 64 of word c // 64, and the padding bits are 0."""
+    n, m = A.shape
+    out = np.zeros((n, -(-m // 64) * 8), dtype=np.uint8)
+    out[:, :-(-m // 8)] = np.packbits(A, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _coalitions(A: np.ndarray, voters, X) -> tuple:
+    """Every coalition of `voters`, whose bool ballot rows are `A`, by bit
+    mask over them (2^len(voters)): its size, the number of committee
     members X in its ballot union, and a function that builds the witness
     of the coalition with mask s at a center and a level: those voters,
     and as `covered` those committee members."""
-    union = _subset_fold(masks, 0, np.bitwise_or)
-    xmask = np.int64(sum(1 << c for c in X))
-    sizes = np.bitwise_count(np.arange(len(union), dtype=np.uint64)).astype(np.int64)
-    coverage = np.bitwise_count((union & xmask).view(np.uint64)).astype(np.int64)
+    union = _subset_fold(_words(A[:, X]), 0, np.bitwise_or)
+    coverage = np.bitwise_count(union).sum(axis=-1, dtype=np.int64)
 
     def witness(s, center, level):
+        members = [i for i in range(len(A)) if s >> i & 1]
         return Witness(center=center, level=level, radius=None,
-                       coalition=frozenset(v for i, v in enumerate(voters) if s >> i & 1),
-                       covered=frozenset(x for x in X if union[s] >> x & 1))
-    return sizes, coverage, witness
+                       coalition=frozenset(voters[i] for i in members),
+                       covered=frozenset(x for x, hit in zip(X, A[members][:, X].any(axis=0))
+                                         if hit))
+    return _subset_sizes(len(A)), coverage, witness
+
+
+def _pjr_witness(A: np.ndarray, X, k: int):
+    """The first coalition, by bit mask, of the voters whose bool ballot
+    rows are `A` that fails PJR for committee X of size k, as a witness
+    (center None, its level, no radius), or None.  Coalition S has level
+    min(|S| k // n, the candidates all of S approve) and fails when fewer
+    committee members are in its ballot union."""
+    n = len(A)
+    sizes, coverage, witness = _coalitions(A, range(n), X)
+    # every bit set to start: only the empty coalition keeps the padding bits, at level 0
+    cohesion = np.bitwise_count(_subset_fold(_words(A), ~np.uint64(0), np.bitwise_and))
+    level = np.minimum(sizes * k // n, cohesion.sum(axis=-1, dtype=np.int64))
+    violated = np.flatnonzero(level > coverage)
+    return witness(int(violated[0]), None, int(level[violated[0]])) if violated.size else None
 
 
 @timed
-def verify_pjr_bruteforce(inst: ApprovalInstance, committee,
-                          max_voters: int = _MAX_VOTERS) -> Verdict:
-    """Exhaustive PJR check over all voter coalitions.
+def verify_pjr_bruteforce(inst: ApprovalInstance, committee) -> Verdict:
+    """Exhaustive PJR check over all voter coalitions (``_pjr_witness``).
 
     A committee fails PJR when some coalition S with |S|*k >= ell*n shares
     ell commonly-approved candidates yet sees fewer than ell committee
-    members across its union of ballots.  `max_voters` must be an integer
-    (``InputError`` otherwise), and n past it raises ``SizeError``.
+    members across its union of ballots.  n past 16 raises ``SizeError``.
     """
     X = check_selection(inst, committee)
-    n, k = inst.n, inst.k
-    if not is_int(max_voters):
-        raise InputError(f"max_voters must be an integer, got {max_voters!r}")
-    if n > max_voters:
-        raise SizeError(f"n={n} exceeds exhaustive cap {max_voters}")
-    masks = inst.masks()
-    sizes, coverage, witness = _coalitions(masks, range(n), X)
-    inter = _subset_fold(masks, (1 << inst.m) - 1, np.bitwise_and)
-    cohesion = np.bitwise_count(inter.view(np.uint64)).astype(np.int64)
-    level = np.minimum((sizes * k) // n, cohesion)
-    violated = (sizes > 0) & (level > coverage)
-    if not violated.any():
-        return Verdict("pjr", 1.0, True)
-    s = int(np.flatnonzero(violated)[0])
-    return Verdict("pjr", 1.0, False, witness(s, None, int(level[s])))
+    if inst.n > _MAX_VOTERS:
+        raise SizeError(f"n={inst.n} exceeds exhaustive cap {_MAX_VOTERS}")
+    wit = _pjr_witness(inst.matrix(), X, inst.k)
+    return Verdict("pjr", 1.0, wit is None, wit)
 
 
 def _ballot_distances(inst: ApprovalInstance) -> np.ndarray:
@@ -186,21 +196,15 @@ def verify_fixed_ell_pjr_plus_bruteforce(inst: ApprovalInstance, committee,
     X = check_selection(inst, committee)
     n, k = inst.n, inst.k
     check_level(ell, k)
-    masks = inst.masks()
-    xset = set(X)
-    for c in range(inst.m):
-        if c in xset:
-            continue
-        approvers = [i for i in range(n) if c in inst.approvals[i]]
+    A = inst.matrix()
+    for c in _unselected(inst, X):
+        approvers = np.flatnonzero(A[:, c])
         if len(approvers) > _MAX_VOTERS:
             raise SizeError(f"{len(approvers)} approvers exceed cap {_MAX_VOTERS}")
-        if not approvers:
-            continue
-        sizes, coverage, witness = _coalitions(masks[approvers], approvers, X)
-        violated = (sizes * k >= ell * n) & (coverage < ell) & (sizes > 0)
-        if violated.any():
-            return Verdict("fixed-ell-pjr+", 1.0, False,
-                           witness(int(np.flatnonzero(violated)[0]), c, ell))
+        sizes, coverage, witness = _coalitions(A[approvers], approvers.tolist(), X)
+        violated = np.flatnonzero((sizes * k >= ell * n) & (coverage < ell))
+        if violated.size:
+            return Verdict("fixed-ell-pjr+", 1.0, False, witness(int(violated[0]), int(c), ell))
     return Verdict("fixed-ell-pjr+", 1.0, True)
 
 

@@ -154,7 +154,8 @@ def _instance_seed(master: int, n: int, g: int, idx: int) -> int:
 
 
 def _audit_instance(task) -> tuple:
-    """Audit one generated instance under all configured axioms.
+    """Audit one generated instance, task (config, n, g, instance index),
+    under all configured axioms.
 
     The selections are drawn first, selection j from the stream
     ``substream(master, "selection", n, g, idx, j)`` starts, by reseeding
@@ -162,20 +163,21 @@ def _audit_instance(task) -> tuple:
     axiom's verdicts for all of them come from one batch
     (``_smallk_verdicts``, ``_dc_verdicts``), whose wall time is the
     instance's time for that axiom.  Returns (n, g, per-axiom satisfied
-    counts, per-axiom elapsed ms, audits performed).
+    counts, per-axiom elapsed ms).
     """
-    (n, g, idx, k, sigma, master, axioms, gamma, selections) = task
-    cfg = GaussianConfig(n=n, g=g, sigma=sigma, seed=_instance_seed(master, n, g, idx), k=k)
-    inst = gen_gaussian_instance(cfg)
+    cfg, n, g, idx = task
+    master, k = cfg.master_seed, cfg.k
+    inst = gen_gaussian_instance(GaussianConfig(
+        n=n, g=g, sigma=cfg.sigma, seed=_instance_seed(master, n, g, idx), k=k))
     gen = substream(master, "selection", n, g, idx)       # reseeded per selection
     picks = [sample_selection(inst.m, k, reseed(gen, master, "selection", n, g, idx, j))
-             for j in range(selections)]
+             for j in range(cfg.selections_per_instance)]
     inst.dists()
     verdicts, ms = {}, {}
     for axiom, batch in (("mpjr+", _smallk_verdicts), ("dc-mpjr+", _dc_verdicts)):
-        if axiom in axioms:
+        if axiom in cfg.axioms:
             t0 = time.perf_counter()
-            verdicts[axiom] = batch(inst, picks, gamma).tolist()
+            verdicts[axiom] = batch(inst, picks, cfg.gamma).tolist()
             ms[axiom] = (time.perf_counter() - t0) * 1000.0
     if len(verdicts) == 2:
         for j, (mp, dc) in enumerate(zip(verdicts["mpjr+"], verdicts["dc-mpjr+"])):
@@ -184,7 +186,7 @@ def _audit_instance(task) -> tuple:
                     "implication breach: mpjr+ satisfied but dc-mpjr+ violated at "
                     f"master_seed={master} cell=({n},{g}) instance={idx} selection={j}")
     sat = {a: sum(v) for a, v in verdicts.items()}
-    return n, g, sat, ms, selections
+    return n, g, sat, ms
 
 
 def run_experiment(cfg: ExperimentConfig, threads=None, progress=None) -> ExperimentReport:
@@ -192,13 +194,11 @@ def run_experiment(cfg: ExperimentConfig, threads=None, progress=None) -> Experi
         threads = os.cpu_count() or 1
     elif not is_int(threads) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    tasks = [(n, g, i, cfg.k, cfg.sigma, cfg.master_seed, tuple(cfg.axioms),
-              cfg.gamma, cfg.selections_per_instance)
-             for n in cfg.n_values for g in cfg.g_values
+    tasks = [(cfg, n, g, i) for n in cfg.n_values for g in cfg.g_values
              for i in range(cfg.instances_per_cell)]
     sat = {(n, g, a): 0 for n in cfg.n_values for g in cfg.g_values for a in cfg.axioms}
     ms = dict.fromkeys(sat, 0.0)
-    total = dict.fromkeys(sat, 0)
+    total = cfg.instances_per_cell * cfg.selections_per_instance
     with ExitStack() as stack:
         if threads == 1:
             outcomes = map(_audit_instance, tasks)
@@ -206,11 +206,10 @@ def run_experiment(cfg: ExperimentConfig, threads=None, progress=None) -> Experi
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
             outcomes = pool.map(_audit_instance, tasks, chunksize=4)
-        for done, (n, g, s, t, audits) in enumerate(outcomes, 1):
+        for done, (n, g, s, t) in enumerate(outcomes, 1):
             for a in cfg.axioms:
                 sat[(n, g, a)] += s[a]
                 ms[(n, g, a)] += t[a]
-                total[(n, g, a)] += audits
             if progress:
                 progress(done, len(tasks))
     rows = []
@@ -218,7 +217,6 @@ def run_experiment(cfg: ExperimentConfig, threads=None, progress=None) -> Experi
         for g in cfg.g_values:
             for a in sorted(cfg.axioms):
                 key = (n, g, a)
-                rows.append(ReportRow(n, g, a, cfg.gamma, sat[key], total[key],
-                                      sat[key] / total[key], ms[key] / total[key],
-                                      cfg.master_seed))
+                rows.append(ReportRow(n, g, a, cfg.gamma, sat[key], total,
+                                      sat[key] / total, ms[key] / total, cfg.master_seed))
     return ExperimentReport(tuple(rows), cfg.master_seed)

@@ -14,16 +14,18 @@ the anchor), the coalition and the selected centers covering it;
 None; ``oracle_dc`` the anchor, the level, the ball's radius, the ball
 and the selected centers covering it.  The two anchored oracles are one
 transcription, ``_anchored_oracle``, that differs only in the level
-vector.
+vector.  Coalitions are enumerated by bit mask with the approval brute
+forces' fold, ``approval._subset_fold``, and their sizes are the masks'
+popcounts (``approval._subset_sizes``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .approval import ApprovalInstance, verify_pjr_bruteforce
+from .approval import _pjr_witness, _subset_fold, _subset_sizes
 from .core import (InputError, Instance, SizeError, Verdict, Witness, check_eps,
                    check_gamma, check_level, check_selection, is_int, timed)
 
@@ -31,21 +33,17 @@ _MAX_AGENTS = 16
 _MAX_BALL = 20
 
 
-def _subset_bits(n: int) -> np.ndarray:
-    """Boolean membership table for all 2^n subsets of range(n)."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    return (idx[:, None] >> np.arange(n)[None, :] & 1).astype(bool)
-
-
 @timed
 def oracle_mpjr(instance: Instance, selection, max_agents: int = _MAX_AGENTS) -> Verdict:
     """Metric PJR by radius enumeration.
 
     Only radii among the agent-candidate distances matter: the ball
-    structure is constant between consecutive values.  At each radius the
-    induced approval election is checked exhaustively.  `max_agents` must
-    be an integer (``InputError`` otherwise), and n past it raises
-    ``SizeError``.
+    structure is constant between consecutive values.  At each distinct
+    radius r, in ascending order, the approval election "agent i approves
+    the candidates within r" is checked exhaustively (``_pjr_witness`` on
+    the ballot rows D <= r); the first violation's witness gets radius r.
+    `max_agents` must be an integer (``InputError`` otherwise), and n past
+    it raises ``SizeError``.
     """
     X = check_selection(instance, selection)
     if not is_int(max_agents):
@@ -54,15 +52,9 @@ def oracle_mpjr(instance: Instance, selection, max_agents: int = _MAX_AGENTS) ->
         raise SizeError(f"n={instance.n} exceeds exhaustive cap {max_agents}")
     D = instance.dists()
     for r in np.unique(D):
-        appr = ApprovalInstance(
-            [np.flatnonzero(D[i] <= r).tolist() for i in range(instance.n)],
-            instance.m, instance.k)
-        inner = verify_pjr_bruteforce(appr, X, max_voters=max_agents)
-        if not inner.satisfied:
-            wit = Witness(center=None, level=inner.witness.level, radius=float(r),
-                          coalition=inner.witness.coalition,
-                          covered=inner.witness.covered)
-            return Verdict("mpjr", 1.0, False, wit)
+        wit = _pjr_witness(D <= r, X, instance.k)
+        if wit is not None:
+            return Verdict("mpjr", 1.0, False, replace(wit, radius=float(r)))
     return Verdict("mpjr", 1.0, True)
 
 
@@ -85,25 +77,24 @@ def _anchored_oracle(instance: Instance, selection, gamma, ell=None) -> Verdict:
     if n > _MAX_AGENTS:
         raise SizeError(f"n={n} exceeds exhaustive cap {_MAX_AGENTS}")
     D = instance.dists()
-    bits = _subset_bits(n)
-    level = np.minimum(bits.sum(axis=1) * k // n, k)
+    level = np.minimum(_subset_sizes(n) * k // n, k)
     if ell is not None:
         level = np.where(level >= ell, ell, 0)
     # reach[S, p]: the distance from X[p] to the nearest member of coalition S
-    reach = np.stack([np.where(bits, D[:, x], np.inf).min(axis=1) for x in X], axis=1)
+    reach = _subset_fold(D[:, list(X)], np.inf, np.minimum)
     axiom = "mpjr+-oracle" if ell is None else "fixed-ell-mpjr+-oracle"
     xset = set(X)
     for c in range(instance.m):
         if c in xset:
             continue
-        rmax = np.where(bits, D[:, c], -np.inf).max(axis=1)
+        rmax = _subset_fold(D[:, c], -np.inf, np.maximum)
         within = reach <= gamma * rmax[:, None]
         violated = level > within.sum(axis=1)
         if violated.any():
             s = int(np.flatnonzero(violated)[0])
             covered = frozenset(x for x, w in zip(X, within[s]) if w)
             wit = Witness(center=c, level=int(level[s]), radius=float(rmax[s]),
-                          coalition=frozenset(np.flatnonzero(bits[s]).tolist()),
+                          coalition=frozenset(i for i in range(n) if s >> i & 1),
                           covered=covered if ell is None else None)
             return Verdict(axiom, gamma, False, wit)
     return Verdict(axiom, gamma, True)
@@ -209,13 +200,9 @@ def submodular_min_check(instance: Instance, selection, center: int,
         raise SizeError(f"ball of {b} agents exceeds cap {_MAX_BALL}")
     if b == 0:
         return SubmodularReport(center, float(r), 0, 0, False)
-    bits = _subset_bits(b)
-    sizes = bits.sum(axis=1).astype(np.int64)
-    cov = np.zeros(len(bits), dtype=np.int64)
-    for x in X:
-        within = D[ground, x] <= r
-        cov += (bits & within[None, :]).any(axis=1)
-    g = cov * n - sizes * k   # n * f(S); exact integers
+    # cov[S]: the selected centers within r of some member of S
+    cov = _subset_fold(D[np.ix_(ground, list(X))] <= r, False, np.logical_or).sum(axis=1)
+    g = cov * n - _subset_sizes(b) * k   # n * f(S); exact integers
     best = int(np.argmin(g))
-    return SubmodularReport(center, float(r), int(cov[best]), int(sizes[best]),
+    return SubmodularReport(center, float(r), int(cov[best]), best.bit_count(),
                             bool(g[best] <= -n))

@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 from itertools import chain, combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from propaudit import (ApprovalInstance, BipartiteGraph, InfeasibleLevel,
                        verify_pjr_bruteforce, verify_pjr_plus_sweep)
 
 from propaudit import approval
+from propaudit.gen import sample_selection
 
 from conftest import random_profile
 
@@ -181,16 +183,106 @@ class TestPjrBruteforce:
     def test_cap(self):
         inst = ApprovalInstance([{0}] * 20, 1, 1)
         with pytest.raises(SizeError):
-            verify_pjr_bruteforce(inst, (0,), max_voters=16)
+            verify_pjr_bruteforce(inst, (0,))
 
-    @pytest.mark.parametrize("max_voters", [True, 2.5, 16.0, "16", None])
-    def test_max_voters_must_be_an_integer(self, max_voters):
-        inst = ApprovalInstance([{0}, {0, 1}, {1}], 2, 1)
-        with pytest.raises(InputError, match="max_voters must be an integer"):
-            verify_pjr_bruteforce(inst, (0,), max_voters=max_voters)
-        with pytest.raises(SizeError):
-            verify_pjr_bruteforce(inst, (0,), max_voters=2)
-        assert verify_pjr_bruteforce(inst, (0,), max_voters=np.int64(3)).satisfied
+
+def wide_profile(rng, m):
+    """Ballots of 1-8 voters over m candidates, each approving a candidate
+    with probability 0.1, 0.5 or 0.9, and a uniform random committee of
+    k in [1, m)."""
+    n, k = int(rng.integers(1, 9)), int(rng.integers(1, m))
+    p = rng.choice([0.1, 0.5, 0.9])
+    approvals = [np.flatnonzero(rng.random(m) < p).tolist() for _ in range(n)]
+    return ApprovalInstance(approvals, m, k), sample_selection(m, k, rng)
+
+
+def reversed_labels(inst, X):
+    """The profile and committee with candidate c relabelled m - 1 - c."""
+    m = inst.m
+    return (ApprovalInstance([{m - 1 - c for c in a} for a in inst.approvals], m, inst.k),
+            tuple(sorted(m - 1 - x for x in X)))
+
+
+class TestWideBallots:
+    """The brute forces pack ballots into 64-bit words, so profiles of one
+    to three words must read the same as the definition, and as the same
+    profile with its candidates relabelled in reverse."""
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 130])
+    def test_pjr_matches_definition(self, rng, m):
+        verdicts = set()
+        for _ in range(12):
+            inst, X = wide_profile(rng, m)
+            got = verify_pjr_bruteforce(inst, X).satisfied
+            assert got == pjr_by_definition(inst, X)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 130])
+    def test_fixed_ell_pjr_plus_under_reversed_labels(self, rng, m):
+        """Voters keep their labels, so at one center both sides pick the
+        same first coalition by bit mask, and the witnesses agree once
+        mapped.  The scan by center index meets the violated centers in
+        opposite orders, so each profile is also run with the approvals of
+        one unselected candidate kept and every other's removed, where
+        both sides must pick that center: the first witness's center at
+        the lowest violated level, or a random one."""
+        for _ in range(4):
+            inst, X = wide_profile(rng, m)
+            keep = int(rng.choice([c for c in range(m) if c not in X]))
+            for ell in range(1, inst.k + 1):
+                v = verify_fixed_ell_pjr_plus_bruteforce(inst, X, ell)
+                if not v.satisfied:
+                    keep = v.witness.center
+                    break
+            alone = ApprovalInstance([{c for c in a if c in X or c == keep}
+                                      for a in inst.approvals], m, inst.k)
+            for profile in (inst, alone):
+                self.check_reversed(profile, X, profile is alone)
+
+    @staticmethod
+    def check_reversed(inst, X, one_center):
+        rev, Xr = reversed_labels(inst, X)
+        n, m, k = inst.n, inst.m, inst.k
+        for ell in range(1, k + 1):
+            a = verify_fixed_ell_pjr_plus_bruteforce(inst, X, ell)
+            b = verify_fixed_ell_pjr_plus_bruteforce(rev, Xr, ell)
+            assert a.satisfied == b.satisfied
+            if a.satisfied:
+                continue
+            wb = Witness(center=m - 1 - b.witness.center, level=b.witness.level,
+                         coalition=b.witness.coalition,
+                         covered=frozenset(m - 1 - x for x in b.witness.covered))
+            assert a.witness.center <= wb.center
+            for w in (a.witness, wb):
+                assert w.center not in X and w.level == ell
+                assert len(w.coalition) * k >= ell * n
+                assert all(w.center in inst.approvals[i] for i in w.coalition)
+                union = frozenset.union(*(inst.approvals[i] for i in w.coalition))
+                assert w.covered == union & set(X) and len(w.covered) < ell
+            if one_center or a.witness.center == wb.center:
+                assert a.witness == wb
+
+
+@pytest.mark.parametrize("op, start, draw", [
+    (np.minimum, np.inf, lambda rng, shape: rng.random(shape)),
+    (np.maximum, -np.inf, lambda rng, shape: rng.random(shape)),
+    (np.logical_or, False, lambda rng, shape: rng.random(shape) < 0.3),
+    (np.bitwise_and, ~np.uint64(0),
+     lambda rng, shape: rng.integers(0, 1 << 64, shape, dtype=np.uint64, endpoint=False)
+     | rng.integers(0, 1 << 64, shape, dtype=np.uint64, endpoint=False)),
+], ids=["min", "max", "or", "and-words"])
+@pytest.mark.parametrize("tail", [(), (3,), (2, 2)], ids=["1d", "2d", "3d"])
+def test_subset_fold_reduces_each_subsets_members(rng, op, start, draw, tail):
+    """fold[S] is `start` combined with S's member rows, for rows of any shape."""
+    for n in range(11):
+        rows = draw(rng, (n,) + tail)
+        fold = approval._subset_fold(rows, start, op)
+        assert fold.shape == (1 << n,) + tail and fold.dtype == rows.dtype
+        first = np.full(tail, start, dtype=rows.dtype)
+        for s in range(1 << n):
+            want = reduce(op, (rows[i] for i in range(n) if s >> i & 1), first)
+            assert np.array_equal(fold[s], want)
 
 
 class TestCaps:

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
 from propaudit import (InputError, Instance, SizeError, oracle_dc, oracle_mpjr, oracle_mpjr_plus,
-                       oracle_mpjr_plus_fixed_ell, submodular_min_check,
+                       oracle_mpjr_plus_fixed_ell, run_sear, submodular_min_check,
                        verify_dc_mpjr_plus)
 from propaudit import oracle
 from propaudit.gen import fixture_incomparability, sample_selection
@@ -42,6 +43,28 @@ class TestOracleMpjr:
         with pytest.raises(SizeError):
             oracle_mpjr(inst, X, max_agents=inst.n - 1)
         assert oracle_mpjr(inst, X, max_agents=np.int64(inst.n)).satisfied
+
+    def test_wide_instance_under_reversed_labels(self, rng):
+        """With 70 candidates the ballots at each radius span two 64-bit
+        words; reversing the candidates' labels changes no verdict, and
+        the witness only through the labels of its covered centers.  Half
+        the selections are SEAR's, which satisfy mPJR."""
+        verdicts = set()
+        for _ in range(10):
+            n, m = int(rng.integers(1, 9)), 70
+            k = int(rng.integers(1, m))
+            agents, cands = rng.random((n, 2)), rng.random((m, 2))
+            inst = Instance.euclidean(agents, cands, k)
+            X = run_sear(inst).selection if rng.random() < 0.5 else sample_selection(m, k, rng)
+            a = oracle_mpjr(inst, X)
+            b = oracle_mpjr(Instance.euclidean(agents, cands[::-1], k),
+                            tuple(sorted(m - 1 - x for x in X)))
+            assert a.satisfied == b.satisfied
+            verdicts.add(a.satisfied)
+            if not a.satisfied:
+                w = b.witness
+                assert a.witness == replace(w, covered=frozenset(m - 1 - x for x in w.covered))
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("audit", [
         oracle_mpjr_plus, lambda inst, X: oracle_mpjr_plus_fixed_ell(inst, X, 1)])

@@ -1,7 +1,7 @@
 """Digests of the audits' outputs, for checking that a change to their
 code leaves every output as it was.
 
-Prints seven sha256 digests, one a line, each with what it covers:
+Prints eight sha256 digests, one a line, each with what it covers:
 
 * ``smallk``: ``verify_mpjr_plus_smallk(...).to_dict()`` less
   ``elapsed_ms`` on seeded planar cases, at every gamma in {0.7, 1, 1.5}
@@ -39,6 +39,12 @@ Prints seven sha256 digests, one a line, each with what it covers:
   case; then ``verify_pjr_bruteforce`` and
   ``verify_fixed_ell_pjr_plus_bruteforce`` at every ell, on seeded
   random ballots of 1-8 voters, one profile per approval profile.
+* ``refs``: the references no other line covers, on desk cases drawn as
+  for ``oracle`` from a stream of their own, one per small-k case:
+  ``oracle_mpjr``, ``oracle_dc`` at every gamma and eps of the grids
+  (each ``.to_dict()`` less ``elapsed_ms``), and the fields of
+  ``submodular_min_check`` at every unselected center and its three
+  smallest distinct radii.  Its violated count is of verdicts.
 
 Run it on two commits and compare the lines:
 
@@ -49,14 +55,16 @@ Run it on two commits and compare the lines:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 
-from propaudit import (ApprovalInstance, ExperimentConfig, Instance, dc_violations,
-                       oracle_mpjr_plus, oracle_mpjr_plus_fixed_ell, run_experiment, run_sear,
-                       sample_selection, substream, verify, verify_fixed_ell_dc,
+from propaudit import (ApprovalInstance, ExperimentConfig, Instance, dc_violations, oracle_dc,
+                       oracle_mpjr, oracle_mpjr_plus, oracle_mpjr_plus_fixed_ell,
+                       run_experiment, run_sear, sample_selection, submodular_min_check,
+                       substream, verify, verify_fixed_ell_dc,
                        verify_fixed_ell_pjr_plus_bruteforce, verify_mpjr_plus_smallk,
                        verify_pjr_bruteforce, verify_pjr_plus_sweep)
 
@@ -207,6 +215,22 @@ def oracle_lines(cases, profiles, seed):
             yield _line(verify_fixed_ell_pjr_plus_bruteforce(inst, X, ell))
 
 
+def refs_lines(cases, seed):
+    gen = substream(seed, "audit-digest", "refs")
+    for _ in range(cases):
+        inst, X = desk_case(gen)
+        yield _line(oracle_mpjr(inst, X))
+        for gamma in GAMMAS:
+            for eps in EPSILONS:
+                yield _line(oracle_dc(inst, X, gamma, eps))
+        D = inst.dists()
+        for c in range(inst.m):
+            if c not in X:
+                for r in np.unique(D[:, c])[:3]:
+                    report = submodular_min_check(inst, X, c, float(r))
+                    yield json.dumps(dataclasses.asdict(report), sort_keys=True)
+
+
 def experiment_csv(seed) -> str:
     return "".join(run_experiment(ExperimentConfig(
         n_values=(20, 40, 60), g_values=(4, 6), instances_per_cell=3,
@@ -218,7 +242,8 @@ def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--cases", type=int, default=1000,
                    help="small-k cases (6 audits each), batch cases (24 verdicts each), "
-                        "and oracle desk cases (3 + 3k verdicts each)")
+                        "oracle desk cases (3 + 3k verdicts each) and refs desk cases "
+                        "(7 verdicts and up to 3 (m - k) reports each)")
     p.add_argument("--profiles", type=int, default=1000,
                    help="approval profiles, and oracle desk profiles (1 + k verdicts each)")
     p.add_argument("--dc-cases", type=int, default=100,
@@ -239,6 +264,8 @@ def main(argv=None) -> None:
           f"({csv.count(chr(10))} csv lines)")
     sha, count, violated = digest(oracle_lines(args.cases, args.profiles, args.seed))
     print(f"oracle {sha} ({count} verdicts, {violated} violated)")
+    sha, count, violated = digest(refs_lines(args.cases, args.seed))
+    print(f"refs {sha} ({count} lines, {violated} violated)")
 
 
 if __name__ == "__main__":
