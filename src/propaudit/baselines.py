@@ -103,8 +103,11 @@ def kmeans_lloyd_snapped(instance: Instance, seed: int) -> tuple:
     """
     if instance.metric != EUCLIDEAN:
         raise UnsupportedBackend("snapped Lloyd requires coordinates")
-    agents = instance._agent_points
-    cands = instance._candidate_points
+    # C-order copies: the instance stores its points coordinate-major, and
+    # there ((cands - centroid) ** 2).sum(axis=1) adds in another order,
+    # which changed the last bit of some distances at d >= 8
+    agents = np.ascontiguousarray(instance._agent_points)
+    cands = np.ascontiguousarray(instance._candidate_points)
     m, k = instance.m, instance.k
     # seed with coordinate-distinct candidates where possible: coincident
     # starting centers would leave a cluster permanently empty

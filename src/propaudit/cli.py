@@ -31,6 +31,7 @@ import re
 import sys
 import time
 import traceback
+from collections.abc import Iterator
 
 from .core import (ConfigError, InfeasibleLevel, InputError, SizeError,
                    UnsupportedBackend, Instance, check_eps, check_gamma,
@@ -118,39 +119,54 @@ def _write_chunks(chunks, out=None):
         sys.stdout.writelines(chunks)
 
 
-def _emit(obj, out=None):
-    _write(json.dumps(obj, indent=2) + "\n", out)
+def _text(obj, pad) -> str:
+    """``json.dumps(obj, indent=2)`` for a line indented by `pad`.  A
+    list of ints, such as a witness's coalition, is json's one-line text
+    with a line break after each comma: its C encoder writes the entries
+    as the pure-Python indenting one does, several times as fast, and that
+    one took most of an --all-witnesses run.  The check on the text keeps
+    the shortcut to flat lists of numbers, bools and nulls."""
+    if isinstance(obj, list) and obj and type(obj[0]) is int:
+        text = json.dumps(obj)
+        if '"' not in text and "{" not in text and text.count("[") == 1:
+            inner = pad + "  "
+            return f"[\n{inner}" + text[1:-1].replace(", ", f",\n{inner}") + f"\n{pad}]"
+    if isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(obj)
 
 
-def _witness_item(wit) -> str:
-    """``json.dumps(wit.to_dict(), indent=2)`` indented as an entry of the
-    "witnesses" list (four more spaces after each newline).  Each nonempty
-    index list is written with one join, not through json's pure-Python
-    indenting encoder, which took most of an --all-witnesses run."""
-    fields = []
-    for key, val in wit.to_dict().items():
-        if isinstance(val, list) and val:
-            val = "[\n        " + ",\n        ".join(map(str, val)) + "\n      ]"
+def _json(obj, pad=""):
+    """``_text(obj, pad)`` in pieces, with each iterator in `obj` written
+    as a list: a dict a key at a time, and an iterator as it yields, so
+    none is held."""
+    if isinstance(obj, dict):
+        items, ends = ((f"{json.dumps(key)}: ", val) for key, val in obj.items()), "{}"
+    elif isinstance(obj, Iterator):
+        items, ends = (("", val) for val in obj), "[]"
+    else:
+        yield _text(obj, pad)
+        return
+    inner = pad + "  "
+    sep = f"{ends[0]}\n{inner}"
+    for head, val in items:
+        yield sep + head
+        if isinstance(val, (dict, Iterator)):
+            yield from _json(val, inner)
         else:
-            val = json.dumps(val)
-        fields.append(f"      {json.dumps(key)}: {val}")
-    return "{\n" + ",\n".join(fields) + "\n    }"
+            yield _text(val, inner)
+        sep = ",\n" + inner
+    yield ends if sep[0] == ends[0] else f"\n{pad}{ends[1]}"
 
 
-def _emit_witnesses(head, first, rest, out=None):
-    """``_emit`` of `head` with a last key "witnesses" listing `first` and
-    the witnesses of the iterator `rest`, the same bytes written one
-    witness at a time: no list of them is held."""
-    def chunks():
-        text = json.dumps(dict(head, witnesses=[]), indent=2)
-        if first is None:
-            yield text + "\n"
-            return
-        yield text[:-4] + "[\n"                    # cut the closing "[]\n}"
-        for i, wit in enumerate(itertools.chain((first,), rest)):
-            yield (",\n    " if i else "    ") + _witness_item(wit)
-        yield "\n  ]\n}\n"
-    _write_chunks(chunks(), out)
+def _emit(obj, out=None):
+    """Write ``json.dumps(obj, indent=2)`` and a newline: ``_json``'s
+    pieces joined 256 at a time, the first join made before `out` is
+    opened, so that output of one join (any but a long witness list) that
+    fails to build leaves no file."""
+    pieces = itertools.chain(_json(obj), "\n")
+    batches = iter(lambda: "".join(itertools.islice(pieces, 256)), "")
+    _write_chunks(itertools.chain((next(batches),), batches), out)
 
 
 def _cmd_audit(args) -> int:
@@ -167,8 +183,9 @@ def _cmd_audit(args) -> int:
             # the first witness is taken before --out is opened, so an input
             # error leaves no file
             first = next(wits, None)
-            _emit_witnesses({"axiom": "dc-mpjr+", "gamma": args.gamma,
-                             "satisfied": first is None}, first, wits, args.out)
+            listed = itertools.chain(() if first is None else (first,), wits)
+            _emit({"axiom": "dc-mpjr+", "gamma": args.gamma, "satisfied": first is None,
+                   "witnesses": (w.to_dict() for w in listed)}, args.out)
             return 0 if first is None else 1
         verdict = verify_dc_mpjr_plus(instance, selection, args.gamma, args.eps)
     elif args.axiom == "mpjr+":

@@ -27,8 +27,8 @@ EUCLIDEAN = "euclidean"
 EXPLICIT = "explicit"
 # entries of one row block of _pairwise's output (327 rows at m=100): the
 # block and its scratch stay in cache across the coordinates.  n=5000,
-# m=100, 2-D: 4.1-4.6 ms, against 12.8-14.8 ms for one unblocked pass
-# after an np.zeros fill (2 vCPUs)
+# m=100, 2-D, an instance's coordinate-major points: 2.1 ms, against 5.2 ms
+# for one unblocked pass after an np.zeros fill (2 vCPUs, medians)
 _PAIRWISE_BLOCK = 1 << 15
 
 
@@ -97,6 +97,12 @@ def _numbers(values, what: str) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only in place."""
+    a.flags.writeable = False
+    return a
+
+
 def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a and the rows of b.
 
@@ -130,7 +136,11 @@ class Instance:
     """A centroid-clustering instance (agents, candidate centers, metric, k).
 
     Immutable after construction; every operation on it is pure, so
-    instances are safe to share across threads and processes.
+    instances are safe to share across threads and processes.  Its arrays
+    are read-only: its own coordinate-major (Fortran-order) copies of the
+    agent and candidate points, so each coordinate is read contiguously,
+    an explicit matrix that is copied unless it was built from lists or
+    handed over read-only with its own data, and ``dists()``.
 
     The audits of ``verify`` (all but the oracles) read distances only
     through ``rows``, which computes only the rows they ask for and caches
@@ -148,8 +158,8 @@ class Instance:
                 raise InputError("euclidean points must be 2-D arrays of equal dimension")
             if not (np.isfinite(ap).all() and np.isfinite(cp).all()):
                 raise InputError("coordinates must be finite")
-            self._agent_points = ap
-            self._candidate_points = cp
+            self._agent_points = _frozen(np.array(ap, order="F"))
+            self._candidate_points = _frozen(np.array(cp, order="F"))
             self._matrix = None
             self.n = ap.shape[0]
             self.m = cp.shape[0]
@@ -166,7 +176,13 @@ class Instance:
                 raise InputError("matrix smaller than agents + at least one candidate")
             self._agent_points = None
             self._candidate_points = None
-            self._matrix = d
+            # an array numpy built from lists is the instance's already, and
+            # to_explicit and embed_approval hand over read-only matrices that
+            # own their data: neither needs a second (n+m)^2 copy
+            built = isinstance(matrix, (list, tuple))
+            if not (built or d.flags.owndata and not d.flags.writeable):
+                d = d.copy()
+            self._matrix = _frozen(d)
             self.n = int(n_agents)
             self.m = d.shape[0] - self.n
             self.dim = None
@@ -217,10 +233,11 @@ class Instance:
                    agent_names=agent_names, candidate_names=candidate_names)
 
     def dists(self) -> np.ndarray:
-        """The n x m agent-candidate distance matrix (computed once, cached)."""
+        """The n x m agent-candidate distance matrix (computed once, cached,
+        read-only)."""
         if self._ac is None:
             if self.metric == EUCLIDEAN:
-                self._ac = _pairwise(self._agent_points, self._candidate_points)
+                self._ac = _frozen(_pairwise(self._agent_points, self._candidate_points))
             else:
                 self._ac = self._matrix[: self.n, self.n:]
         return self._ac
@@ -249,7 +266,7 @@ class Instance:
         pts = np.vstack([self._agent_points, self._candidate_points])
         # an overflowing agent-agent distance is an InputError of explicit()
         with np.errstate(over="ignore"):
-            full = _pairwise(pts, pts)
+            full = _frozen(_pairwise(pts, pts))
         return Instance.explicit(full, self.n, self.k)
 
     def to_dict(self) -> dict:

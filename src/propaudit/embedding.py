@@ -31,6 +31,7 @@ def embed_approval(inst: ApprovalInstance) -> Instance:
     d[:n, n:] = ac
     d[n:, :n] = ac.T
     d[n:, n:] = cc
+    d.flags.writeable = False       # the instance then keeps d, not a copy
     return Instance.explicit(d, n, inst.k,
                              agent_names=[f"v{v}" for v in range(n)],
                              candidate_names=[f"c{c}" for c in range(m)])

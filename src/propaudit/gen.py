@@ -90,7 +90,7 @@ def gen_gaussian_instance(cfg: GaussianConfig) -> Instance:
     assign = np.arange(cfg.n) % cfg.g
     noise = box_muller(gen, 2 * cfg.n).reshape(cfg.n, 2) * cfg.sigma
     pts = centers[assign] + noise
-    return Instance.euclidean(pts, pts.copy(), cfg.k)
+    return Instance.euclidean(pts, pts, cfg.k)
 
 
 def sample_selection(m: int, k: int, seed) -> tuple:

@@ -112,8 +112,10 @@ from .core import (InputError, Instance, SizeError, Verdict, Witness, check_eps,
 # cap on the (anchor, agent) entries of one DC anchor chunk: a chunk holds
 # _CHUNK_ELEMS // n anchors (at least one), so the coverage kernel's keys
 # and scratch (512 KB each) stay in a 2 MB L2 cache across the k center
-# rows.  Full sweeps (whole chunks, gamma=1, 2 vCPUs) at this cap against the
-# earlier 4e6 // (n k) anchors: n=5000, m=100, k=20: 13 vs 40 anchors,
+# rows.  It is also the kernel's budget for looping over the anchors
+# instead: the center rows and their scratch then stay as small.  Full
+# sweeps (whole chunks, gamma=1, 2 vCPUs) at this cap against the earlier
+# 4e6 // (n k) anchors: n=5000, m=100, k=20: 13 vs 40 anchors,
 # 17.2 vs 21.6 ms; n=5e4, m=100, k=10: 1 vs 8, 260 vs 272 ms; n=1e5,
 # m=200, k=20: 1 vs 2, 1.32 vs 1.50 s.  One anchor a chunk is the slowest
 # choice at n=5000 (29 ms) and the fastest at the two larger sizes
@@ -208,12 +210,25 @@ def _reach_radius(v, gamma, eps) -> np.ndarray:
 
 
 def _coverage_radii(keys, rows) -> np.ndarray:
-    """Per (anchor, agent) row of `keys`, min_j max(keys_j, rows_tj) for
-    each (center, agent) row t of `rows` in column t + 1, after a column 0
-    of -inf: sorted per row, [:, l] is the l-th smallest, and level 0 is
-    never short.  One column at a time, through one scratch like `keys`."""
+    """Per (anchor, agent) row a of `keys`, min_j max(keys_aj, rows_tj)
+    for each (center, agent) row t of `rows` in column t + 1, after a
+    column 0 of -inf: sorted per row, [:, l] is the l-th smallest, and
+    level 0 is never short.
+
+    The formula is symmetric in the two rows, and max and min are exact,
+    so the loop runs over the shorter side, one numpy call pair a row,
+    through one scratch like the longer: over the anchors when they are
+    fewer than the center rows and those fit in ``_CHUNK_ELEMS`` entries
+    (the screen's small chunks), else one column at a time.
+    """
     mu = np.empty((len(keys), len(rows) + 1))
     mu[:, 0] = -np.inf
+    if len(keys) < len(rows) and rows.size <= _CHUNK_ELEMS:
+        scratch = np.empty_like(rows)
+        for a, key in enumerate(keys):
+            np.maximum(rows, key, out=scratch)
+            scratch.min(axis=1, out=mu[a, 1:])
+        return mu
     scratch = np.empty_like(keys)
     for t, row in enumerate(rows):
         np.maximum(keys, row, out=scratch)

@@ -1,4 +1,4 @@
-"""tools/audit_digest.py runs against the source tree and prints its eight
+"""tools/audit_digest.py runs against the source tree and prints its nine
 digests, at a small count; tools/loc.py prints a line count a file and a
 total."""
 
@@ -21,7 +21,8 @@ def test_audit_digest_smoke(tmp_path):
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["smallk", "batch", "pjr+", "dc", "dc-batch",
-                                                 "experiment", "oracle", "refs"]
+                                                 "experiment", "oracle", "refs",
+                                                 "baselines"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1]) for line in lines)
     assert "(24 verdicts," in lines[0] and "(96 verdicts," in lines[1]
     assert "(6 verdicts," in lines[2]
@@ -34,6 +35,7 @@ def test_audit_digest_smoke(tmp_path):
     # 4 desk cases at 7 verdicts and up to 3 reports per unselected center, m - k in [1, 5]
     count = int(re.search(r"\((\d+) lines,", lines[7]).group(1))
     assert 4 * 8 <= count <= 4 * (7 + 3 * 5)
+    assert "(4 lines)" in lines[8]                  # one DC case, at 4 dimensions
 
 
 def test_loc_smoke(tmp_path):

@@ -165,16 +165,19 @@ class TestAudit:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_witness_item_bytes(self, rng):
-        """Each --all-witnesses entry is the indent=2 JSON of the witness's
-        dict, indented into the list, on 1,500 random witnesses: index
-        lists missing, empty, of one entry and of hundreds, radii zero,
-        fractional, huge and infinite."""
+    def test_json_bytes(self, rng):
+        """``cli._json`` writes the bytes of ``json.dumps(indent=2)``: of
+        1,500 random witnesses' dicts, each on its own and indented as a
+        list entry, and all of them passed as an iterator (index lists
+        missing, empty, of one entry and of hundreds, radii zero,
+        fractional, huge and infinite), then of 5,000 random nested values
+        of dicts, lists, tuples and scalars, at two indents, among them
+        lists of ints that end in a value of another kind."""
         def index_set(j):
             size = (0, 1, int(rng.integers(2, 400)))[j % 3]
             return frozenset(rng.choice(100_000, size, replace=False).tolist())
 
-        kinds = set()
+        kinds, dicts = set(), []
         for j in range(1500):
             radius = (None, 0.0, float(rng.random()), 1e300 * rng.random(), math.inf)[j % 5]
             wit = Witness(center=None if j % 7 == 0 else int(rng.integers(0, 10**6)),
@@ -182,10 +185,37 @@ class TestAudit:
                           coalition=None if j % 11 == 0 else index_set(j),
                           covered=None if j % 13 == 0 else index_set(j // 3))
             want = json.dumps(wit.to_dict(), indent=2).replace("\n", "\n    ")
-            assert cli._witness_item(wit) == want
+            assert "".join(cli._json(wit.to_dict(), "    ")) == want
+            dicts.append(wit.to_dict())
             kinds.update(None if s is None else min(len(s), 2)
                          for s in (wit.coalition, wit.covered))
         assert kinds == {None, 0, 1, 2}
+        assert "".join(cli._json(iter(dicts))) == json.dumps(dicts, indent=2)
+        assert "".join(cli._json({"w": iter(())})) == json.dumps({"w": []}, indent=2)
+
+        scalars = (None, True, False, 0, -7, 10**20, 1.5, -0.0, math.inf, -math.inf,
+                   math.nan, "", 'q"\\\n\u00e9')
+
+        def value(depth):
+            kind = int(rng.integers(0, 5)) if depth < 4 else 0
+            size = int(rng.integers(0, 4))
+            if kind == 0:
+                pick = int(rng.integers(0, len(scalars) + 2))
+                return (scalars + (float(rng.random()), int(rng.integers(-9, 9))))[pick]
+            if kind == 1:
+                return {str(rng.choice(["a", "b", "", "\u00e9\""])): value(depth + 1)
+                        for _ in range(size)}
+            if kind == 2:                   # ints, then maybe one value of any kind
+                ints = [int(v) for v in rng.integers(-100, 100, size)]
+                return ints + [value(depth + 1)] * int(size > 0 and rng.random() < 0.5)
+            items = [value(depth + 1) for _ in range(size)]
+            return items if kind == 3 else tuple(items)
+
+        for _ in range(5000):
+            v = value(0)
+            want = json.dumps(v, indent=2)
+            assert "".join(cli._json(v)) == want
+            assert "".join(cli._json(v, "  ")) == want.replace("\n", "\n  ")
 
     def test_text_format_writes_out(self, prop3_2, tmp_path, capsys):
         main(["audit", prop3_2, "--selection", "1,2,3", "--format", "text"])

@@ -112,6 +112,53 @@ class TestBackendAgreement:
                     assert a.witness.radius == pytest.approx(b.witness.radius, abs=0)
 
 
+class TestOwnArrays:
+    """An instance keeps arrays no caller can write into: writing into the
+    caller's arrays after construction changes none of its rows, distances
+    or verdicts, and its own are read-only."""
+
+    def test_caller_arrays_do_not_alias(self):
+        from propaudit import verify_dc_mpjr_plus
+        A = np.array([[0., 0.], [0., 1.], [2., 0.], [2., 1.]])
+        C = np.array([[0., .5], [2., .5], [.5, .5]])
+        inst, X = Instance.euclidean(A, C, 2), (0, 2)
+        rows, D = inst.rows([1]), Instance.euclidean(A.copy(), C.copy(), 2).dists()
+        assert not verify_dc_mpjr_plus(inst, X).satisfied
+        A[2:, 0] = 0.5                  # the unserved pair moves next to center 2
+        assert verify_dc_mpjr_plus(Instance.euclidean(A, C, 2), X).satisfied
+        A[0, 1], C[0, 0] = np.nan, 9.0
+        assert np.array_equal(inst.rows([1]), rows)
+        assert not verify_dc_mpjr_plus(inst, X).satisfied
+        assert np.array_equal(inst.dists(), D)
+
+        M = inst.to_explicit()._matrix.copy()
+        e = Instance.explicit(M, 4, 2)
+        D = e.dists().copy()
+        M[0, 4], M[2, 5] = 7.0, np.nan
+        assert np.array_equal(e.dists(), D)
+        assert np.array_equal(e.rows([0, 1, 2]), D.T)
+
+    def test_own_arrays_are_read_only(self):
+        A, C = np.random.default_rng(0).random((2, 5, 2))
+        euc = Instance.euclidean(A, C, 2)
+        for inst in (euc, euc.to_explicit(), small_embedded()):
+            with pytest.raises(ValueError):
+                inst.dists()[0, 0] = 1.0
+            rows = inst.rows([0])
+            rows[0, 0] = 1.0            # rows are the caller's own, fresh
+        assert euc._agent_points.flags.f_contiguous
+        assert euc._candidate_points.flags.f_contiguous
+
+    def test_explicit_copies_only_what_a_caller_can_write(self):
+        M = Instance.euclidean([[0.], [1.]], [[2.]], 1).to_explicit()._matrix
+        assert not M.flags.writeable and M.flags.owndata
+        assert Instance.explicit(M, 2, 1)._matrix is M
+        view = M[:, :]
+        assert Instance.explicit(view, 2, 1)._matrix is not view
+        writable = M.copy()
+        assert Instance.explicit(writable, 2, 1)._matrix is not writable
+
+
 class TestSelectionAndJson:
     def test_selection_size_enforced(self):
         inst, _ = fixture_incomparability(2)

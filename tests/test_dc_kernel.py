@@ -331,6 +331,37 @@ def test_screen_pins_exact_kernel_work(monkeypatch):
     assert {0, 4} <= {w.center for w in dc_violations(inst, X)}
 
 
+def test_coverage_radii_loops_over_its_shorter_side(monkeypatch, rng):
+    """``_coverage_radii`` is bit-equal to a plain min-of-max reference
+    with fewer, as many and more anchor rows than center rows, and with
+    the center rows just at and just past ``_CHUNK_ELEMS`` entries.  Its
+    ``np.maximum`` calls number min(anchors, centers) within that budget
+    and one a center row past it."""
+    cap = verify._CHUNK_ELEMS
+    cases = [(3, 5, 40), (5, 5, 40), (9, 5, 40), (1, 20, 313),
+             (3, 16, cap // 16), (3, 16, cap // 16 + 1), (40, 16, cap // 16)]
+    for anchors, centers, agents in cases:
+        keys = rng.integers(0, 50, (anchors, agents)).astype(float)
+        rows = rng.integers(0, 50, (centers, agents)).astype(float)
+        rows[0, ::7] = np.inf
+        want = np.full((anchors, centers + 1), -np.inf)
+        for a in range(anchors):
+            for t in range(centers):
+                want[a, t + 1] = min(max(u, v) for u, v in zip(keys[a].tolist(),
+                                                               rows[t].tolist()))
+        calls, maximum = [], np.maximum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return maximum(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "maximum", counted)
+            got = verify._coverage_radii(keys, rows)
+        assert got.tobytes() == want.tobytes()
+        within = rows.size <= cap
+        assert len(calls) == (min(anchors, centers) if within else centers)
+
+
 def test_satisfied_audit_holds_no_distance_matrix():
     """A satisfied n=5000, m=100, k=20 audit computes every anchor's row
     but peaks (tracemalloc) below the n x m matrix's n * m * 8 bytes: 1.7 MB

@@ -1,7 +1,7 @@
 """Digests of the audits' outputs, for checking that a change to their
 code leaves every output as it was.
 
-Prints eight sha256 digests, one a line, each with what it covers:
+Prints nine sha256 digests, one a line, each with what it covers:
 
 * ``smallk``: ``verify_mpjr_plus_smallk(...).to_dict()`` less
   ``elapsed_ms`` on seeded planar cases, at every gamma in {0.7, 1, 1.5}
@@ -45,6 +45,12 @@ Prints eight sha256 digests, one a line, each with what it covers:
   (each ``.to_dict()`` less ``elapsed_ms``), and the fields of
   ``submodular_min_check`` at every unselected center and its three
   smallest distinct radii.  Its violated count is of verdicts.
+* ``baselines``: the objective-driven selections of
+  ``kmeans_lloyd_snapped`` and ``kmedian_local_search`` at two seeds, with
+  the ``repr`` of each one's ``kmedian_cost`` and ``kmeans_cost``, one line
+  a case, on seeded Euclidean cases at every dimension in {2, 8, 9, 33}:
+  agents around 1-4 hubs, n of 8-60, k of 2-7, m - k of 1-24, a third of
+  them on a quarter grid.
 
 Run it on two commits and compare the lines:
 
@@ -61,15 +67,18 @@ import json
 
 import numpy as np
 
-from propaudit import (ApprovalInstance, ExperimentConfig, Instance, dc_violations, oracle_dc,
-                       oracle_mpjr, oracle_mpjr_plus, oracle_mpjr_plus_fixed_ell,
-                       run_experiment, run_sear, sample_selection, submodular_min_check,
-                       substream, verify, verify_fixed_ell_dc,
-                       verify_fixed_ell_pjr_plus_bruteforce, verify_mpjr_plus_smallk,
-                       verify_pjr_bruteforce, verify_pjr_plus_sweep)
+from propaudit import (ApprovalInstance, ExperimentConfig, Instance, dc_violations,
+                       kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
+                       kmedian_local_search, oracle_dc, oracle_mpjr, oracle_mpjr_plus,
+                       oracle_mpjr_plus_fixed_ell, run_experiment, run_sear,
+                       sample_selection, submodular_min_check, substream, verify,
+                       verify_fixed_ell_dc, verify_fixed_ell_pjr_plus_bruteforce,
+                       verify_mpjr_plus_smallk, verify_pjr_bruteforce,
+                       verify_pjr_plus_sweep)
 
 GAMMAS = (0.7, 1.0, 1.5)
 EPSILONS = (0.0, 0.25)
+DIMS = (2, 8, 9, 33)
 
 
 def _line(verdict) -> str:
@@ -231,6 +240,30 @@ def refs_lines(cases, seed):
                     yield json.dumps(dataclasses.asdict(report), sort_keys=True)
 
 
+def baseline_lines(cases, seed):
+    gen = substream(seed, "audit-digest", "baselines")
+    for _ in range(cases):
+        for dim in DIMS:
+            k, g = int(gen.integers(2, 8)), int(gen.integers(1, 5))
+            n, m = int(gen.integers(8, 61)), k + int(gen.integers(1, 25))
+            hubs = gen.random((g, dim))
+            agents = hubs[gen.integers(0, g, n)] + 0.3 * gen.random((n, dim))
+            cands = np.where(gen.random((m, 1)) < 0.5,
+                             hubs[gen.integers(0, g, m)] + 0.3 * gen.random((m, dim)),
+                             gen.random((m, dim)))
+            if gen.random() < 1 / 3:
+                agents, cands = np.round(4 * agents) / 4, np.round(4 * cands) / 4
+            inst = Instance.euclidean(agents, cands, k)
+            line = {"dim": dim}
+            for name, select in (("kmeans", kmeans_lloyd_snapped),
+                                 ("kmedian", kmedian_local_search)):
+                for s in (0, 1):
+                    X = select(inst, s)
+                    line[f"{name}-{s}"] = [list(X), repr(kmedian_cost(inst, X)),
+                                           repr(kmeans_cost(inst, X))]
+            yield json.dumps(line, sort_keys=True)
+
+
 def experiment_csv(seed) -> str:
     return "".join(run_experiment(ExperimentConfig(
         n_values=(20, 40, 60), g_values=(4, 6), instances_per_cell=3,
@@ -248,7 +281,8 @@ def main(argv=None) -> None:
                    help="approval profiles, and oracle desk profiles (1 + k verdicts each)")
     p.add_argument("--dc-cases", type=int, default=100,
                    help="DC cases (6 violation lists and up to 18 fixed-ell verdicts each), "
-                        "and DC batch cases (900 verdicts each)")
+                        "DC batch cases (900 verdicts each) and baseline cases (4 lines "
+                        "each, one a dimension)")
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     for name, lines, unit in (("smallk", smallk_lines(args.cases, args.seed), "verdicts"),
@@ -266,6 +300,8 @@ def main(argv=None) -> None:
     print(f"oracle {sha} ({count} verdicts, {violated} violated)")
     sha, count, violated = digest(refs_lines(args.cases, args.seed))
     print(f"refs {sha} ({count} lines, {violated} violated)")
+    sha, count, _ = digest(baseline_lines(args.dc_cases, args.seed))
+    print(f"baselines {sha} ({count} lines)")
 
 
 if __name__ == "__main__":
