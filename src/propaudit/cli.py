@@ -308,10 +308,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    instance = load_instance(args.instance)
-    if instance.metric != "explicit":
-        instance = instance.to_explicit()
-    check = validate_metric(instance, check_triangle=args.triangle)
+    check = validate_metric(load_instance(args.instance), check_triangle=args.triangle)
     _emit({"ok": check.ok, "violation": check.violation,
            "points": list(check.points) if check.points else None}, args.out)
     return 0 if check.ok else 1

@@ -63,9 +63,13 @@ def is_finite(value) -> bool:
             and math.isfinite(value))
 
 
-def _numbers(values, what: str) -> np.ndarray:
-    """`values` as a float64 array, each entry a real number as given.
+def _numbers(values, what: str, order: str = "C") -> np.ndarray:
+    """`values` as a float64 array in `order` that no caller holds, each
+    entry a real number as given.
 
+    An array numpy built here from lists or tuples is kept; any other
+    input, an ndarray above all, is copied, so writing into it later
+    (after making it writeable again, if need be) changes nothing here.
     Strings, nulls, bools and integers too large for a float are an
     InputError, never converted.  Strings and nulls show in the dtype numpy
     infers, and so do integers past uint64 (object).  A bool becomes 0 or
@@ -82,19 +86,20 @@ def _numbers(values, what: str) -> np.ndarray:
             if not (isinstance(v, numbers.Real) and not isinstance(v, bool)):
                 raise InputError(f"{what} entry {v!r} is not a number")
         try:
-            return np.array([float(v) for v in flat]).reshape(a.shape)
+            a = np.array([float(v) for v in flat]).reshape(a.shape)
         except OverflowError:
             raise InputError(f"{what} holds an integer too large for a float") from None
-    if a.dtype.kind not in "iuf":
+    elif a.dtype.kind not in "iuf":
         raise InputError(f"{what} entries must be numbers, got dtype {a.dtype}")
-    if not isinstance(values, np.ndarray):
+    elif not isinstance(values, np.ndarray):
         for flat in np.flatnonzero((a == 0) | (a == 1)).tolist():
             v = values
             for i in np.unravel_index(flat, a.shape):
                 v = v[i]
             if isinstance(v, (bool, np.bool_)):
                 raise InputError(f"{what} entry {v!r} is not a number")
-    return a.astype(np.float64, copy=False)
+    return np.array(a, dtype=np.float64, order=order,
+                    copy=None if isinstance(values, (list, tuple)) else True)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -137,10 +142,10 @@ class Instance:
 
     Immutable after construction; every operation on it is pure, so
     instances are safe to share across threads and processes.  Its arrays
-    are read-only: its own coordinate-major (Fortran-order) copies of the
-    agent and candidate points, so each coordinate is read contiguously,
-    an explicit matrix that is copied unless it was built from lists or
-    handed over read-only with its own data, and ``dists()``.
+    are read-only and no caller holds them: ``_numbers`` gives it the
+    agent and candidate points coordinate-major (Fortran-order), so each
+    coordinate is read contiguously, and the explicit matrix; ``dists()``
+    is its own ``_pairwise`` output or a view of that matrix.
 
     The audits of ``verify`` (all but the oracles) read distances only
     through ``rows``, which computes only the rows they ask for and caches
@@ -152,14 +157,14 @@ class Instance:
                  candidate_points=None, matrix=None, n_agents: int | None = None,
                  agent_names=None, candidate_names=None):
         if metric == EUCLIDEAN:
-            ap = _numbers(agent_points, "agents")
-            cp = _numbers(candidate_points, "candidates")
+            ap = _numbers(agent_points, "agents", "F")
+            cp = _numbers(candidate_points, "candidates", "F")
             if ap.ndim != 2 or cp.ndim != 2 or ap.shape[1] != cp.shape[1]:
                 raise InputError("euclidean points must be 2-D arrays of equal dimension")
             if not (np.isfinite(ap).all() and np.isfinite(cp).all()):
                 raise InputError("coordinates must be finite")
-            self._agent_points = _frozen(np.array(ap, order="F"))
-            self._candidate_points = _frozen(np.array(cp, order="F"))
+            self._agent_points = _frozen(ap)
+            self._candidate_points = _frozen(cp)
             self._matrix = None
             self.n = ap.shape[0]
             self.m = cp.shape[0]
@@ -176,12 +181,6 @@ class Instance:
                 raise InputError("matrix smaller than agents + at least one candidate")
             self._agent_points = None
             self._candidate_points = None
-            # an array numpy built from lists is the instance's already, and
-            # to_explicit and embed_approval hand over read-only matrices that
-            # own their data: neither needs a second (n+m)^2 copy
-            built = isinstance(matrix, (list, tuple))
-            if not (built or d.flags.owndata and not d.flags.writeable):
-                d = d.copy()
             self._matrix = _frozen(d)
             self.n = int(n_agents)
             self.m = d.shape[0] - self.n
@@ -256,18 +255,24 @@ class Instance:
             return _pairwise(self._candidate_points[cols], self._agent_points)
         return np.ascontiguousarray(self.dists()[:, cols].T)
 
+    def _all_points(self) -> "Instance":
+        """The Euclidean instance with this one's agents, then candidates,
+        on both sides, so its ``dists()`` is the full (n+m)^2 metric.  Its
+        constructor raises the InputError "distances must be finite" when
+        a distance among them overflows."""
+        pts = np.vstack([self._agent_points, self._candidate_points])
+        return Instance.euclidean(pts, pts, 1)
+
     def to_explicit(self) -> "Instance":
-        """Materialize the full metric as an explicit-matrix instance.
+        """Materialize the full metric as an explicit-matrix instance: a
+        copy of the all-points instance's ``dists()``, so the peak holds
+        two (n+m)^2 matrices.
 
         Verifier verdicts and witnesses are identical on the result.
         """
         if self.metric == EXPLICIT:
             return self
-        pts = np.vstack([self._agent_points, self._candidate_points])
-        # an overflowing agent-agent distance is an InputError of explicit()
-        with np.errstate(over="ignore"):
-            full = _frozen(_pairwise(pts, pts))
-        return Instance.explicit(full, self.n, self.k)
+        return Instance.explicit(self._all_points().dists(), self.n, self.k)
 
     def to_dict(self) -> dict:
         if self.metric == EUCLIDEAN:
@@ -387,14 +392,24 @@ class MetricCheck:
 
 
 def validate_metric(instance: Instance, check_triangle: bool = False) -> MetricCheck:
-    """Check an explicit matrix for metric axioms.
+    """Check the full (n+m)^2 metric of an instance for metric axioms,
+    with the result its ``to_explicit()`` twin gives.
 
     The triangle scan is O((n+m)^3) and therefore opt-in; verifiers never
-    require it and operate on any symmetric nonnegative matrix.
+    require it and operate on any symmetric nonnegative matrix.  A
+    Euclidean metric is symmetric, zero on its diagonal and nonnegative as
+    ``_pairwise`` computes it, so without the scan only a distance that
+    overflows can fail it: the all-points instance's constructor raises
+    that InputError, and builds no (n+m)^2 matrix when its coordinate
+    spans bound every distance.
     """
-    if instance.metric != EXPLICIT:
-        raise UnsupportedBackend("validate_metric applies to explicit matrices")
-    d = instance._matrix
+    if instance.metric == EUCLIDEAN:
+        full = instance._all_points()
+        if not check_triangle:
+            return MetricCheck(True)
+        d = full.dists()
+    else:
+        d = instance._matrix
     neg = np.argwhere(d < 0)
     if neg.size:
         return MetricCheck(False, "negative", tuple(int(v) for v in neg[0]))

@@ -16,22 +16,29 @@ from .approval import ApprovalInstance, _ballot_distances
 from .core import Instance
 
 
+def _two_hop(rows: np.ndarray) -> np.ndarray:
+    """min over j of rows[j, a] + rows[j, b] for every pair (a, b), with a
+    zero diagonal.  Folded in one row j at a time, so for rows of width w
+    it holds two (w, w) arrays, never a (w, w, len(rows)) one."""
+    out = np.add.outer(rows[0], rows[0])
+    step = np.empty_like(out)
+    for row in rows[1:]:
+        np.minimum(out, np.add.outer(row, row, out=step), out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def embed_approval(inst: ApprovalInstance) -> Instance:
     """Explicit-matrix instance over voters + candidates, distances in {0,1,2,3,4}."""
     n, m = inst.n, inst.m
-    ac = _ballot_distances(inst).T                   # (voter, candidate)
+    ca = _ballot_distances(inst)                     # (candidate, voter)
+    d = np.zeros((n + m, n + m))
     # two-hop minima: agent-agent through a candidate, candidate-candidate
     # through an agent
-    aa = (ac[:, None, :] + ac[None, :, :]).min(axis=2)
-    np.fill_diagonal(aa, 0.0)
-    cc = (ac[:, :, None] + ac[:, None, :]).min(axis=0)
-    np.fill_diagonal(cc, 0.0)
-    d = np.zeros((n + m, n + m))
-    d[:n, :n] = aa
-    d[:n, n:] = ac
-    d[n:, :n] = ac.T
-    d[n:, n:] = cc
-    d.flags.writeable = False       # the instance then keeps d, not a copy
+    d[:n, :n] = _two_hop(ca)
+    d[:n, n:] = ca.T
+    d[n:, :n] = ca
+    d[n:, n:] = _two_hop(ca.T)
     return Instance.explicit(d, n, inst.k,
                              agent_names=[f"v{v}" for v in range(n)],
                              candidate_names=[f"c{c}" for c in range(m)])

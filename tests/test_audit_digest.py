@@ -1,4 +1,4 @@
-"""tools/audit_digest.py runs against the source tree and prints its nine
+"""tools/audit_digest.py runs against the source tree and prints its ten
 digests, at a small count; tools/loc.py prints a line count a file and a
 total."""
 
@@ -22,7 +22,7 @@ def test_audit_digest_smoke(tmp_path):
     lines = out.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["smallk", "batch", "pjr+", "dc", "dc-batch",
                                                  "experiment", "oracle", "refs",
-                                                 "baselines"]
+                                                 "baselines", "metric"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1]) for line in lines)
     assert "(24 verdicts," in lines[0] and "(96 verdicts," in lines[1]
     assert "(6 verdicts," in lines[2]
@@ -36,6 +36,7 @@ def test_audit_digest_smoke(tmp_path):
     count = int(re.search(r"\((\d+) lines,", lines[7]).group(1))
     assert 4 * 8 <= count <= 4 * (7 + 3 * 5)
     assert "(4 lines)" in lines[8]                  # one DC case, at 4 dimensions
+    assert "(14 lines," in lines[9]                 # 6 embedded profiles, 4 cases at 2 checks
 
 
 def test_loc_smoke(tmp_path):

@@ -439,6 +439,28 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "distances must be finite" in captured.err
 
+    def test_validate_builds_no_full_matrix_without_triangle(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # a Euclidean metric is symmetric, zero-diagonal and nonnegative as
+        # computed; when the coordinate spans bound every distance, only
+        # the triangle scan needs the (n+m)^2 matrix
+        from propaudit import core
+        n, m = 40, 10
+        gen = np.random.default_rng(3)
+        path = tmp_path / "inst.json"
+        dump_instance(Instance.euclidean(gen.random((n, 2)), gen.random((m, 2)), 3), path)
+        pairwise, rows = core._pairwise, []
+
+        def spy(a, b):
+            rows.append(len(a))
+            return pairwise(a, b)
+
+        monkeypatch.setattr(core, "_pairwise", spy)
+        assert main(["validate", str(path)]) == 0
+        assert read_json(capsys)["ok"] and n + m not in rows
+        assert main(["validate", str(path), "--triangle"]) == 0
+        assert read_json(capsys)["ok"] and n + m in rows
+
     def test_experiment_verbose_progress(self, monkeypatch, capsys):
         # a clock that ticks per reading keeps mean_ms equal across the runs
         ticks = itertools.count()

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from propaudit import (ApprovalInstance, InputError, Instance,
-                       UnsupportedBackend, check_selection, dump_instance,
-                       embed_approval, load_instance, validate_metric)
+from propaudit import (ApprovalInstance, InputError, Instance, check_selection,
+                       dump_instance, embed_approval, load_instance, validate_metric)
 from propaudit import core
 from propaudit.gen import fixture_incomparability, substream
 
@@ -85,10 +84,38 @@ class TestValidateMetric:
         a, b, c = check.points
         assert d[a, c] > d[a, b] + d[b, c]
 
-    def test_euclidean_backend_unsupported(self):
-        inst = Instance.euclidean([[0.0]], [[1.0]], 1)
-        with pytest.raises(UnsupportedBackend):
-            validate_metric(inst)
+    def test_euclidean_equals_explicit_twin(self, rng):
+        """A Euclidean instance gets its to_explicit() twin's result at both
+        triangle settings, or both raise InputError."""
+        def outcome(check):
+            try:
+                return check()
+            except InputError as exc:
+                return str(exc)
+
+        def same(agents, cands):
+            inst = Instance.euclidean(agents, cands, 1)
+            got = [outcome(lambda: validate_metric(inst, t)) for t in (False, True)]
+            assert got == [outcome(lambda: validate_metric(inst.to_explicit(), t))
+                           for t in (False, True)]
+            return got
+
+        for _ in range(60):
+            n, m, dim = (int(v) for v in rng.integers(1, 9, size=3))
+            agents, cands = rng.random((n, dim)), rng.random((m, dim))
+            if rng.random() < 0.5:      # duplicate points, within and across sides
+                agents[-1], cands[0] = agents[0], agents[0]
+            same(agents, cands)
+        zero = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+        assert same(zero, zero) == [core.MetricCheck(True)] * 2
+        # agent-candidate distances are finite, the agents' distance is not
+        overflow = same([[1e154, 0], [-1e154, 0]], [[0, 0], [1, 0]])
+        assert overflow == ["distances must be finite"] * 2
+        # three points on a line but for rounding: d(0, 2) > d(0, 1) + d(1, 2)
+        got = same([[0.31024187555895566, 0.4858353588317891]],
+                   [[0.32554783408118176, 0.5134177863201637],
+                    [0.35779519670907023, 0.5715298307297609]])
+        assert got == [core.MetricCheck(True), core.MetricCheck(False, "triangle", (0, 1, 2))]
 
 
 class TestBackendAgreement:
@@ -149,16 +176,33 @@ class TestOwnArrays:
         assert euc._agent_points.flags.f_contiguous
         assert euc._candidate_points.flags.f_contiguous
 
-    def test_explicit_copies_only_what_a_caller_can_write(self):
-        M = Instance.euclidean([[0.], [1.]], [[2.]], 1).to_explicit()._matrix
-        assert not M.flags.writeable and M.flags.owndata
-        assert Instance.explicit(M, 2, 1)._matrix is M
-        view = M[:, :]
-        assert Instance.explicit(view, 2, 1)._matrix is not view
+    def test_owner_cannot_write_into_an_explicit_instance(self):
+        """A matrix the caller made read-only is copied all the same: its
+        owner can make it writeable again.  Views and writable arrays are
+        copied too."""
+        from propaudit import verify_dc_mpjr_plus
+        A = np.array([[0., 0.], [0., 1.], [2., 0.], [2., 1.]])
+        C = np.array([[0., .5], [2., .5], [.5, .5]])
+        X = (0, 2)
+        M = Instance.euclidean(A, C, 2).to_explicit()._matrix.copy()
+        moved = M.copy()
+        moved[2:4, 6] = moved[6, 2:4] = 0.0    # the unserved pair sits on center 2
+        assert verify_dc_mpjr_plus(Instance.explicit(moved, 4, 2), X).satisfied
+
+        M.flags.writeable = False
+        frozen = Instance.explicit(M, 4, 2)
         writable = M.copy()
-        assert Instance.explicit(writable, 2, 1)._matrix is not writable
-
-
+        view = writable[:, :]
+        others = [Instance.explicit(a, 4, 2) for a in (writable, view)]
+        D = frozen.dists().copy()
+        M.flags.writeable = True
+        for a in (M, writable):
+            a[...] = moved
+        for inst in [frozen] + others:
+            assert not (np.shares_memory(inst._matrix, M) or np.shares_memory(inst._matrix, view))
+            assert np.array_equal(inst.dists(), D)
+            assert np.array_equal(inst.rows([0, 1, 2]), D.T)
+            assert not verify_dc_mpjr_plus(inst, X).satisfied
 class TestSelectionAndJson:
     def test_selection_size_enforced(self):
         inst, _ = fixture_incomparability(2)

@@ -24,6 +24,35 @@ class TestConstruction:
         assert d[0][1] == 3.0   # v1-v2 through either candidate
         assert d[2][3] == 3.0
 
+    def test_two_hop_fold_equals_broadcast_in_small_memory(self, rng):
+        """The matrix is bit-equal to the (n, n, m) and (n, m, m) broadcast
+        minima (sums of 1s and 2s are exact), and building it peaks at a
+        small multiple of its own size, not at n*n*m floats."""
+        import tracemalloc
+        from propaudit.approval import _ballot_distances
+
+        def broadcast(inst):
+            ac = _ballot_distances(inst).T
+            aa = (ac[:, None, :] + ac[None, :, :]).min(axis=2)
+            cc = (ac[:, :, None] + ac[:, None, :]).min(axis=0)
+            np.fill_diagonal(aa, 0.0)
+            np.fill_diagonal(cc, 0.0)
+            return np.block([[aa, ac], [ac.T, cc]])
+
+        for _ in range(300):
+            inst = random_profile(rng, max_n=30, max_m=20, p=rng.random())
+            assert embed_approval(inst)._matrix.tobytes() == broadcast(inst).tobytes()
+        n, m = 400, 100
+        inst = ApprovalInstance(
+            [np.flatnonzero(rng.random(m) < 0.3).tolist() for _ in range(n)], m, 5)
+        tracemalloc.start()
+        try:
+            embed_approval(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (n + m) ** 2 * 8      # the broadcast peaks at 65 times
+
     def test_is_metric(self, rng):
         for _ in range(25):
             emb = embed_approval(random_profile(rng))

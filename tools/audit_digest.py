@@ -1,7 +1,7 @@
 """Digests of the audits' outputs, for checking that a change to their
 code leaves every output as it was.
 
-Prints nine sha256 digests, one a line, each with what it covers:
+Prints ten sha256 digests, one a line, each with what it covers:
 
 * ``smallk``: ``verify_mpjr_plus_smallk(...).to_dict()`` less
   ``elapsed_ms`` on seeded planar cases, at every gamma in {0.7, 1, 1.5}
@@ -51,6 +51,13 @@ Prints nine sha256 digests, one a line, each with what it covers:
   a case, on seeded Euclidean cases at every dimension in {2, 8, 9, 33}:
   agents around 1-4 hubs, n of 8-60, k of 2-7, m - k of 1-24, a third of
   them on a quarter grid.
+* ``metric``: the explicit metrics behind ``validate``:
+  ``embed_approval(p)._matrix`` on the ``pjr+`` line's profiles (the same
+  draws from the same stream), then ``validate_metric(inst.to_explicit(),
+  t)`` at t in {False, True} on hub cases drawn as for ``smallk`` from a
+  stream of their own, a third of them moved to within 1e-9 of a line,
+  where rounding breaks the triangle inequality.  Its violated count is
+  of checks.
 
 Run it on two commits and compare the lines:
 
@@ -68,12 +75,12 @@ import json
 import numpy as np
 
 from propaudit import (ApprovalInstance, ExperimentConfig, Instance, dc_violations,
-                       kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
+                       embed_approval, kmeans_cost, kmeans_lloyd_snapped, kmedian_cost,
                        kmedian_local_search, oracle_dc, oracle_mpjr, oracle_mpjr_plus,
                        oracle_mpjr_plus_fixed_ell, run_experiment, run_sear,
                        sample_selection, submodular_min_check, substream, verify,
                        verify_fixed_ell_dc, verify_fixed_ell_pjr_plus_bruteforce,
-                       verify_mpjr_plus_smallk, verify_pjr_bruteforce,
+                       validate_metric, verify_mpjr_plus_smallk, verify_pjr_bruteforce,
                        verify_pjr_plus_sweep)
 
 GAMMAS = (0.7, 1.0, 1.5)
@@ -152,7 +159,7 @@ def digest(lines) -> tuple:
     for line in lines:
         h.update(line.encode() + b"\n")
         count += 1
-        violated += '"satisfied": false' in line
+        violated += '"satisfied": false' in line or '"ok": false' in line
     return h.hexdigest(), count, violated
 
 
@@ -264,6 +271,22 @@ def baseline_lines(cases, seed):
             yield json.dumps(line, sort_keys=True)
 
 
+def metric_lines(cases, profiles, seed):
+    gen = substream(seed, "audit-digest", "pjr+")
+    for _ in range(profiles):
+        yield json.dumps(embed_approval(group_profile(gen)[0])._matrix.tolist())
+    gen = substream(seed, "audit-digest", "metric")
+    for _ in range(cases):
+        inst, _ = hub_case(gen)
+        if gen.random() < 1 / 3:
+            t = gen.random(inst.n + inst.m)
+            pts = np.column_stack([t, 0.4 * t + 1e-9 * gen.random(len(t))])
+            inst = Instance.euclidean(pts[:inst.n], pts[inst.n:], inst.k)
+        for triangle in (False, True):
+            check = validate_metric(inst.to_explicit(), triangle)
+            yield json.dumps(dataclasses.asdict(check), sort_keys=True)
+
+
 def experiment_csv(seed) -> str:
     return "".join(run_experiment(ExperimentConfig(
         n_values=(20, 40, 60), g_values=(4, 6), instances_per_cell=3,
@@ -276,9 +299,11 @@ def main(argv=None) -> None:
     p.add_argument("--cases", type=int, default=1000,
                    help="small-k cases (6 audits each), batch cases (24 verdicts each), "
                         "oracle desk cases (3 + 3k verdicts each) and refs desk cases "
-                        "(7 verdicts and up to 3 (m - k) reports each)")
+                        "(7 verdicts and up to 3 (m - k) reports each) and metric hub cases "
+                        "(2 checks each)")
     p.add_argument("--profiles", type=int, default=1000,
-                   help="approval profiles, and oracle desk profiles (1 + k verdicts each)")
+                   help="approval profiles, each embedded for the metric line too, and "
+                        "oracle desk profiles (1 + k verdicts each)")
     p.add_argument("--dc-cases", type=int, default=100,
                    help="DC cases (6 violation lists and up to 18 fixed-ell verdicts each), "
                         "DC batch cases (900 verdicts each) and baseline cases (4 lines "
@@ -302,6 +327,8 @@ def main(argv=None) -> None:
     print(f"refs {sha} ({count} lines, {violated} violated)")
     sha, count, _ = digest(baseline_lines(args.dc_cases, args.seed))
     print(f"baselines {sha} ({count} lines)")
+    sha, count, violated = digest(metric_lines(args.cases, args.profiles, args.seed))
+    print(f"metric {sha} ({count} lines, {violated} violated)")
 
 
 if __name__ == "__main__":
